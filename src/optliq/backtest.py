@@ -25,12 +25,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (CalibrationError, DataError, DegenerateSpectrumError,
-                     ParameterError, SolverFailureError)
+from .errors import CalibrationError, DataError, ParameterError
 from .market_data import (DEFAULT_DISTANCE_GRID, TradeTape, calibrate_gamma,
                           calibrate_intensity, calibrate_sigma)
 from .model import ModelParams, quote_from_w
-from .ode import solve_rk, solve_spectral
+from .ode import solve_w
 
 __all__ = [
     "BacktestConfig",
@@ -90,7 +89,6 @@ class BacktestConfig:
     sampling_dt: float = 1.0
     distance_grid: Sequence[float] = DEFAULT_DISTANCE_GRID
     n_min: int = 50
-    solver_steps: int = 4000
 
     def __post_init__(self):
         if self.q0 < 1:
@@ -180,16 +178,9 @@ class BacktestLedger:
                 fh.write(f"{t:.17g},{mid:.17g},{inv},{cash:.17g}\n")
 
 
-def _quote_for_state(params: ModelParams, elapsed: float, q: int,
-                     solver_steps: int) -> float:
-    """delta*(elapsed, q) for the full remaining problem, exact spectral
-    route with Runge-Kutta fallback on degenerate spectra."""
-    try:
-        w = solve_spectral(params).evaluate_at(elapsed)
-    except (DegenerateSpectrumError, SolverFailureError):
-        grid = solve_rk(params, n_steps=solver_steps)
-        i = int(round(elapsed / params.horizon * solver_steps))
-        w = grid.values[i]
+def _quote_for_state(params: ModelParams, elapsed: float, q: int) -> float:
+    """delta*(elapsed, q) for the full remaining problem."""
+    w = solve_w(params).evaluate_at(elapsed)
     return quote_from_w(w[q], w[q - 1], params)
 
 
@@ -261,7 +252,7 @@ def run_backtest(tape: TradeTape, cfg: BacktestConfig) -> BacktestLedger:
         params = ModelParams(mu=0.0, sigma=sigma_hat, big_a=fit.a_hat,
                              k=fit.k_hat, gamma=gamma, b=cfg.b,
                              horizon=horizon, q_max=q)
-        raw_delta = _quote_for_state(params, elapsed, q, cfg.solver_steps)
+        raw_delta = _quote_for_state(params, elapsed, q)
 
         if (cfg.market_order_threshold is not None
                 and raw_delta < cfg.market_order_threshold):

@@ -21,11 +21,11 @@ import numpy as np
 
 from . import closed_forms as cf
 from .backtest import BacktestConfig, run_backtest, summarize
-from .errors import (CalibrationError, DataError, DegenerateSpectrumError,
-                     NoAsymptoteError, ParameterError, RegimeError,
-                     SolverFailureError, UsageError)
+from .errors import (CalibrationError, DataError, NoAsymptoteError,
+                     ParameterError, RegimeError, SolverFailureError,
+                     UsageError)
 from .market_data import TapeFormat, calibrate_tape, load_tape
-from .model import CONFIG_KEY_TO_FIELD, ModelParams
+from .model import CONFIG_KEY_TO_FIELD, ModelParams, parse_config
 from .ode import DEFAULT_N_STEPS, quote_surface, solve_grid
 from .simulate import (FixedQuote, MarketOrderFallback, OptimalSurface,
                        SimConfig, simulate_ensemble, simulate_path)
@@ -45,31 +45,6 @@ def _resolve_config_path(path: str) -> str:
     return path
 
 
-def _parse_config_file(path: str):
-    """Flat model keys on top, then optional [section] blocks."""
-    model_items, sections = {}, {}
-    current = None
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read config {path}: {exc}") from exc
-    with fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                current = line[1:-1].strip()
-                sections.setdefault(current, {})
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}: malformed line {raw.strip()!r}")
-            key, _, value = line.partition("=")
-            target = model_items if current is None else sections[current]
-            target[key.strip()] = value.strip()
-    return model_items, sections
-
-
 def _apply_overrides(model_items: dict, sections: dict, sets):
     for item in sets or []:
         if "=" not in item:
@@ -86,7 +61,14 @@ def _apply_overrides(model_items: dict, sections: dict, sets):
 def _load_params(args) -> tuple:
     model_items, sections = {}, {}
     if getattr(args, "config", None):
-        model_items, sections = _parse_config_file(_resolve_config_path(args.config))
+        path = _resolve_config_path(args.config)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                model_items, sections = parse_config(fh)
+        except OSError as exc:
+            raise DataError(f"cannot read config {path}: {exc}") from exc
+        except ParameterError as exc:
+            raise UsageError(f"{path}: {exc}") from exc
     _apply_overrides(model_items, sections, getattr(args, "set", None))
     for key in model_items:
         if key not in CONFIG_KEY_TO_FIELD:
@@ -116,7 +98,7 @@ def _pick(args, section, key, default, cast=float):
 
 def cmd_solve(args) -> int:
     params, _ = _load_params(args)
-    grid = solve_grid(params, n_steps=args.steps, method=args.method)
+    grid = solve_grid(params, n_steps=args.steps)
     if args.format == "csv":
         grid.to_csv(args.out)
     else:
@@ -126,8 +108,7 @@ def cmd_solve(args) -> int:
 
 def cmd_quotes(args) -> int:
     params, _ = _load_params(args)
-    surface = quote_surface(solve_grid(params, n_steps=args.steps,
-                                       method=args.method))
+    surface = quote_surface(solve_grid(params, n_steps=args.steps))
     if args.format == "csv":
         surface.to_csv(args.out)
     else:
@@ -152,8 +133,7 @@ def cmd_sweep(args) -> int:
     columns = []
     for value in values:
         p = params.with_(**{field: value})
-        surface = quote_surface(solve_grid(p, n_steps=args.steps,
-                                           method=args.method))
+        surface = quote_surface(solve_grid(p, n_steps=args.steps))
         columns.append(surface.values[0])  # premiums at t = 0, q = 1..q_max
     header = ["q"] + [f"{name}={v:g}" for v in values]
     if args.format == "csv":
@@ -317,8 +297,6 @@ def _add_model_flags(sp):
 def _add_solver_flags(sp):
     sp.add_argument("--steps", type=int, default=DEFAULT_N_STEPS,
                     help="time grid steps")
-    sp.add_argument("--method", default="auto",
-                    choices=("auto", "rk", "spectral", "quadrature"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -422,7 +400,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (ParameterError, RegimeError, NoAsymptoteError,
-            DegenerateSpectrumError, SolverFailureError) as exc:
+            SolverFailureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (DataError, CalibrationError) as exc:

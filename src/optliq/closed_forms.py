@@ -13,7 +13,7 @@ Four regimes admit explicit expressions:
   schedule ("trading curve") independent of big_a.
 
 Everything here is a pure function of the inputs and cross-checks the
-numerical solvers of :mod:`optliq.ode` in its own regime.
+numerical solution of :mod:`optliq.ode` in its own regime.
 """
 
 from __future__ import annotations

@@ -17,12 +17,10 @@ class NoAsymptoteError(RegimeError):
     """The long-horizon quote limit does not exist for these parameters."""
 
 
-class DegenerateSpectrumError(OptliqError, RuntimeError):
-    """Eigenvalue collision in the spectral solver; use the Runge-Kutta solver instead."""
-
-
 class SolverFailureError(OptliqError, RuntimeError):
-    """A solver produced a non-positive w value, signalling a too-coarse step or bad input."""
+    """w left the range of normal doubles at t = 0 (it underflowed below
+    ``np.finfo(float).tiny`` or overflowed), so the quotes, which are ratios
+    of consecutive levels, cannot be formed; lowering q_max avoids it."""
 
 
 class DataError(OptliqError, ValueError):

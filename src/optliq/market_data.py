@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import CalibrationError, DataError, ParameterError
 from .model import ModelParams, quote_from_w
-from .ode import solve_grid
+from .ode import solve_w
 
 __all__ = [
     "TapeFormat",
@@ -283,8 +283,7 @@ def calibrate_intensity(tape: TradeTape,
 
 def calibrate_gamma(big_a: float, k: float, sigma: float, mu: float, b: float,
                     horizon: float, target_quote: float = 1.0,
-                    bracket=(1e-6, 1e2), quote_tol: float = 1e-4,
-                    n_steps: int = 4000) -> float:
+                    bracket=(1e-6, 1e2), quote_tol: float = 1e-4) -> float:
     """Risk aversion that makes the time-0 premium at q = 1 hit the target.
 
     The premium is continuous and decreasing in gamma over the bracket, so
@@ -300,8 +299,8 @@ def calibrate_gamma(big_a: float, k: float, sigma: float, mu: float, b: float,
     def first_quote(gamma: float) -> float:
         params = ModelParams(mu=mu, sigma=sigma, big_a=big_a, k=k, gamma=gamma,
                              b=b, horizon=horizon, q_max=1)
-        grid = solve_grid(params, n_steps=n_steps)
-        return quote_from_w(grid.values[0, 1], grid.values[0, 0], params)
+        w0 = solve_w(params).evaluate_at(0.0)
+        return quote_from_w(w0[1], w0[0], params)
 
     q_lo, q_hi = first_quote(lo), first_quote(hi)
     if not (q_hi - quote_tol <= target_quote <= q_lo + quote_tol):

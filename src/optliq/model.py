@@ -85,6 +85,12 @@ class ModelParams:
     q_max: int = 6
 
     def __post_init__(self):
+        for name in FIELD_TO_CONFIG_KEY:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                hint = (" (the forced-liquidation limit b -> inf has closed forms: "
+                        "optliq.closed_forms.binf_*)" if name == "b" else "")
+                raise ParameterError(f"{name} must be finite, got {value}{hint}")
         if not self.big_a > 0:
             raise ParameterError(f"big_a must be > 0, got {self.big_a}")
         if not self.k > 0:
@@ -139,28 +145,34 @@ class ModelParams:
 
     @classmethod
     def from_config_file(cls, path) -> "ModelParams":
+        """Model keys of a config file; its sections are ignored."""
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_mapping(parse_flat_config(fh))
+            model_items, _ = parse_config(fh)
+        return cls.from_mapping(model_items)
 
 
-def parse_flat_config(fh: TextIO) -> dict:
-    """Parse ``key = value`` lines; '#' comments and blank lines are ignored.
+def parse_config(fh: TextIO) -> tuple:
+    """Parse a config file into ``(model_items, sections)``.
 
-    Stops at the first ``[section]`` header so the model block can sit on
-    top of a sectioned config file.
+    ``key = value`` lines before the first section header are model keys;
+    a line ``[name]`` opens section ``name``, whose keys go to
+    ``sections[name]``.  '#' comments and blank lines are ignored; any other
+    line raises :class:`ParameterError`.
     """
-    out = {}
+    model_items, sections = {}, {}
+    target = model_items
     for line in fh:
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
-        if stripped.startswith("["):
-            break
+        if stripped.startswith("[") and stripped.endswith("]"):
+            target = sections.setdefault(stripped[1:-1].strip(), {})
+            continue
         if "=" not in stripped:
             raise ParameterError(f"malformed config line: {line.strip()!r}")
         key, _, value = stripped.partition("=")
-        out[key.strip()] = value.strip()
-    return out
+        target[key.strip()] = value.strip()
+    return model_items, sections
 
 
 @dataclass(frozen=True)
@@ -210,10 +222,10 @@ def quote_from_w(w_q: float, w_qm1: float, p: ModelParams) -> float:
     backtester).
     """
     p.require_risk_averse("quote_from_w")
-    if not (w_q > 0 and w_qm1 > 0):
+    if not (0 < w_q < math.inf and 0 < w_qm1 < math.inf):
         raise ParameterError(
-            f"w values must be strictly positive, got w_q={w_q}, w_qm1={w_qm1} "
-            "(non-positive w indicates an upstream solver failure)"
+            f"w values must be finite and strictly positive, got w_q={w_q}, "
+            f"w_qm1={w_qm1} (w left the double range or an upstream solver failed)"
         )
     return math.log(w_q / w_qm1) / p.k + math.log1p(p.gamma / p.k) / p.gamma
 
@@ -250,10 +262,18 @@ class QuoteSurface:
             raise ParameterError(f"q must be in 1..{self.q_max}, got {q}")
         return float(self.values[time_index, q - 1])
 
+    def nodes_at(self, t) -> np.ndarray:
+        """Index of the nearest grid time not after each t (controls are
+        decided on information available at t); -1 before the grid.
+
+        A t a few ulps below a node, as ``i * dt`` can be, counts as that
+        node."""
+        t = np.asarray(t, dtype=float)
+        return np.searchsorted(self.times, t * (1 + 1e-15) + 1e-300, side="right") - 1
+
     def at_time(self, t: float, q: int) -> float:
-        """Quote at the nearest grid time not after t (controls are
-        decided on information available at t)."""
-        i = int(np.searchsorted(self.times, t * (1 + 1e-15) + 1e-300, side="right")) - 1
+        """Quote at the nearest grid time not after t."""
+        i = int(self.nodes_at(t))
         if i < 0:
             raise ParameterError(f"t={t} precedes the surface grid")
         return self.quote(i, q)

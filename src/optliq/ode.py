@@ -1,30 +1,34 @@
-"""Backward solvers for the w ODE system behind the optimal quotes.
+"""Exact solution of the w ODE system behind the optimal quotes.
 
-The inventory-indexed family w_q(t), q = 0..Q, solves the lower-triangular
+The inventory-indexed family w_q(t), q = 0..Q, solves the lower-bidiagonal
 linear system
 
-    wdot_q(t) = (alpha q^2 - beta q) w_q(t) - eta w_{q-1}(t),
+    wdot_q(t) = lambda_q w_q(t) - eta w_{q-1}(t),   lambda_q = alpha q^2 - beta q,
     w_0 = 1,   w_q(T) = exp(-k q b),
 
-integrated backward from the deadline.  Three independent routes are
-provided and cross-check one another in the test suite:
+so ``w(t) = exp(-(T - t) M) w(T)`` with M the bidiagonal system matrix.
+:func:`solve_w` returns that solution; it evaluates w at one time or on a
+uniform grid through a single propagator, ``exp(-tau M)``.
 
-* :func:`solve_rk`          classical fixed-step 4th-order Runge-Kutta,
-* :func:`solve_spectral`    exact eigen-decomposition of the bidiagonal
-                            system matrix (eigenvalues alpha j^2 - beta j),
-* :func:`solve_quadrature`  exact variation-of-constants form, with the
-                            level-(q-1) integral evaluated by composite
-                            Simpson quadrature, recursively in q.
+The propagator is computed without a subtraction.  ``-M`` is Metzler (its
+off-diagonal ``eta`` is nonnegative), so with ``c = max lambda_q`` the
+shifted matrix ``N = cI - M`` is entrywise nonnegative and
+``exp(-tau M) = exp(-tau c) exp(tau N)``.  ``exp(h N)`` is a Taylor
+polynomial of a nonnegative matrix, evaluated by Horner's rule, at a step
+``h = tau / 2^s`` small enough that the truncation is below rounding; ``s``
+squarings then reach ``tau``, each followed by writing the exact diagonal
+``exp(-h' lambda)``.  Every operation adds or multiplies
+nonnegative numbers, so every entry keeps its relative accuracy however
+small it is: degenerate or resonant spectra, ``mu = sigma = 0``, long
+horizons and terminal values that underflow need no special case (Moler &
+Van Loan, *Nineteen dubious ways to compute the exponential of a matrix*,
+SIAM Rev. 2003; Xue & Ye, Numer. Math. 2008).
 
-For very large k*q*b the terminal values round to zero in double precision
-(below ~1e-300); :func:`solve_rk` and :func:`solve_quadrature` then integrate
-the correctly-rounded terminal data, which coincides with the forced-complete-
-liquidation limit, and relax the positivity check on the terminal row.  The
-spectral route refuses that regime because its coefficient solve cannot
-resolve the underflowed terminal vector.
+A w that is not a normal double at t = 0 cannot give a quote; that is
+refused by :func:`quote_surface`, see :class:`optliq.errors.SolverFailureError`.
 
-Solvers are pure functions; distinct parameter sets may be solved
-concurrently by the caller.
+All functions are pure; distinct parameter sets may be solved concurrently
+by the caller.
 """
 
 from __future__ import annotations
@@ -35,40 +39,103 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, ParameterError, SolverFailureError
-from .model import (
-    FIELD_TO_CONFIG_KEY,
-    DerivedCoefficients,
-    ModelParams,
-    QuoteSurface,
-    derive_coefficients,
-)
+from .errors import ParameterError, SolverFailureError
+from .model import (FIELD_TO_CONFIG_KEY, ModelParams, QuoteSurface,
+                    derive_coefficients, terminal_quote)
 
 __all__ = [
     "WGrid",
-    "SpectralDecomposition",
-    "solve_rk",
+    "WSolution",
+    "solve_w",
     "solve_spectral",
-    "solve_quadrature",
     "solve_grid",
     "quote_surface",
     "DEFAULT_N_STEPS",
 ]
 
-#: default step count; keeps quote drift under 1e-4 Ticks for horizons up
-#: to a couple of hours at negligible cost (the system has q_max+1 rows)
+#: default grid step count for :func:`solve_grid`; the grid values are
+#: exact at every node, the count only sets the time resolution
 DEFAULT_N_STEPS = 10_000
 
-# terminal values exp(-k*q*b) below this are treated as exact zeros
-_UNDERFLOW_FLOOR = 1e-300
+# the scaled step keeps h * max(diag N) + h * eta below this
+_THETA = 0.5
+# powers E_h^j precomputed per block when building a grid
+_BLOCK = 32
+_INV_FACTORIAL = 1.0 / np.array([math.factorial(j) for j in range(171)], dtype=float)
 
 
 def _terminal_values(p: ModelParams) -> np.ndarray:
     return np.exp(-p.k * p.b * np.arange(p.q_max + 1, dtype=float))
 
 
-def _terminal_underflows(p: ModelParams) -> bool:
-    return p.k * p.b * p.q_max > -math.log(_UNDERFLOW_FLOOR)
+def _rates(p: ModelParams) -> tuple:
+    """(lambda_q for q = 0..q_max, eta): M has diagonal lambda and
+    subdiagonal -eta."""
+    coeffs = derive_coefficients(p)
+    q = np.arange(p.q_max + 1, dtype=float)
+    return coeffs.alpha * q * q - coeffs.beta * q, coeffs.eta
+
+
+def _propagator(p: ModelParams, tau: float) -> np.ndarray:
+    """exp(-tau M), entrywise nonnegative, each entry to relative accuracy.
+
+    Entry (q, q - d) of the Taylor remainder of ``exp(hN)`` after degree m
+    is at most ``theta^(m+1-d) e^theta / (m+1-d)!`` of that entry, with
+    ``theta = h max(diag N)``; the degree is chosen so the bound, amplified
+    by the ``2^s`` factors of the product, stays below rounding for every
+    ``d <= q_max``.  The diagonal of each power is reset to the exact
+    ``exp(-h' lambda)``, which keeps the squarings from compounding its
+    rounding error (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 2009).
+    """
+    lam, eta = _rates(p)
+    n = p.q_max + 1
+    c = float(lam.max())
+    diag = c - lam
+    d_max = float(diag.max())
+    norm = tau * (d_max + eta)
+    s = math.ceil(math.log2(norm / _THETA)) if norm > _THETA else 0
+    h = tau / 2.0 ** s
+    theta = h * d_max
+    k, bound = 1, theta * math.exp(theta) * 2.0 ** s
+    while bound > 2.0 ** -53:
+        k += 1
+        bound *= theta / k
+    m = p.q_max + k - 1
+
+    a = np.zeros((n, n))
+    a.reshape(-1)[::n + 1] = h * diag
+    a.reshape(-1)[n::n + 1] = h * eta  # subdiagonal
+    # Horner's rule in A^r over blocks sum_j A^j / (i r + j)!
+    # (Paterson-Stockmeyer), so a degree-m polynomial costs ~2 sqrt(m)
+    # products; all coefficients are positive
+    r = max(1, math.isqrt(m))
+    n_blocks = m // r + 1
+    powers = np.zeros((r, n, n))
+    powers[0].reshape(-1)[::n + 1] = 1.0
+    for j in range(1, r):
+        np.matmul(powers[j - 1], a, out=powers[j])
+    a_r = powers[-1] @ a
+    coef = np.zeros(n_blocks * r)
+    # 1/j! underflows past j = 170; with h * eta <= 1/2 such terms are
+    # below the double range anyway
+    top = min(m, _INV_FACTORIAL.size - 1) + 1
+    coef[:top] = _INV_FACTORIAL[:top] * math.exp(-h * c)
+    blocks = (coef.reshape(n_blocks, r) @ powers.reshape(r, n * n)).reshape(n_blocks, n, n)
+    e = blocks[-1]
+    for i in range(n_blocks - 2, -1, -1):
+        e = a_r @ e
+        e += blocks[i]
+
+    # square in place between two buffers, each with a view on its diagonal
+    buffers = (e, np.empty_like(e))
+    diagonals = tuple(b.reshape(-1)[::n + 1] for b in buffers)
+    with np.errstate(over="ignore", invalid="ignore"):
+        exact_diag = np.exp(np.multiply.outer(-h * 2.0 ** np.arange(s + 1), lam))
+        diagonals[0][:] = exact_diag[0]
+        for i in range(1, s + 1):
+            np.matmul(buffers[1 - i % 2], buffers[1 - i % 2], out=buffers[i % 2])
+            diagonals[i % 2][:] = exact_diag[i]
+    return buffers[s % 2]
 
 
 @dataclass(frozen=True)
@@ -77,14 +144,11 @@ class WGrid:
 
     times   grid 0 = t_0 < ... < t_N = T, shape (N+1,)
     values  w values, shape (N+1, q_max+1); column q holds w_q
-    terminal_underflow  True when exp(-k q b) rounded to zero for some q,
-        in which case the terminal row legitimately contains zeros
     """
 
     params: ModelParams
     times: np.ndarray
     values: np.ndarray
-    terminal_underflow: bool = False
 
     def __post_init__(self):
         times = np.ascontiguousarray(self.times, dtype=float)
@@ -97,6 +161,12 @@ class WGrid:
     @property
     def q_max(self) -> int:
         return self.params.q_max
+
+    @property
+    def terminal_underflow(self) -> bool:
+        """True when exp(-k q b) rounded to zero for some q, so the terminal
+        row, and near it the top levels, legitimately hold zeros."""
+        return not bool(np.all(self.values[-1] > 0))
 
     def value(self, time_index: int, q: int) -> float:
         return float(self.values[time_index, q])
@@ -155,239 +225,112 @@ def _write_tq_csv(path, times, values, first_q: int) -> None:
                 fh.write(f"{t:.17g},{first_q + j},{row[j]:.17g}\n")
 
 
-def _system_matrix(p: ModelParams, coeffs: DerivedCoefficients) -> np.ndarray:
-    """Bidiagonal matrix M with wdot = M w; row 0 is zero so w_0 stays 1."""
-    q = np.arange(p.q_max + 1, dtype=float)
-    m = np.diag(coeffs.alpha * q * q - coeffs.beta * q)
-    for i in range(1, p.q_max + 1):
-        m[i, i - 1] = -coeffs.eta
-    return m
-
-
-def solve_rk(p: ModelParams, n_steps: int = DEFAULT_N_STEPS,
-             coeffs: DerivedCoefficients | None = None) -> WGrid:
-    """Integrate the system backward from T with classical 4th-order
-    Runge-Kutta at fixed step T/n_steps.
-
-    The system is linear and autonomous, so one RK4 step is the fixed
-    polynomial ``I + P + P^2/2 + P^3/6 + P^4/24`` of ``P = h*M`` applied per
-    step (identical arithmetic to the four-stage form).  Any non-positive w
-    raises :class:`SolverFailureError` naming the offending (t, q).
-    """
-    p.require_risk_averse("solve_rk")
-    if n_steps < 1:
-        raise ParameterError(f"n_steps must be >= 1, got {n_steps}")
-    if coeffs is None:
-        coeffs = derive_coefficients(p)
-    underflow = _terminal_underflows(p)
-    h = p.horizon / n_steps
-    # backward in t means forward in tau = T - t with v' = -M v
-    step = h * _system_matrix(p, coeffs)  # P = h*M; v_{n+1} = poly(-P) v_n
-    rk = np.eye(p.q_max + 1)
-    term = np.eye(p.q_max + 1)
-    for order in range(1, 5):
-        term = term @ (-step) / order
-        rk = rk + term
-
-    times = np.linspace(0.0, p.horizon, n_steps + 1)
-    values = np.empty((n_steps + 1, p.q_max + 1))
-    w = _terminal_values(p)
-    values[n_steps] = w
-    active = w > 0  # components that have become positive must stay so
-    for i in range(n_steps - 1, -1, -1):
-        w = rk @ w
-        bad = active & ~(w > 0)
-        if bad.any():
-            q_bad = int(np.argmax(bad))
-            raise SolverFailureError(
-                f"non-positive w at t={times[i]:.6g}, q={q_bad} "
-                f"(w={w[q_bad]:.3g}); reduce the step size"
-            )
-        if not underflow and not np.all(w > 0):
-            q_bad = int(np.argmax(~(w > 0)))
-            raise SolverFailureError(
-                f"non-positive w at t={times[i]:.6g}, q={q_bad}; reduce the step size"
-            )
-        active |= w > 0
-        values[i] = w
-    if underflow and not np.all(values[0] > 0):
-        raise SolverFailureError("w failed to become positive by t=0; refine the grid")
-    return WGrid(params=p, times=times, values=values, terminal_underflow=underflow)
-
-
 @dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigen-decomposition of the system matrix.
-
-    eigenvalues  lambda_j = alpha j^2 - beta j, shape (q_max+1,)
-    eigvecs      lower-triangular matrix F with F[:, j] the eigenvector for
-                 lambda_j, normalised to F[j, j] = 1
-    coeffs       expansion coefficients c with F c = terminal vector
-    """
+class WSolution:
+    """The solution w(t) = exp(-(T - t) M) w(T) of one parameter set."""
 
     params: ModelParams
-    eigenvalues: np.ndarray
-    eigvecs: np.ndarray
-    coeffs: np.ndarray
 
     def evaluate_at(self, t: float) -> np.ndarray:
-        """w(t) = F (c * exp(-lambda (T - t))).
+        """w(t) for q = 0..q_max.
 
-        The expansion coefficients alternate in sign and can be orders of
-        magnitude larger than the reconstructed values, so the row sums use
-        exact (fsum) accumulation.
+        The propagator exp(-(T - t) M) is formed whole, so with a positive
+        drift over a long time to go an entry of it can overflow before w
+        does; the result then holds inf or nan.  :meth:`to_wgrid` forms
+        powers of at most 32 grid steps and walks the rest on vectors.
         """
         if not 0.0 <= t <= self.params.horizon:
             raise ParameterError(f"t={t} outside [0, {self.params.horizon}]")
-        weights = self.coeffs * np.exp(-self.eigenvalues
-                                       * (self.params.horizon - t))
-        return np.array([math.fsum(self.eigvecs[row, :row + 1]
-                                   * weights[:row + 1])
-                         for row in range(self.eigenvalues.size)])
+        return (_propagator(self.params, self.params.horizon - t)
+                @ _terminal_values(self.params))
 
     def to_wgrid(self, n_steps: int = DEFAULT_N_STEPS) -> WGrid:
-        times = np.linspace(0.0, self.params.horizon, n_steps + 1)
-        decay = np.exp(-np.outer(self.eigenvalues, self.params.horizon - times))
-        values = (self.eigvecs @ (self.coeffs[:, None] * decay)).T
-        # the grid carries the exact terminal data rather than its
-        # cancellation-noisy reconstruction
-        values[-1] = _terminal_values(self.params)
-        if not np.all(values > 0):
-            i, q = np.unravel_index(int(np.argmin(values)), values.shape)
-            raise SolverFailureError(
-                f"spectral reconstruction non-positive at t={times[i]:.6g}, q={q}"
-            )
-        return WGrid(params=self.params, times=times, values=values)
+        """w on the uniform grid of n_steps steps, exact at every node.
+
+        With ``E = exp(-h M)``, ``h = T / n_steps``, the grid times are
+        taken in blocks of B = 32: node j of a block is ``E^(B-1-j) S``,
+        where the start S is w at the block's last node.  The powers
+        ``E^j``, ``j <= B``, are built once, the starts are walked back from
+        w(T) by ``E^B``, and one matrix product forms every node, in time
+        order.
+        """
+        p = self.params
+        if n_steps < 1:
+            raise ParameterError(f"n_steps must be >= 1, got {n_steps}")
+        n = p.q_max + 1
+        h = p.horizon / n_steps
+        step = _propagator(p, h)
+        lam, _ = _rates(p)
+        block = min(_BLOCK, n_steps + 1)
+        n_blocks = -(-(n_steps + 1) // block)
+        # the first `pad` rows of the product fall before t = 0
+        pad = n_blocks * block - (n_steps + 1)
+        powers = np.empty((block + 1, n, n))
+        powers[0] = np.eye(n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(1, block + 1):
+                np.matmul(powers[j - 1], step, out=powers[j])
+                powers[j].reshape(-1)[::n + 1] = np.exp(-j * h * lam)
+            starts = np.empty((n, n_blocks))
+            starts[:, -1] = _terminal_values(p)
+            for k in range(n_blocks - 2, -1, -1):
+                starts[:, k] = powers[block] @ starts[:, k + 1]
+            # stacked[l, j * n + q] = (E^(B-1-j))[q, l]
+            stacked = powers[block - 1::-1].transpose(2, 0, 1).reshape(n, block * n)
+            values = (starts.T @ stacked).reshape(-1, n)[pad:]
+        times = np.linspace(0.0, p.horizon, n_steps + 1)
+        return WGrid(params=p, times=times, values=values)
 
 
-def solve_spectral(p: ModelParams,
-                   coeffs: DerivedCoefficients | None = None) -> SpectralDecomposition:
-    """Exact solution by eigen-decomposition.
-
-    Eigenvector entries follow the recursion
-    ``F[q, j] = eta * F[q-1, j] / (lambda_q - lambda_j)`` for q > j, so the
-    spectrum must be simple: any gap below ``1e-9 * max|lambda|`` raises
-    :class:`DegenerateSpectrumError` (fall back to :func:`solve_rk`).
-    """
-    p.require_risk_averse("solve_spectral")
-    if _terminal_underflows(p):
-        raise SolverFailureError(
-            "terminal values underflow below 1e-300; the spectral coefficient "
-            "solve cannot represent them, use solve_rk or solve_quadrature"
-        )
-    if coeffs is None:
-        coeffs = derive_coefficients(p)
-    n = p.q_max + 1
-    q = np.arange(n, dtype=float)
-    lam = coeffs.alpha * q * q - coeffs.beta * q
-    tol = 1e-9 * float(np.max(np.abs(lam)))
-    for hi in range(1, n):
-        gaps = np.abs(lam[hi] - lam[:hi])
-        if np.any(gaps <= tol):
-            j = int(np.argmin(gaps))
-            raise DegenerateSpectrumError(
-                f"eigenvalues for q={hi} and j={j} collide "
-                f"(gap {gaps[j]:.3g} <= tol {tol:.3g}); use solve_rk"
-            )
-    f = np.zeros((n, n))
-    for j in range(n):
-        f[j, j] = 1.0
-        for row in range(j + 1, n):
-            f[row, j] = coeffs.eta * f[row - 1, j] / (lam[row] - lam[j])
-    term = _terminal_values(p)
-    c = np.zeros(n)
-    for row in range(n):
-        c[row] = term[row] - f[row, :row] @ c[:row]
-    return SpectralDecomposition(params=p, eigenvalues=lam, eigvecs=f, coeffs=c)
+def solve_w(p: ModelParams) -> WSolution:
+    """The exact solution of the w system for ``p`` (requires gamma > 0)."""
+    p.require_risk_averse("solve_w")
+    return WSolution(params=p)
 
 
-def solve_quadrature(p: ModelParams, n_quad: int = DEFAULT_N_STEPS,
-                     coeffs: DerivedCoefficients | None = None) -> WGrid:
-    """Recursive variation-of-constants solution.
-
-    Each level uses the exact representation
-
-        w_q(t) = exp(-lambda_q (T-t)) w_q(T)
-                 + eta * integral_t^T exp(-lambda_q (s-t)) w_{q-1}(s) ds
-
-    with the integral accumulated backward two grid intervals at a time by
-    Simpson's rule (one trapezoid interval closes the odd-offset chain).
-    """
-    p.require_risk_averse("solve_quadrature")
-    if n_quad < 2:
-        raise ParameterError(f"n_quad must be >= 2, got {n_quad}")
-    if coeffs is None:
-        coeffs = derive_coefficients(p)
-    underflow = _terminal_underflows(p)
-    n = n_quad
-    h = p.horizon / n
-    times = np.linspace(0.0, p.horizon, n + 1)
-    values = np.empty((n + 1, p.q_max + 1))
-    values[:, 0] = 1.0
-    term = _terminal_values(p)
-    tail = p.horizon - times  # T - t_i
-    for q in range(1, p.q_max + 1):
-        lam = coeffs.alpha * q * q - coeffs.beta * q
-        prev = values[:, q - 1]
-        e1 = math.exp(-lam * h)
-        e2 = e1 * e1
-        integral = np.empty(n + 1)
-        integral[n] = 0.0
-        integral[n - 1] = 0.5 * h * (prev[n - 1] + e1 * prev[n])
-        for i in range(n - 2, -1, -1):
-            local = (h / 3.0) * (prev[i] + 4.0 * e1 * prev[i + 1] + e2 * prev[i + 2])
-            integral[i] = local + e2 * integral[i + 2]
-        col = np.exp(-lam * tail) * term[q] + coeffs.eta * integral
-        body = col if not underflow else col[:-1]
-        if not np.all(body > 0):
-            i = int(np.argmax(~(body > 0)))
-            raise SolverFailureError(
-                f"non-positive w at t={times[i]:.6g}, q={q}; refine the quadrature grid"
-            )
-        values[:, q] = col
-    return WGrid(params=p, times=times, values=values, terminal_underflow=underflow)
+# the benchmark workloads (bench/workloads.py) import the solver under its
+# former name
+solve_spectral = solve_w
 
 
-def solve_grid(p: ModelParams, n_steps: int = DEFAULT_N_STEPS,
-               method: str = "auto") -> WGrid:
-    """Solve on a uniform grid by the requested method.
-
-    ``auto`` prefers the exact spectral route and falls back to Runge-Kutta
-    when the spectrum is degenerate or the terminal values underflow.
-    """
-    if method == "rk":
-        return solve_rk(p, n_steps)
-    if method == "quadrature":
-        return solve_quadrature(p, n_steps)
-    if method == "spectral":
-        return solve_spectral(p).to_wgrid(n_steps)
-    if method == "auto":
-        try:
-            return solve_spectral(p).to_wgrid(n_steps)
-        except (DegenerateSpectrumError, SolverFailureError):
-            return solve_rk(p, n_steps)
-    raise ParameterError(f"unknown solve method {method!r}")
+def solve_grid(p: ModelParams, n_steps: int = DEFAULT_N_STEPS) -> WGrid:
+    """w on a uniform grid of ``n_steps`` steps over [0, T]."""
+    return solve_w(p).to_wgrid(n_steps)
 
 
 def quote_surface(w: WGrid) -> QuoteSurface:
     """Optimal premiums delta*(t, q) for q = 1..q_max from a solved grid.
 
-    Applies :func:`optliq.model.quote_from_w` column past column.  On grids
-    whose terminal row underflowed to zero the terminal quotes are reported
-    as -inf (the forced-liquidation limit is unbounded below at T).
+    Applies :func:`optliq.model.quote_from_w` column past column.  The
+    terminal row is ``terminal_quote(p)`` wherever ``w_q(T) > 0``, since the
+    ratio of consecutive terminal values is exactly ``exp(-k b)``, and -inf
+    where ``exp(-k q b)`` rounded to zero (the forced-liquidation limit is
+    unbounded below at T); other quotes from zeros near T are -inf too.
+
+    Raises :class:`SolverFailureError` when a level of w(0) is not a
+    normal double or a level overflowed, since its quotes would be ratios
+    of lost digits.
     """
     p = w.params
     p.require_risk_averse("quote_surface")
-    spread = math.log1p(p.gamma / p.k) / p.gamma
     vals = w.values
-    if w.terminal_underflow:
-        # zeros sit at the high-q end of near-terminal rows; their quotes
-        # are -inf in the limit (log of 0/positive, or 0/0 for nested zeros)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            quotes = np.log(vals[:, 1:] / vals[:, :-1]) / p.k + spread
-        quotes[np.isnan(quotes)] = -np.inf
-    else:
-        if not np.all(vals > 0):
-            raise ParameterError("w grid contains non-positive values")
-        quotes = np.log(vals[:, 1:] / vals[:, :-1]) / p.k + spread
+    if np.any(vals < 0):
+        raise ParameterError("w grid contains negative values")
+    info = np.finfo(float)
+    out_of_range = ~((vals[0] >= info.tiny) & np.isfinite(vals).all(axis=0))
+    if out_of_range.any():
+        q = int(np.argmax(out_of_range))
+        raise SolverFailureError(
+            f"w_{q}(0) = {vals[0, q]:.3g} left the double range "
+            f"[{info.tiny:.3g}, {info.max:.3g}], so its quotes cannot be "
+            f"formed; lower q_max below {q}"
+        )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quotes = vals[:, 1:] / vals[:, :-1]
+        np.log(quotes, out=quotes)
+    quotes /= p.k
+    quotes += math.log1p(p.gamma / p.k) / p.gamma
+    # 0/0 where consecutive levels both underflowed near T
+    quotes[np.isnan(quotes)] = -np.inf
+    quotes[-1] = np.where(vals[-1, 1:] > 0, terminal_quote(p), -np.inf)
     return QuoteSurface(times=w.times, values=quotes, params=p)

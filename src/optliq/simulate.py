@@ -213,12 +213,7 @@ class _PolicyTable:
             surface = policy.surface
             self.fixed = None
             self.quotes = surface.values
-            # nearest-earlier surface node for each step start time
-            self.step_to_node = (
-                np.searchsorted(surface.times,
-                                step_times * (1 + 1e-15) + 1e-300,
-                                side="right") - 1
-            ).clip(min=0)
+            self.step_to_node = surface.nodes_at(step_times).clip(min=0)
             if isinstance(policy, MarketOrderFallback):
                 self.threshold = float(policy.threshold)
         else:

@@ -11,17 +11,16 @@ import pytest
 
 from optliq import (FixedQuote, ModelParams, OptimalSurface, SimConfig,
                     quote_from_w, quote_surface, simulate_ensemble,
-                    simulate_policies, solve_quadrature, solve_rk,
-                    solve_spectral, terminal_quote)
+                    simulate_policies, solve_grid, solve_w, terminal_quote)
 from optliq.backtest import BacktestConfig, run_backtest
 from optliq.closed_forms import (asymptotic_quote, binf_trading_curve,
                                  nodrift_novol_quote, nodrift_novol_w,
                                  risk_neutral_quote)
-from optliq.errors import DegenerateSpectrumError
 from optliq.market_data import calibrate_intensity, calibrate_sigma, synthetic_tape
 from optliq.model import derive_coefficients
 from tests.conftest import (HIGH_VOL_K_SWEEP, REFERENCE_QUOTES_T0,
                             SWEEP_QUOTES_T0, TABLE_TOL, q1_asymptote_gap)
+from tests.oracles import solve_quadrature, solve_rk
 
 REF = ModelParams()
 
@@ -33,11 +32,8 @@ def report(number, name, ok, detail=""):
 
 
 def quotes_at_time_zero(p: ModelParams) -> np.ndarray:
-    """delta*(0, q) for q = 1..q_max, exact route with RK fallback."""
-    try:
-        w0 = solve_spectral(p).evaluate_at(0.0)
-    except DegenerateSpectrumError:
-        w0 = solve_rk(p, 10_000).values[0]
+    """delta*(0, q) for q = 1..q_max from the exact w(0)."""
+    w0 = solve_w(p).evaluate_at(0.0)
     return np.array([quote_from_w(w0[q], w0[q - 1], p) for q in
                      range(1, p.q_max + 1)])
 
@@ -74,7 +70,7 @@ def test_criterion_1_table_reproduction():
 
 
 def test_criterion_2_terminal_pinning():
-    surface = quote_surface(solve_rk(REF, 10_000))
+    surface = quote_surface(solve_grid(REF, 10_000))
     target = terminal_quote(REF)
     worst = float(np.max(np.abs(surface.values[-1] - target)))
     report(2, "terminal pinning", worst < 1e-10,
@@ -110,25 +106,32 @@ def test_criterion_3_long_horizon_asymptote():
 
 
 def test_criterion_4_closed_form_vs_numerical():
+    # the exact propagator against the closed form and against the
+    # Runge-Kutta and quadrature oracles, which are checked against the
+    # closed form too
     nodrift = REF.with_(mu=0.0, sigma=0.0)
+    exact0 = solve_grid(nodrift, 10_000)
     rk0 = solve_rk(nodrift, 10_000)
     quad0 = solve_quadrature(nodrift, 10_000)
     sub = slice(None, None, 100)
-    oracle = np.empty((rk0.times[sub].size, 7))
+    oracle = np.empty((exact0.times[sub].size, 7))
     for q in range(7):
-        oracle[:, q] = [nodrift_novol_w(nodrift, t, q) for t in rk0.times[sub]]
+        oracle[:, q] = [nodrift_novol_w(nodrift, t, q) for t in exact0.times[sub]]
+    err_exact = np.max(np.abs(exact0.values[sub] - oracle) / oracle)
     err_rk = np.max(np.abs(rk0.values[sub] - oracle) / oracle)
     err_quad = np.max(np.abs(quad0.values[sub] - oracle) / oracle)
 
+    exact1 = solve_grid(REF, 10_000)
     rk1 = solve_rk(REF, 10_000)
-    spec1 = solve_spectral(REF).to_wgrid(10_000)
     quad1 = solve_quadrature(REF, 10_000)
-    err_spec = np.max(np.abs(spec1.values - rk1.values) / rk1.values)
-    err_quad1 = np.max(np.abs(quad1.values - rk1.values) / rk1.values)
-    ok = err_rk < 1e-8 and err_quad < 1e-8 and err_spec < 1e-6 and err_quad1 < 1e-6
+    err_vs_rk = np.max(np.abs(exact1.values - rk1.values) / rk1.values)
+    err_vs_quad = np.max(np.abs(exact1.values - quad1.values) / quad1.values)
+    ok = (err_exact < 1e-8 and err_rk < 1e-8 and err_quad < 1e-8
+          and err_vs_rk < 1e-6 and err_vs_quad < 1e-6)
     report(4, "closed form vs numerical", ok,
-           f"(no-vol: rk {err_rk:.2e}, quad {err_quad:.2e} vs 1e-8; "
-           f"vol: spectral {err_spec:.2e}, quad {err_quad1:.2e} vs 1e-6)")
+           f"(no-vol: exact {err_exact:.2e}, rk {err_rk:.2e}, quad {err_quad:.2e} "
+           f"vs 1e-8; vol: exact vs rk {err_vs_rk:.2e}, vs quad {err_vs_quad:.2e} "
+           f"vs 1e-6)")
 
 
 def test_criterion_5_risk_neutral_limit():
@@ -150,7 +153,7 @@ def forced_liquidation_runs():
     runs = {}
     for big_a in (0.1, 0.05, 0.15):
         p = ModelParams(mu=0.0, sigma=0.0, big_a=big_a, b=50.0)
-        surface = quote_surface(solve_rk(p, 10_000))
+        surface = quote_surface(solve_grid(p, 10_000))
         cfg = SimConfig(params=p, q0=6, dt=0.05, n_paths=100_000, seed=99,
                         policy=OptimalSurface(surface))
         runs[big_a] = simulate_ensemble(cfg)
@@ -183,7 +186,7 @@ def test_criterion_6_forced_liquidation_curve(forced_liquidation_runs):
 
 
 def test_criterion_7_optimality_dominance():
-    surface = quote_surface(solve_spectral(REF).to_wgrid(10_000))
+    surface = quote_surface(solve_grid(REF, 10_000))
     policies = [OptimalSurface(surface)] + [FixedQuote(float(d))
                                             for d in range(16)]
     runs = simulate_policies(REF, policies, q0=6, dt=0.1, n_paths=100_000,

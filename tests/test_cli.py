@@ -183,5 +183,12 @@ class TestUsageErrors:
                       "--out", str(tmp_path / "w.csv"))
         assert res.returncode == 2
 
+    def test_malformed_config_line(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("mu = 0\n[sim\n")
+        res = run_cli("solve", "--config", str(cfg),
+                      "--out", str(tmp_path / "w.csv"))
+        assert res.returncode == 2 and "malformed" in res.stderr
+
     def test_missing_subcommand(self):
         assert run_cli().returncode == 2

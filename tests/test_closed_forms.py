@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from optliq import (ModelParams, NoAsymptoteError, ParameterError, RegimeError,
-                    quote_from_w, quote_surface, solve_rk, terminal_quote)
+                    quote_from_w, quote_surface, solve_grid, terminal_quote)
 from optliq.closed_forms import (asymptotic_quote, asymptotic_w,
                                  binf_quote, binf_trading_curve, binf_w,
                                  nodrift_novol_quote, nodrift_novol_w,
@@ -107,7 +107,7 @@ class TestNoDriftNoVol:
         assert nodrift_novol_quote(p, 299.999, 6) >= floor
 
     def test_quote_matches_solver(self, nodrift_params):
-        grid = solve_rk(nodrift_params, 10_000)
+        grid = solve_grid(nodrift_params, 10_000)
         surface = quote_surface(grid)
         for i in (0, 2500, 5000, 7500):
             t = float(grid.times[i])

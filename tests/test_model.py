@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from optliq import (ModelParams, ParameterError, WGrid, derive_coefficients,
                     hjb_residual, quote_from_w, solve_grid, terminal_quote)
 from optliq.closed_forms import nodrift_novol_w
-from optliq.model import DerivedCoefficients, parse_flat_config
+from optliq.model import DerivedCoefficients, parse_config
 
 
 class TestModelParams:
@@ -28,10 +28,33 @@ class TestModelParams:
         with pytest.raises(ParameterError):
             ModelParams(**bad)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["mu", "sigma", "big_a", "k", "gamma",
+                                       "b", "horizon", "q_max"])
+    def test_rejects_non_finite(self, field, value):
+        match = f"{field} must be finite"
+        if field == "b" and value == math.inf:
+            match += ".*closed_forms.binf_"
+        with pytest.raises(ParameterError, match=match):
+            ModelParams(**{field: value})
+
     def test_config_round_trip(self, tmp_path, ref_params):
         path = tmp_path / "model.cfg"
         ref_params.to_config_file(path)
         assert ModelParams.from_config_file(path) == ref_params
+
+    def test_config_sections_and_header_rule(self, tmp_path, ref_params):
+        path = tmp_path / "model.cfg"
+        path.write_text(ref_params.to_config_text()
+                        + "# comment\n[sim]\nq0 = 6  # trailing\n[ backtest ]\nb = 2\n")
+        with open(path, encoding="utf-8") as fh:
+            items, sections = parse_config(fh)
+        assert sections == {"sim": {"q0": "6"}, "backtest": {"b": "2"}}
+        assert ModelParams.from_mapping(items) == ref_params
+        assert ModelParams.from_config_file(path) == ref_params
+        # a header is "[name]" on its own line; anything else is malformed
+        with pytest.raises(ParameterError, match="malformed"):
+            parse_config(iter(["mu = 0\n", "[sim\n"]))
 
     def test_config_rejects_unknown_key(self):
         with pytest.raises(ParameterError, match="unknown"):
@@ -46,7 +69,8 @@ class TestModelParams:
                                             b, horizon):
         p = ModelParams(mu=mu, sigma=sigma, big_a=big_a, k=k, gamma=gamma,
                         b=b, horizon=horizon, q_max=3)
-        items = parse_flat_config(iter(p.to_config_text().splitlines(True)))
+        items, sections = parse_config(iter(p.to_config_text().splitlines(True)))
+        assert sections == {}
         assert ModelParams.from_mapping(items) == p
 
 
@@ -98,6 +122,11 @@ class TestQuoteFromW:
     @pytest.mark.parametrize("w_q,w_qm1", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
     def test_rejects_nonpositive_w(self, ref_params, w_q, w_qm1):
         with pytest.raises(ParameterError):
+            quote_from_w(w_q, w_qm1, ref_params)
+
+    @pytest.mark.parametrize("w_q,w_qm1", [(math.inf, 1e300), (1.0, math.nan)])
+    def test_rejects_non_finite_w(self, ref_params, w_q, w_qm1):
+        with pytest.raises(ParameterError, match="finite"):
             quote_from_w(w_q, w_qm1, ref_params)
 
     def test_rejects_gamma_zero(self):

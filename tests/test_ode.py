@@ -1,20 +1,25 @@
-"""Solver cross-checks: Runge-Kutta vs spectral vs quadrature, closed-form
-oracles, convergence orders, and export schemas."""
+"""The exact propagator against the Runge-Kutta and quadrature oracles,
+``scipy.linalg.expm`` and the closed forms; convergence orders, range
+refusals and export schemas."""
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
-from optliq import (DegenerateSpectrumError, ModelParams, ParameterError,
-                    SolverFailureError, hjb_residual, quote_surface,
-                    solve_grid, solve_quadrature, solve_rk, solve_spectral,
+from optliq import (ModelParams, ParameterError, SolverFailureError,
+                    hjb_residual, quote_surface, solve_grid, solve_w,
                     terminal_quote)
 from optliq.closed_forms import asymptotic_quote, binf_w, nodrift_novol_w
 from optliq.model import DerivedCoefficients, derive_coefficients
 from tests.conftest import (HIGH_VOL_K_SWEEP, REFERENCE_QUOTES_T0,
                             SWEEP_QUOTES_T0, TABLE_TOL, q1_asymptote_gap)
+from tests.oracles import solve_quadrature, solve_rk, system_matrix
 
 N = 10_000
 
@@ -22,6 +27,48 @@ N = 10_000
 def max_rel(a, b):
     mask = b != 0
     return float(np.max(np.abs(a[mask] - b[mask]) / np.abs(b[mask])))
+
+
+def expm_w(p, t):
+    """w(t) = expm(-(T - t) M) w(T) from scipy's Pade approximant,
+    independent of the Taylor propagator in optliq.ode.
+
+    scipy's expm is accurate relative to the norm of its argument, not
+    entry by entry, and w_q(t) can be carried by entries far below that
+    norm (short horizons with large b).  So each level q is taken from the
+    leading block of levels 0..q, which the lower-triangular system
+    decouples, under the similarity diag(rho^j) with
+    rho = min(exp(k b), q / (tau eta)): that lifts the entries carrying
+    w_q(t) to the top of the scaled exponential without inflating its norm.
+    scipy squares triangular input with a divided difference that cancels
+    for nearly equal eigenvalues, so it only gets blocks small enough to
+    need no squaring; the squarings are done here, with the exact diagonal
+    reset after each.  Growing levels (mu > 0) are shifted down first, so
+    the exponential stays in range wherever w does.
+    """
+    tau = p.horizon - t
+    a = -tau * system_matrix(p)
+    terminal = np.exp(-p.k * p.b * np.arange(p.q_max + 1))
+    w = np.empty(p.q_max + 1)
+    w[0] = 1.0
+    for q in range(1, p.q_max + 1):
+        eta_tau = a[1, 0]
+        rho = math.exp(min(p.k * p.b, math.log(q / eta_tau))) if eta_tau > 0 else 1.0
+        block = a[:q + 1, :q + 1].copy()
+        block[np.arange(1, q + 1), np.arange(q)] *= rho
+        shift = max(0.0, float(np.diag(block).max()))
+        block[np.diag_indices(q + 1)] -= shift
+        norm = np.abs(block).sum(axis=0).max()
+        s = max(0, math.ceil(math.log2(norm))) if norm > 0 else 0
+        f = expm(block / 2.0 ** s)
+        on_diag = np.diag_indices(q + 1)
+        for i in range(s - 1, -1, -1):
+            f = f @ f
+            f[on_diag] = np.exp(np.diag(block) / 2.0 ** i)
+        total = np.sum(f[q] * rho ** (np.arange(q + 1) - q) * terminal[:q + 1])
+        with np.errstate(divide="ignore", over="ignore"):
+            w[q] = np.exp(np.log(total) + shift)
+    return w
 
 
 def closed_form_grid(p, times):
@@ -60,38 +107,81 @@ class TestSolveRK:
 
 
 class TestSolveSpectral:
+    """:func:`solve_w`, the exact propagator (also exported as
+    ``solve_spectral``)."""
+
     def test_matches_rk(self, ref_params):
         ref = solve_rk(ref_params, N)
-        spec = solve_spectral(ref_params).to_wgrid(N)
+        spec = solve_w(ref_params).to_wgrid(N)
         assert max_rel(spec.values, ref.values) < 1e-6
 
     def test_reconstructs_terminal_vector(self, ref_params):
-        dec = solve_spectral(ref_params)
+        dec = solve_w(ref_params)
         term = np.exp(-ref_params.k * ref_params.b * np.arange(7))
         assert np.max(np.abs(dec.evaluate_at(ref_params.horizon) - term)) < 1e-12
 
-    def test_eigenvalue_collision_raises(self):
+    def test_resonant_drift_matches_expm(self):
         # beta = 3 alpha makes levels 2 and 1 share an eigenvalue
         alpha = derive_coefficients(ModelParams()).alpha
         p = ModelParams(mu=3 * alpha / 0.3)
-        with pytest.raises(DegenerateSpectrumError, match="solve_rk"):
-            solve_spectral(p)
+        got = solve_w(p).evaluate_at(0.0)
+        assert max_rel(got, expm_w(p, 0.0)) < 1e-10
 
     def test_fully_degenerate_when_no_price_risk(self, nodrift_params):
-        with pytest.raises(DegenerateSpectrumError):
-            solve_spectral(nodrift_params)
+        # mu = sigma = 0: every eigenvalue is zero
+        grid = solve_grid(nodrift_params, 1000)
+        oracle = closed_form_grid(nodrift_params, grid.times[::100])
+        assert max_rel(grid.values[::100], oracle) < 1e-12
 
     def test_zero_eigenvalue_mode_is_constant(self, ref_params):
-        dec = solve_spectral(ref_params)
-        assert dec.eigenvalues[0] == 0.0
+        dec = solve_w(ref_params)
+        assert dec.evaluate_at(0.0)[0] == 1.0
         assert np.all(dec.to_wgrid(100).values[:, 0] == 1.0)
 
-    def test_auto_dispatch_falls_back(self, nodrift_params):
-        grid = solve_grid(nodrift_params, 1000)  # spectral degenerate here
-        oracle = closed_form_grid(nodrift_params, grid.times[::100])
-        assert max_rel(grid.values[::100], oracle) < 1e-8
+    @pytest.mark.parametrize("time_left", [1.0, 5.0])
+    def test_near_deadline_point_matches_expm(self, time_left):
+        # the re-quote parameters of a tape replay with a small calibrated
+        # gamma; an eigen-expansion loses ~1 Tick here at q = 10
+        p = ModelParams(mu=0.0, sigma=0.3, big_a=0.2, k=0.3, gamma=0.02,
+                        b=3.0, horizon=1800.0, q_max=10)
+        t = p.horizon - time_left
+        got = solve_w(p).evaluate_at(t)
+        ref = expm_w(p, t)
+        gap = math.log(got[10] / got[9]) / p.k - math.log(ref[10] / ref[9]) / p.k
+        assert abs(gap) < 1e-9
+
+    def test_grid_nodes_match_point_evaluation(self):
+        p = ModelParams(mu=0.01, sigma=0.6, q_max=30, horizon=7200.0)
+        dec = solve_w(p)
+        grid = dec.to_wgrid(1000)
+        for i in (0, 1, 31, 32, 33, 500, 999, 1000):
+            assert max_rel(grid.values[i], dec.evaluate_at(float(grid.times[i]))) < 1e-12
+
+    def test_rejects_bad_step_count_and_time(self, ref_params):
         with pytest.raises(ParameterError):
-            solve_grid(nodrift_params, 1000, method="nope")
+            solve_w(ref_params).to_wgrid(0)
+        with pytest.raises(ParameterError):
+            solve_w(ref_params).evaluate_at(ref_params.horizon + 1.0)
+
+    @given(q_max=st.integers(1, 60), horizon=st.floats(1.0, 86_400.0),
+           sigma=st.floats(0.0, 3.0), b=st.floats(0.0, 50.0),
+           mu=st.floats(-0.02, 0.02))
+    @settings(max_examples=100, deadline=None)
+    def test_extreme_regimes_exact_or_refused(self, q_max, horizon, sigma, b, mu):
+        p = ModelParams(mu=mu, sigma=sigma, b=b, horizon=horizon, q_max=q_max)
+        grid = solve_grid(p, 50)
+        w0 = grid.values[0]
+        if np.all(np.isfinite(grid.values)) and np.all(w0 >= np.finfo(float).tiny):
+            assert np.all(grid.values >= 0)
+            assert np.array_equal(grid.values[-1], np.exp(-p.k * p.b * np.arange(q_max + 1)))
+            assert max_rel(w0, expm_w(p, 0.0)) < 1e-10
+            last = quote_surface(grid).values[-1]
+            pinned = grid.values[-1, 1:] > 0
+            assert np.all(np.abs(last[pinned] - terminal_quote(p)) < 1e-10)
+            assert np.all(last[~pinned] == -np.inf)
+        else:
+            with pytest.raises(SolverFailureError, match="double range"):
+                quote_surface(grid)
 
 
 class TestSolveQuadrature:
@@ -188,14 +278,14 @@ class TestQuoteSurface:
 class TestCrossMethodInvariants:
     def test_three_way_agreement(self, ref_params):
         rk = solve_rk(ref_params, N)
-        spec = solve_spectral(ref_params).to_wgrid(N)
+        spec = solve_grid(ref_params, N)
         quad = solve_quadrature(ref_params, N)
         assert max_rel(rk.values, spec.values) < 1e-6
         assert max_rel(quad.values, spec.values) < 1e-6
 
     def test_hjb_residual_small_for_all_solvers(self, ref_params):
         grids = (solve_rk(ref_params, N),
-                 solve_spectral(ref_params).to_wgrid(N),
+                 solve_grid(ref_params, N),
                  solve_quadrature(ref_params, N))
         for grid in grids:
             for q in range(1, 7):
@@ -205,7 +295,7 @@ class TestCrossMethodInvariants:
                     assert abs(res) < 1e-6 * scale
 
     def test_rk_is_fourth_order(self, ref_params):
-        exact = solve_spectral(ref_params)
+        exact = solve_w(ref_params)
         def rk_error(n):
             return float(np.max(np.abs(solve_rk(ref_params, n).values
                                        - exact.to_wgrid(n).values)))
@@ -213,26 +303,30 @@ class TestCrossMethodInvariants:
         assert 10 < ratio < 24  # ~16x per halving
 
     def test_quote_grid_refinement_stable(self, ref_params):
-        s1 = quote_surface(solve_rk(ref_params, N))
-        s2 = quote_surface(solve_rk(ref_params, 2 * N))
+        s1 = quote_surface(solve_grid(ref_params, N))
+        s2 = quote_surface(solve_grid(ref_params, 2 * N))
         assert np.max(np.abs(s2.values[::2] - s1.values)) < 1e-4
 
 
 class TestExtremeLiquidationCost:
-    """Terminal values below 1e-300 round to zero; the solvers integrate the
-    forced-liquidation limit and tolerate the terminal zeros."""
+    """Terminal values exp(-k q b) that round to zero or to subnormals: the
+    propagator solves the forced-liquidation limit exactly and the oracles
+    tolerate the terminal zeros."""
 
     def test_rk_and_quadrature_agree_with_polynomial_oracle(self):
         p = ModelParams(mu=0.0, sigma=0.0, b=2600.0)
         rk = solve_rk(p, 4000)
         quad = solve_quadrature(p, 4000)
+        exact = solve_grid(p, 4000)
         assert rk.terminal_underflow and quad.terminal_underflow
         assert np.all(rk.values[-1, 1:] == 0.0)
         sub = slice(None, None, 200)
         oracle = closed_form_grid(p, rk.times[sub])
         assert max_rel(rk.values[sub], oracle) < 1e-6
         assert max_rel(quad.values[sub], oracle) < 1e-6
+        assert max_rel(exact.values[sub], oracle) < 1e-12
         rk.check_invariants()
+        exact.check_invariants()
 
     def test_terminal_quotes_unbounded_below(self):
         p = ModelParams(mu=0.0, sigma=0.0, b=2600.0)
@@ -240,24 +334,47 @@ class TestExtremeLiquidationCost:
         assert np.all(surface.values[-1] == -np.inf)
         assert np.all(np.isfinite(surface.values[0]))
 
-    def test_spectral_refuses_underflowed_terminal(self):
-        with pytest.raises(SolverFailureError, match="solve_rk"):
-            solve_spectral(ModelParams(sigma=0.3, b=2600.0))
+    def test_underflowed_terminal_is_solved(self):
+        p = ModelParams(sigma=0.3, b=2600.0)
+        grid = solve_grid(p, 4000)
+        assert grid.terminal_underflow
+        assert np.all(grid.values[-1, 1:] == 0.0)
+        assert np.all(grid.values[0] > 0)
+        assert max_rel(grid.values[0], expm_w(p, 0.0)) < 1e-10
+        grid.check_invariants()
+
+    def test_subnormal_terminal_quotes_pin_exactly(self):
+        # exp(-k q b) is subnormal for q >= 89 and zero from q = 94
+        p = ModelParams(b=20.0, k=0.4, horizon=300.0, q_max=100)
+        grid = solve_grid(p)
+        surface = quote_surface(grid)
+        last = surface.values[-1]
+        finite = np.isfinite(last)
+        assert np.array_equal(finite, grid.values[-1, 1:] > 0)
+        assert finite.sum() == 93
+        assert np.max(np.abs(last[finite] - terminal_quote(p))) < 1e-10
+
+    def test_w_below_double_range_is_refused(self):
+        # the true w_100(0) is about 1e-346
+        grid = solve_grid(ModelParams(sigma=3.0, q_max=100))
+        with pytest.raises(SolverFailureError,
+                           match=r"w_\d+\(0\).*left the double range.*lower q_max"):
+            quote_surface(grid)
 
     def test_large_b_matches_forced_liquidation_shape(self):
         # normalising by big_a^q removes the only big_a dependence left in
         # the limit
         p = ModelParams(mu=0.0, sigma=0.0, b=50.0)
-        grid = solve_rk(p, N)
+        w0 = solve_w(p).evaluate_at(0.0)
         for q in range(1, 7):
-            v_num = grid.values[0, q] / p.big_a ** q
+            v_num = w0[q] / p.big_a ** q
             v_lim = binf_w(p, 0.0, q) / p.big_a ** q
             assert abs(v_num - v_lim) / v_lim < 0.01
 
 
 class TestExports:
     def test_wgrid_csv_schema_and_round_trip(self, ref_params, tmp_path):
-        grid = solve_rk(ref_params, 50)
+        grid = solve_grid(ref_params, 50)
         path = tmp_path / "w.csv"
         grid.to_csv(path)
         with open(path, newline="") as fh:
@@ -270,7 +387,7 @@ class TestExports:
         assert float(value) == grid.values[13, 4]
 
     def test_wgrid_json(self, ref_params, tmp_path):
-        grid = solve_rk(ref_params, 10)
+        grid = solve_grid(ref_params, 10)
         path = tmp_path / "w.json"
         grid.to_json(path)
         data = json.loads(path.read_text())
@@ -278,7 +395,7 @@ class TestExports:
         assert data["w"][10][0] == 1.0
 
     def test_surface_csv_schema(self, ref_params, tmp_path):
-        surface = quote_surface(solve_rk(ref_params, 20))
+        surface = quote_surface(solve_grid(ref_params, 20))
         path = tmp_path / "quotes.csv"
         surface.to_csv(path)
         with open(path, newline="") as fh:
