@@ -346,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True, help="output directory")
     sp.add_argument("--paths", type=int)
     sp.add_argument("--seed", type=int)
-    sp.add_argument("--dt", type=float)
+    sp.add_argument("--dt", type=float,
+                    help="reporting grid step (s) of curve.csv; fill times are exact")
     sp.add_argument("--q0", type=int)
     sp.add_argument("--s0", type=float)
     sp.add_argument("--policy", help="optimal | fixed:<delta> | fallback:<threshold>")

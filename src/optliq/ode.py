@@ -234,15 +234,30 @@ class WSolution:
     def evaluate_at(self, t: float) -> np.ndarray:
         """w(t) for q = 0..q_max.
 
-        The propagator exp(-(T - t) M) is formed whole, so with a positive
-        drift over a long time to go an entry of it can overflow before w
-        does; the result then holds inf or nan.  :meth:`to_wgrid` forms
-        powers of at most 32 grid steps and walks the rest on vectors.
+        One product ``exp(-(T - t) M) w(T)``.  With a positive drift over a
+        long time to go an entry of the whole propagator can overflow while
+        w is still a double; the time to go is then halved until the
+        propagator of one piece is finite, and w(T) is walked back through
+        the 2^m pieces.  A w that itself leaves the double range stays inf.
         """
-        if not 0.0 <= t <= self.params.horizon:
-            raise ParameterError(f"t={t} outside [0, {self.params.horizon}]")
-        return (_propagator(self.params, self.params.horizon - t)
-                @ _terminal_values(self.params))
+        p = self.params
+        if not 0.0 <= t <= p.horizon:
+            raise ParameterError(f"t={t} outside [0, {p.horizon}]")
+        tau = p.horizon - t
+        w = _terminal_values(p)
+        out = _propagator(p, tau) @ w
+        if np.isfinite(out).all():
+            return out
+        pieces = 2
+        step = _propagator(p, tau / 2)
+        while not np.isfinite(step).all():
+            pieces *= 2
+            step = _propagator(p, tau / pieces)
+        out = w
+        with np.errstate(over="ignore", invalid="ignore"):  # w itself may overflow
+            for _ in range(pieces):
+                out = step @ out
+        return out
 
     def to_wgrid(self, n_steps: int = DEFAULT_N_STEPS) -> WGrid:
         """w on the uniform grid of n_steps steps, exact at every node.

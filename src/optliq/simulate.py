@@ -2,17 +2,33 @@
 
 Each path evolves a drifted Brownian reference price S, an inventory q that
 drops by one unit per execution, and cash X that collects S + delta per
-execution.  While q >= 1 the resting order at premium delta fills within a
-step of length dt with probability ``1 - exp(-lambda dt)`` where
-``lambda = big_a exp(-k delta)``; the exact exponential keeps probabilities
-in [0, 1] even for deeply negative quotes.  At most one unit trades per
-step, and the trader stays inactive once the inventory reaches zero.
+execution.  While q >= 1 the resting order at premium delta(t, q) fills as a
+point process of intensity ``lambda(t, q) = big_a exp(-k delta(t, q))``;
+the trader stays inactive once the inventory reaches zero.
 
-Reproducibility contract: path i draws its noise from the counter-derived
-stream ``SeedSequence((seed, i))`` as one block of normals followed by one
-block of uniforms, so any path is bit-identical whether simulated alone,
-inside an ensemble, or on differently batched runs.  One uniform and one
-normal are consumed per step regardless of the policy or of sigma.
+The engine is exact in time.  Every policy holds delta constant between the
+nodes of its surface (a :class:`FixedQuote` has one node), so at level q the
+cumulative hazard ``H_q(t)`` is piecewise linear, and the next fill after t
+is the time where ``H_q`` reaches ``H_q(t) + E`` for a unit exponential E:
+one table lookup and one linear inversion per fill.  A
+:class:`MarketOrderFallback` sells at the first node at or after t whose
+premium is below the threshold, if that comes before the fill; a premium so
+negative that the intensity overflows fills at the start of its interval.
+The price is sampled only at those event times and at T, by exact Gaussian
+increments, and an execution settles at ``S(tau) + delta`` (a market order
+at ``S(tau)``).  ``SimConfig.dt`` only sets the grid on which the trading
+curve and the series of :func:`simulate_path` are reported; the events and
+the finals do not depend on it.
+
+Reproducibility contract: every random number is a counter-based hash of
+``(seed, path, draw)`` (SplitMix64 over a per-path key; Salmon et al.,
+*Parallel random numbers: as easy as 1, 2, 3*, SC'11), computed vectorised
+over paths.  Fill round j (0-based) takes its exponential from draw 3j and
+its normal from draws 3j+1 and 3j+2 (Box-Muller); the normal also carries
+the price to T when the round has no fill, and round q0's normal carries it
+to T after the last unit.  So a path is bit-identical whether simulated
+alone, inside an ensemble or under any split into batches, and every policy
+simulated with the same seed sees the same draws (common random numbers).
 """
 
 from __future__ import annotations
@@ -40,9 +56,9 @@ __all__ = [
     "simulate_policies",
 ]
 
-def _batch_size(n_steps: int) -> int:
-    # cap the resident step-major noise arrays at a few hundred MB
-    return int(np.clip(25_000_000 // max(n_steps, 1), 1024, 8192))
+# paths per vectorised pass of simulate_ensemble; bounds its memory only,
+# the results do not depend on it
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -71,6 +87,8 @@ Policy = Union[FixedQuote, OptimalSurface, MarketOrderFallback]
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One Monte Carlo run; ``dt`` is the step of the reporting grid."""
+
     params: ModelParams
     q0: int
     dt: float
@@ -107,10 +125,19 @@ class SimConfig:
     def n_steps(self) -> int:
         return round(self.params.horizon / self.dt)
 
+    @property
+    def grid(self) -> np.ndarray:
+        """Reporting times 0, dt, ..., T."""
+        return np.arange(self.n_steps + 1) * self.dt
+
 
 @dataclass(frozen=True)
 class SimPath:
-    """One realised trajectory on the step grid."""
+    """One realised trajectory: exact events, reported on the dt grid.
+
+    ``inventory`` and ``cash`` at a grid time include the fills at or before
+    it; ``price`` is the reference price, exact at the events and at T and
+    filled in between by a Brownian bridge."""
 
     times: np.ndarray
     price: np.ndarray
@@ -168,171 +195,233 @@ class SimSummary:
             json.dump(self.stats_json_dict(), fh, indent=2, sort_keys=True)
 
 
-def _path_noise(seed: int, index: int, n_steps: int):
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
-    return rng.standard_normal(n_steps), rng.random(n_steps)
+# ------------------------------------------------------------ random streams
+
+_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64 increment, odd
+_MASK = (1 << 64) - 1
+# the bridge normals of simulate_path start at this draw index, far past
+# the 3 (q0 + 1) draws of the events
+_BRIDGE_DRAW = 1 << 40
 
 
-def _step_major(a: np.ndarray, tile: int = 512) -> np.ndarray:
-    """Transpose path-major noise to step-major in cache-sized tiles."""
-    rows, cols = a.shape
-    out = np.empty((cols, rows), dtype=a.dtype)
-    for i in range(0, rows, tile):
-        hi = min(i + tile, rows)
-        for j in range(0, cols, tile):
-            hj = min(j + tile, cols)
-            out[j:hj, i:hi] = a[i:hi, j:hj].T
-    return out
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finaliser, in place on a uint64 array."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
 
-def _prepared_noise(seed: int, indices, n_steps: int, params: ModelParams,
-                    dt: float):
-    """Per-path streams turned into step-major (n_steps, batch) arrays of
-    price increments and exponential fill clocks."""
-    z = np.empty((len(indices), n_steps))
-    u = np.empty((len(indices), n_steps))
-    for row, idx in enumerate(indices):
-        z[row], u[row] = _path_noise(seed, int(idx), n_steps)
-    z *= params.sigma * math.sqrt(dt)
-    z += params.mu * dt
-    np.negative(u, out=u)
-    np.log1p(u, out=u)
-    np.negative(u, out=u)
-    return _step_major(z), _step_major(u)
+def _path_keys(seed: int, paths) -> np.ndarray:
+    """Per-path stream keys: the SplitMix64 sequence seeded by the mixed seed,
+    taken at position path + 1."""
+    seed_key = _mix(np.array([(int(seed) + _GAMMA) & _MASK], dtype=np.uint64))
+    paths = np.asarray(paths, dtype=np.uint64)
+    return _mix((paths + np.uint64(1)) * np.uint64(_GAMMA) + seed_key)
 
 
-class _PolicyTable:
-    """Per-step premium lookup, vectorised over a batch of paths."""
+def _uniforms(keys: np.ndarray, draw) -> np.ndarray:
+    """Uniforms in (0, 1), one per key (or per entry of an array ``draw``):
+    53 bits of SplitMix64 at position draw + 1 of each key's sequence."""
+    # at least 1-d: uint64 arrays wrap silently where numpy scalars warn
+    step = np.atleast_1d(np.asarray(draw, dtype=np.uint64)) + np.uint64(1)
+    step *= np.uint64(_GAMMA)
+    z = _mix(keys + step)
+    return ((z >> np.uint64(11)).astype(float) + 0.5) * 2.0 ** -53
 
-    def __init__(self, policy: Policy, params: ModelParams, step_times: np.ndarray):
-        self.threshold = None
+
+def _exponentials(keys: np.ndarray, draw: int) -> np.ndarray:
+    return -np.log1p(-_uniforms(keys, draw))
+
+
+def _normals(keys: np.ndarray, draw) -> np.ndarray:
+    """Standard normals from draws (draw, draw + 1) by Box-Muller."""
+    draw = np.asarray(draw, dtype=np.uint64)
+    radius = np.sqrt(-2.0 * np.log(_uniforms(keys, draw)))
+    return radius * np.cos(2.0 * math.pi * _uniforms(keys, draw + np.uint64(1)))
+
+
+# ------------------------------------------------------------ hazard tables
+
+class _HazardTable:
+    """Fill hazard of a policy per inventory level, rows q = 1..q0.
+
+    edges       interval bounds 0 = e_0 < ... < e_n = T of the held quotes
+    delta       (q0, n) premium held on [e_i, e_{i+1})
+    rate        (q0, n) fill intensity there, 0 where a unit is forced
+    cum         (q0, n+1) cumulative hazard H_q(e_i)
+    next_forced (q0, n) first interval at or after i where the unit is
+                sold at once (n if none)
+    forced_premium, market  (q0, n+1) what such a sale adds to S (0 for a
+                market order), and whether it is a market order; column n
+                is a sentinel
+    """
+
+    def __init__(self, policy: Policy, params: ModelParams, q0: int):
+        horizon = params.horizon
+        threshold = None
         if isinstance(policy, FixedQuote):
-            self.fixed = float(policy.delta)
-            self.quotes = None
+            starts = np.zeros(1)
+            delta = np.full((q0, 1), float(policy.delta))
         elif isinstance(policy, (OptimalSurface, MarketOrderFallback)):
             surface = policy.surface
-            self.fixed = None
-            self.quotes = surface.values
-            self.step_to_node = surface.nodes_at(step_times).clip(min=0)
+            # a node at T only sets the terminal quote, which is never held
+            keep = surface.times < horizon * (1 - 1e-12)
+            keep[0] = True
+            starts = surface.times[keep]
+            starts[0] = 0.0
+            delta = np.ascontiguousarray(surface.values[keep, :q0].T)
             if isinstance(policy, MarketOrderFallback):
-                self.threshold = float(policy.threshold)
+                threshold = float(policy.threshold)
         else:
             raise ParameterError(f"unknown policy {policy!r}")
+        n = starts.size
+        self.edges = np.append(starts, horizon)
+        self.delta = delta
+        with np.errstate(over="ignore"):
+            rate = params.big_a * np.exp(-params.k * delta)
+        market = (np.zeros_like(delta, dtype=bool) if threshold is None
+                  else delta < threshold)
+        forced = market | np.isinf(rate)
+        rate[forced] = 0.0
+        self.rate = rate
+        self.cum = np.zeros((q0, n + 1))
+        np.cumsum(rate * np.diff(self.edges), axis=1, out=self.cum[:, 1:])
+        first = np.where(forced, np.arange(n), n)
+        self.next_forced = np.minimum.accumulate(first[:, ::-1], axis=1)[:, ::-1]
+        self.forced_premium = np.zeros((q0, n + 1))
+        self.forced_premium[:, :n] = np.where(market, 0.0, delta)
+        self.market = np.zeros((q0, n + 1), dtype=bool)
+        self.market[:, :n] = market
 
-    def deltas(self, step: int, q: np.ndarray) -> np.ndarray:
-        if self.fixed is not None:
-            return np.full(q.shape, self.fixed)
-        node = self.step_to_node[step]
-        return self.quotes[node, np.maximum(q, 1) - 1]
 
+# ------------------------------------------------------------------- engine
 
-def _run_batch(cfg: SimConfig, indices, *, noise=None, want_series=False,
-               want_fills=False, curve_sum=None, curve_sq=None):
-    """Simulate one batch of paths; returns finals and optional detail.
+def _simulate(cfg: SimConfig, table: _HazardTable, paths, on_fill=None) -> dict:
+    """Exact events of the given paths; returns their finals.
 
-    The per-step uniform u fills the resting order iff
-    ``-log(1 - u) < lambda * dt``: the left side is a unit exponential, so
-    the fill indicator is an exact draw of the 1 - exp(-lambda dt) rule.
+    Fill round j moves every live path, all at level q0 - j, to its next
+    event.  ``on_fill(j, rows, tau, s_at, price, market)`` is called with
+    the units sold in round j: the rows into ``paths``, the event times, the
+    reference prices there, the settlement prices and the market-order
+    flags.
     """
     p = cfg.params
-    n_steps = cfg.n_steps
-    n = len(indices)
-    if noise is None:
-        noise = _prepared_noise(cfg.seed, indices, n_steps, p, cfg.dt)
-    increments, clocks = noise
-    table = _PolicyTable(cfg.policy, p, np.arange(n_steps) * cfg.dt)
-
-    s = np.full(n, float(cfg.s0))
+    horizon = p.horizon
+    keys = _path_keys(cfg.seed, paths)
+    n = keys.size
+    edges = table.edges
+    n_int = edges.size - 1
     q = np.full(n, cfg.q0, dtype=np.int64)
     x = np.zeros(n)
-    fallback = table.threshold is not None
-
-    if want_series:
-        price_series = np.empty((n, n_steps + 1))
-        inv_series = np.empty((n, n_steps + 1), dtype=np.int64)
-        cash_series = np.empty((n, n_steps + 1))
-        price_series[:, 0] = s
-        inv_series[:, 0] = q
-        cash_series[:, 0] = x
-    fills = [] if want_fills else None
+    s = np.full(n, float(cfg.s0))
     market_orders = np.zeros(n, dtype=np.int64)
-    if curve_sum is not None:
-        curve_sum[0] += float(np.sum(q))
-        curve_sq[0] += float(np.sum(q * q))
 
-    for step in range(n_steps):
-        delta = table.deltas(step, q)
-        alive = q > 0
-        with np.errstate(over="ignore"):
-            lam_dt = (p.big_a * cfg.dt) * np.exp(-p.k * delta)
-        if fallback:
-            mo = alive & (delta < table.threshold)
-            fill = alive & ~mo & (clocks[step] < lam_dt)
-            hit_mo = np.nonzero(mo)[0]
-            if hit_mo.size:
-                x[hit_mo] += s[hit_mo]
-                q[hit_mo] -= 1
-                market_orders[hit_mo] += 1
-        else:
-            mo = None
-            fill = alive & (clocks[step] < lam_dt)
-        hit = np.nonzero(fill)[0]
-        if hit.size:
-            # executions settle at the step-start price (controls are
-            # decided on step-start information)
-            x[hit] += s[hit] + delta[hit]
-            q[hit] -= 1
-        if want_fills:
-            t_fill = (step + 1) * cfg.dt
-            if hit.size:
-                fills.append((hit.copy(), np.full(hit.size, t_fill),
-                              s[hit] + delta[hit]))
-            if fallback and hit_mo.size:
-                fills.append((hit_mo.copy(), np.full(hit_mo.size, t_fill),
-                              s[hit_mo].copy()))
-        s += increments[step]
-        if want_series:
-            price_series[:, step + 1] = s
-            inv_series[:, step + 1] = q
-            cash_series[:, step + 1] = x
-        if curve_sum is not None:
-            curve_sum[step + 1] += float(np.sum(q))
-            curve_sq[step + 1] += float(np.sum(q * q))
+    rows = np.arange(n)
+    t = np.zeros(n)
+    node = np.zeros(n, dtype=np.int64)   # interval holding t
+    for j in range(cfg.q0):
+        if rows.size == 0:
+            break
+        level = cfg.q0 - 1 - j
+        live = keys[rows]
+        cum, rate = table.cum[level], table.rate[level]
+        target = cum[node] + rate[node] * (t - edges[node]) + _exponentials(live, 3 * j)
+        k = np.minimum(np.searchsorted(cum, target, side="right") - 1, n_int - 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tau = edges[k] + (target - cum[k]) / rate[k]
+        tau = np.where(target < cum[-1], np.maximum(tau, t), np.inf)
+        forced_at = table.next_forced[level][node]
+        t_forced = np.where(forced_at < n_int,
+                            np.maximum(t, edges[forced_at]), np.inf)
+        forced = t_forced <= tau
+        event = np.minimum(tau, t_forced)
 
-    out = {"q_final": q, "x_final": x, "s_final": s, "market_orders": market_orders}
-    if want_series:
-        out.update(price=price_series, inventory=inv_series, cash=cash_series)
-    if want_fills:
-        out["fills"] = fills
-    return out
+        gap = np.minimum(event, horizon) - t
+        s_live = s[rows] + (p.mu * gap + p.sigma * np.sqrt(gap) * _normals(live, 3 * j + 1))
+        s[rows] = s_live
+
+        sold = event < horizon
+        rows, t, forced = rows[sold], event[sold], forced[sold]
+        forced_at, k = forced_at[sold], k[sold]
+        premium = np.where(forced, table.forced_premium[level][forced_at],
+                           table.delta[level][k])
+        price = s_live[sold] + premium
+        market = forced & table.market[level][forced_at]
+        x[rows] += price
+        q[rows] -= 1
+        market_orders[rows] += market
+        node = np.where(forced, forced_at, k)
+        if on_fill is not None:
+            on_fill(j, rows, t, s_live[sold], price, market)
+
+    # every unit sold before T: carry the price on to T
+    gap = horizon - t
+    s[rows] += p.mu * gap + p.sigma * np.sqrt(gap) * _normals(keys[rows], 3 * cfg.q0 + 1)
+    return {"q_final": q, "x_final": x, "s_final": s,
+            "market_orders": market_orders}
+
+
+def _bridge(keys: np.ndarray, grid: np.ndarray, ev_times: np.ndarray,
+            ev_prices: np.ndarray, sigma: float) -> np.ndarray:
+    """Price on the grid: a Brownian bridge between the exact event prices
+    (``ev_times`` increasing from 0 to T, repeats allowed)."""
+    times, where = np.unique(np.concatenate([ev_times, grid]), return_inverse=True)
+    steps = _normals(keys, _BRIDGE_DRAW + 2 * np.arange(times.size - 1, dtype=np.uint64))
+    walk = np.concatenate([[0.0], np.cumsum(np.sqrt(np.diff(times)) * steps)])
+    b_ev, b_grid = walk[where[:ev_times.size]], walk[where[ev_times.size:]]
+    seg = np.minimum(np.searchsorted(ev_times, grid, side="right") - 1,
+                     ev_times.size - 2)
+    left, right = ev_times[seg], ev_times[seg + 1]
+    frac = (grid - left) / (right - left)
+    noise = b_grid - b_ev[seg] - frac * (b_ev[seg + 1] - b_ev[seg])
+    price = ev_prices[seg] + frac * (ev_prices[seg + 1] - ev_prices[seg]) + sigma * noise
+    price[-1] = ev_prices[-1]
+    return price
 
 
 def simulate_path(cfg: SimConfig, path_index: int = 0) -> SimPath:
     """Simulate a single path (bit-identical to the same index inside an
     ensemble with the same config)."""
-    res = _run_batch(cfg, [path_index], want_series=True, want_fills=True)
-    times = np.arange(cfg.n_steps + 1) * cfg.dt
-    fill_list = []
-    for hit, t_arr, px in res["fills"]:
-        for t, price in zip(t_arr, px):
-            fill_list.append((float(t), float(price)))
+    table = _HazardTable(cfg.policy, cfg.params, cfg.q0)
+    events = []   # (time, reference price, settlement price) per unit sold
+
+    def record(j, rows, tau, s_at, price, market):
+        events.extend(zip(tau.tolist(), s_at.tolist(), price.tolist()))
+
+    res = _simulate(cfg, table, [path_index], on_fill=record)
+    fill_times = np.array([e[0] for e in events])
+    fill_prices = np.array([e[2] for e in events])
+    grid = cfg.grid
+    n_done = np.searchsorted(fill_times, grid, side="right")
+    # cumsum adds in order from 0.0, as the engine does
+    cash = np.cumsum(np.concatenate([[0.0], fill_prices]))[n_done]
+    ev_times = np.concatenate([[0.0], fill_times, [cfg.params.horizon]])
+    ev_prices = np.concatenate([[float(cfg.s0)], [e[1] for e in events],
+                                res["s_final"]])
+    price = _bridge(_path_keys(cfg.seed, [path_index]), grid, ev_times,
+                    ev_prices, cfg.params.sigma)
     return SimPath(
-        times=times,
-        price=res["price"][0],
-        inventory=res["inventory"][0],
-        cash=res["cash"][0],
-        fills=fill_list,
+        times=grid,
+        price=price,
+        inventory=cfg.q0 - n_done,
+        cash=cash,
+        fills=[(t, px) for t, _, px in events],
         market_order_count=int(res["market_orders"][0]),
     )
 
 
-def _summary_from_finals(cfg: SimConfig, curve_sum, curve_sq,
+def _summary_from_finals(cfg: SimConfig, fills, fills_sq,
                          q_fin, x_fin, s_fin) -> SimSummary:
+    """``fills[m]`` counts the units sold in (t_{m-1}, t_m] over all paths,
+    ``fills_sq[m]`` the matching drop of the summed q^2."""
     p = cfg.params
     n = cfg.n_paths
-    times = np.arange(cfg.n_steps + 1) * cfg.dt
-    mean_curve = curve_sum / n
-    var_curve = np.maximum(curve_sq / n - mean_curve ** 2, 0.0)
+    mean_curve = cfg.q0 - np.cumsum(fills) / n
+    mean_sq = cfg.q0 ** 2 - np.cumsum(fills_sq) / n
+    var_curve = np.maximum(mean_sq - mean_curve ** 2, 0.0)
     stderr_curve = np.sqrt(var_curve / n)
 
     wealth = x_fin + q_fin * (s_fin - p.b)
@@ -340,7 +429,7 @@ def _summary_from_finals(cfg: SimConfig, curve_sum, curve_sq,
     hist_counts = np.bincount(q_fin, minlength=cfg.q0 + 1)
     return SimSummary(
         config=cfg,
-        trading_curve=TradingCurve(times=times, expected_inventory=mean_curve,
+        trading_curve=TradingCurve(times=cfg.grid, expected_inventory=mean_curve,
                                    q0=cfg.q0),
         mc_stderr_curve=stderr_curve,
         pnl_mean=float(np.mean(wealth)),
@@ -356,52 +445,42 @@ def _summary_from_finals(cfg: SimConfig, curve_sum, curve_sq,
 def simulate_ensemble(cfg: SimConfig) -> SimSummary:
     """Aggregate cfg.n_paths independent paths.
 
-    Paths are processed in fixed-size batches in index order, so the result
-    does not depend on how the work would be split across workers.
+    The trading curve at grid time t_m is q0 less the mean count of units
+    sold at or before t_m.
     """
-    curve_sum = np.zeros(cfg.n_steps + 1)
-    curve_sq = np.zeros(cfg.n_steps + 1)
+    table = _HazardTable(cfg.policy, cfg.params, cfg.q0)
+    grid = cfg.grid
+    fills = np.zeros(grid.size)
+    fills_sq = np.zeros(grid.size)
+
+    def record(j, rows, tau, s_at, price, market):
+        count = np.bincount(np.searchsorted(grid, tau), minlength=grid.size)
+        fills[:] += count
+        # q^2 falls by 2q - 1 when level q sells a unit
+        fills_sq[:] += (2 * (cfg.q0 - j) - 1) * count
+
     q_fin = np.empty(cfg.n_paths, dtype=np.int64)
     x_fin = np.empty(cfg.n_paths)
     s_fin = np.empty(cfg.n_paths)
-    batch = _batch_size(cfg.n_steps)
-    for lo in range(0, cfg.n_paths, batch):
-        hi = min(lo + batch, cfg.n_paths)
-        res = _run_batch(cfg, range(lo, hi), curve_sum=curve_sum, curve_sq=curve_sq)
+    for lo in range(0, cfg.n_paths, _CHUNK):
+        hi = min(lo + _CHUNK, cfg.n_paths)
+        res = _simulate(cfg, table, np.arange(lo, hi), on_fill=record)
         q_fin[lo:hi] = res["q_final"]
         x_fin[lo:hi] = res["x_final"]
         s_fin[lo:hi] = res["s_final"]
-    return _summary_from_finals(cfg, curve_sum, curve_sq, q_fin, x_fin, s_fin)
+    return _summary_from_finals(cfg, fills, fills_sq, q_fin, x_fin, s_fin)
 
 
 def simulate_policies(params: ModelParams, policies, q0: int, dt: float,
                       n_paths: int, seed: int, s0: float = 0.0):
-    """Run several policies over the same noise (common random numbers).
+    """Run several policies over the same draws (common random numbers).
 
-    Returns one :class:`SimSummary` per policy, in order.  Each path draws
-    its stream once per batch and every policy consumes the identical draws,
-    which makes cross-policy comparisons much tighter than independent runs
-    and costs one noise generation instead of len(policies).
+    Returns one :class:`SimSummary` per policy, in order: one
+    :func:`simulate_ensemble` each, with the same seed, so path i of every
+    policy consumes the identical counter-based draws and cross-policy
+    comparisons are much tighter than independent runs.
     """
-    configs = [SimConfig(params=params, q0=q0, dt=dt, n_paths=n_paths,
-                         seed=seed, policy=pol, s0=s0) for pol in policies]
-    n_pol = len(configs)
-    n_steps = configs[0].n_steps if configs else 0
-    curve_sum = [np.zeros(n_steps + 1) for _ in range(n_pol)]
-    curve_sq = [np.zeros(n_steps + 1) for _ in range(n_pol)]
-    q_fin = [np.empty(n_paths, dtype=np.int64) for _ in range(n_pol)]
-    x_fin = [np.empty(n_paths) for _ in range(n_pol)]
-    s_fin = [np.empty(n_paths) for _ in range(n_pol)]
-    batch = _batch_size(n_steps)
-    for lo in range(0, n_paths, batch):
-        hi = min(lo + batch, n_paths)
-        noise = _prepared_noise(seed, range(lo, hi), n_steps, params, dt)
-        for j, cfg in enumerate(configs):
-            res = _run_batch(cfg, range(lo, hi), noise=noise,
-                             curve_sum=curve_sum[j], curve_sq=curve_sq[j])
-            q_fin[j][lo:hi] = res["q_final"]
-            x_fin[j][lo:hi] = res["x_final"]
-            s_fin[j][lo:hi] = res["s_final"]
-    return [_summary_from_finals(cfg, curve_sum[j], curve_sq[j],
-                                 q_fin[j], x_fin[j], s_fin[j])
-            for j, cfg in enumerate(configs)]
+    return [simulate_ensemble(SimConfig(params=params, q0=q0, dt=dt,
+                                        n_paths=n_paths, seed=seed,
+                                        policy=pol, s0=s0))
+            for pol in policies]

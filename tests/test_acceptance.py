@@ -1,7 +1,7 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
-Run with ``pytest tests/test_acceptance.py -v -s``.  Criteria 6 and 7 are
-Monte Carlo heavy and take a few minutes combined.
+Run with ``pytest tests/test_acceptance.py -v -s``.  Criteria 6 and 7 run
+Monte Carlo ensembles of 1e5 paths each, a few seconds combined.
 """
 
 import time
@@ -147,9 +147,12 @@ def test_criterion_5_risk_neutral_limit():
 
 @pytest.fixture(scope="module")
 def forced_liquidation_runs():
-    # the one-fill-per-step discretization biases the simulated curve a few
-    # thousandths of a unit above the continuous-time limit, consuming most
-    # of the 3-sigma budget at this path count; the seed is pinned
+    # fill times are drawn exactly, so the simulated curve is an unbiased
+    # estimate of the continuous-time limit and dt only sets the reporting
+    # grid; what is left is noise: 19 of seeds 1-20 pass the 3-sigma band
+    # at all 20 checkpoints (the other peaks at |z| = 3.29), and 99 is kept
+    # so the run is reproducible.  With common draws the fill scale drops
+    # out of the event times, so the three curves agree almost exactly
     runs = {}
     for big_a in (0.1, 0.05, 0.15):
         p = ModelParams(mu=0.0, sigma=0.0, big_a=big_a, b=50.0)
@@ -166,7 +169,9 @@ def test_criterion_6_forced_liquidation_curve(forced_liquidation_runs):
     p = ModelParams(mu=0.0, sigma=0.0, b=50.0)
     checkpoints = np.linspace(15.0, 285.0, 20)
     idx = np.searchsorted(base.trading_curve.times, checkpoints)
-    oracle = binf_trading_curve(p, 6, checkpoints).expected_inventory
+    # the oracle at the grid times the curve reports, up to dt after each
+    # checkpoint (the curve falls ~1e-3 units in 0.05 s)
+    oracle = binf_trading_curve(p, 6, base.trading_curve.times[idx]).expected_inventory
     got = base.trading_curve.expected_inventory[idx]
     se = base.mc_stderr_curve[idx]
     curve_ok = np.all(np.abs(got - oracle) <= 3 * se)

@@ -157,6 +157,15 @@ class TestSolveSpectral:
         for i in (0, 1, 31, 32, 33, 500, 999, 1000):
             assert max_rel(grid.values[i], dec.evaluate_at(float(grid.times[i]))) < 1e-12
 
+    def test_point_evaluation_survives_propagator_overflow(self):
+        # w_36(0) ~ 9.35e303 is a double, but an entry of the whole
+        # propagator exp(-T M) overflows; the grid walks w on vectors
+        p = ModelParams(mu=0.015, sigma=1e-6, b=27.0, horizon=4462.0,
+                        q_max=36)
+        got = solve_w(p).evaluate_at(0.0)
+        assert np.all(np.isfinite(got))
+        assert max_rel(got, solve_w(p).to_wgrid(1000).values[0]) < 1e-12
+
     def test_rejects_bad_step_count_and_time(self, ref_params):
         with pytest.raises(ParameterError):
             solve_w(ref_params).to_wgrid(0)

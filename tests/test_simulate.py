@@ -7,8 +7,9 @@ import pytest
 from optliq import (FixedQuote, MarketOrderFallback, ModelParams,
                     OptimalSurface, ParameterError, SimConfig,
                     binf_trading_curve, quote_surface, simulate_ensemble,
-                    simulate_path, simulate_policies, solve_grid)
-from optliq.simulate import _run_batch
+                    simulate_path, simulate_policies, solve_grid, solve_w)
+from optliq.simulate import (_HazardTable, _normals, _path_keys, _simulate,
+                             _uniforms)
 
 
 @pytest.fixture(scope="module")
@@ -26,16 +27,19 @@ def dominance_runs(ref_surface):
                              seed=2024)
 
 
-def batched_fills(cfg, n_paths, batch=4096):
-    """(path, time) arrays of all fills across an ensemble."""
-    paths, times = [], []
-    for lo in range(0, n_paths, batch):
-        idx = range(lo, min(lo + batch, n_paths))
-        res = _run_batch(cfg, idx, want_fills=True)
-        for hit, t_arr, _ in res["fills"]:
-            paths.append(hit + lo)
-            times.append(t_arr)
-    return np.concatenate(paths), np.concatenate(times)
+def run_paths(cfg, paths):
+    """Finals of the given path indices, simulated together."""
+    return _simulate(cfg, _HazardTable(cfg.policy, cfg.params, cfg.q0), paths)
+
+
+def all_fills(cfg):
+    """(path, time, price, market order) arrays of every unit sold in an
+    ensemble."""
+    out = []
+    _simulate(cfg, _HazardTable(cfg.policy, cfg.params, cfg.q0),
+              np.arange(cfg.n_paths),
+              on_fill=lambda j, rows, tau, s, px, mo: out.append((rows, tau, px, mo)))
+    return tuple(np.concatenate(col) for col in zip(*out))
 
 
 class TestConfigValidation:
@@ -84,10 +88,37 @@ class TestSinglePath:
         path = simulate_path(cfg)
         assert path.inventory[-1] == 0
         assert len(path.fills) == 3
-        assert np.all(np.diff(path.inventory) >= -1)
+        fill_times = np.array([t for t, _ in path.fills])
+        assert np.array_equal(
+            path.inventory,
+            3 - np.searchsorted(fill_times, path.times, side="right"))
         assert np.min(path.inventory) == 0
         assert path.cash[-1] == pytest.approx(
             sum(px for _, px in path.fills), rel=1e-15)
+
+    def test_overflowing_intensity_sells_at_once(self):
+        # big_a exp(-k delta) overflows: every unit goes at t = 0 at s0 + delta
+        p = ModelParams(mu=0.0, sigma=0.0)
+        cfg = SimConfig(params=p, q0=3, dt=1.0, n_paths=1, seed=2,
+                        policy=FixedQuote(-1e4), s0=5.0)
+        path = simulate_path(cfg)
+        assert path.fills == [(0.0, 5.0 - 1e4)] * 3
+        assert path.market_order_count == 0
+        assert np.all(path.inventory == 0)
+
+    def test_grid_price_is_bridge_of_events(self):
+        # the grid series is a Brownian bridge pinned at the exact prices of
+        # the events, so it ends on the ensemble's s_final and its
+        # increments are those of the price itself
+        cfg = SimConfig(params=ModelParams(), q0=6, dt=0.5, n_paths=1,
+                        seed=99, policy=FixedQuote(2.0))
+        path = simulate_path(cfg, 3)
+        ens = run_paths(cfg, [3])
+        assert path.price[-1] == ens["s_final"][0]
+        assert path.price[0] == 0.0
+        increments = np.diff(path.price)
+        # increments of a Brownian motion at sigma = 0.3 over 0.5 s
+        assert abs(np.std(increments) - 0.3 * np.sqrt(0.5)) < 0.05
 
     def test_no_fills_after_inventory_exhausted(self):
         p = ModelParams(mu=0.0, sigma=0.0)
@@ -103,7 +134,7 @@ class TestEnsembleContract:
     def test_members_match_standalone_paths(self, ref_surface):
         cfg = SimConfig(params=ModelParams(), q0=6, dt=0.5, n_paths=200,
                         seed=77, policy=OptimalSurface(ref_surface))
-        res = _run_batch(cfg, range(200))
+        res = run_paths(cfg, range(200))
         for index in (0, 7, 199):
             path = simulate_path(cfg, index)
             assert path.inventory[-1] == res["q_final"][index]
@@ -113,12 +144,11 @@ class TestEnsembleContract:
     def test_results_independent_of_batch_split(self, ref_surface):
         cfg = SimConfig(params=ModelParams(), q0=6, dt=0.5, n_paths=100,
                         seed=5, policy=OptimalSurface(ref_surface))
-        whole = _run_batch(cfg, range(100))
-        parts = [_run_batch(cfg, range(0, 37)), _run_batch(cfg, range(37, 100))]
-        assert np.array_equal(whole["x_final"],
-                              np.concatenate([p["x_final"] for p in parts]))
-        assert np.array_equal(whole["q_final"],
-                              np.concatenate([p["q_final"] for p in parts]))
+        whole = run_paths(cfg, range(100))
+        parts = [run_paths(cfg, range(0, 37)), run_paths(cfg, range(37, 100))]
+        for key in ("x_final", "q_final", "s_final", "market_orders"):
+            assert np.array_equal(whole[key],
+                                  np.concatenate([p[key] for p in parts]))
 
     def test_martingale_at_zero_drift(self):
         cfg = SimConfig(params=ModelParams(), q0=1, dt=1.0, n_paths=20_000,
@@ -133,6 +163,68 @@ class TestEnsembleContract:
         assert np.all(np.diff(curve.expected_inventory) <= 1e-12)
 
 
+class TestCounterStreams:
+    """The counter-based draws behave as independent uniforms."""
+
+    @staticmethod
+    def ks_statistic(u):
+        u = np.sort(u)
+        n = u.size
+        grid = np.arange(1, n + 1) / n
+        return max(np.max(grid - u), np.max(u - (grid - 1.0 / n)))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**40 + 7])
+    def test_uniform_moments_and_ks(self, seed):
+        # 1000 paths x 1000 draws; the 1% critical KS value is 1.63/sqrt(n)
+        keys = _path_keys(seed, np.arange(1000))
+        u = _uniforms(keys[:, None], np.arange(1000, dtype=np.uint64)).ravel()
+        n = u.size
+        assert u.min() > 0.0 and u.max() < 1.0
+        assert abs(u.mean() - 0.5) < 5 * np.sqrt(1 / 12 / n)
+        assert abs(u.var() - 1 / 12) < 5 * np.sqrt(1 / 180 / n)
+        assert self.ks_statistic(u) < 1.63 / np.sqrt(n)
+
+    def test_independent_across_paths_draws_and_seeds(self):
+        # the same draw on neighbouring paths, neighbouring draws on one
+        # path, and the same (path, draw) under neighbouring seeds
+        draws = np.arange(1000, dtype=np.uint64)
+        a = _uniforms(_path_keys(5, np.arange(1000))[:, None], draws)
+        b = _uniforms(_path_keys(6, np.arange(1000))[:, None], draws)
+        bound = 5 / np.sqrt(a.size)
+        pairs = [(a[:-1], a[1:]), (a[:, :-1], a[:, 1:]), (a, b)]
+        for x, y in pairs:
+            assert abs(np.corrcoef(x.ravel(), y.ravel())[0, 1]) < bound
+        # the difference of two independent uniforms is triangular, so
+        # |a - b| is distributed as 1 - sqrt(1 - v) for v uniform
+        d = np.abs(a - b).ravel()
+        assert self.ks_statistic(1 - (1 - d) ** 2) < 1.63 / np.sqrt(d.size)
+
+    def test_normals_have_gaussian_moments(self):
+        keys = _path_keys(11, np.arange(1000))
+        z = _normals(keys[:, None], 2 * np.arange(500, dtype=np.uint64)).ravel()
+        n = z.size
+        assert abs(z.mean()) < 5 / np.sqrt(n)
+        assert abs(z.var() - 1.0) < 5 * np.sqrt(2 / n)
+        assert abs(np.mean(z ** 4) - 3.0) < 5 * np.sqrt(96 / n)
+
+
+class TestUtilityOracle:
+    @pytest.mark.parametrize("changes", [
+        dict(), dict(mu=0.01), dict(sigma=0.6), dict(gamma=0.01), dict(b=20.0),
+    ])
+    def test_optimal_policy_attains_hjb_value(self, changes):
+        # under the optimal policy the expected CARA utility from (0, x0,
+        # q0, s0) is the value function -exp(-gamma (x0 + q0 s0))
+        # w_q0(0)^(-gamma/k); x0 = s0 = 0 here
+        p = ModelParams(**changes)
+        surface = quote_surface(solve_grid(p, 10_000))
+        cfg = SimConfig(params=p, q0=6, dt=0.1, n_paths=200_000, seed=2718,
+                        policy=OptimalSurface(surface))
+        summary = simulate_ensemble(cfg)
+        value = -solve_w(p).evaluate_at(0.0)[6] ** (-p.gamma / p.k)
+        assert abs(summary.utility_mean - value) <= 3 * summary.utility_stderr
+
+
 class TestPoissonOracle:
     def test_interfill_times_match_constant_rate(self):
         # at a pinned premium the fills are a Poisson stream of rate
@@ -144,7 +236,7 @@ class TestPoissonOracle:
         lam = p.big_a * np.exp(-p.k * delta)
         cfg = SimConfig(params=p, q0=6, dt=0.05, n_paths=20_000, seed=314,
                         policy=FixedQuote(delta))
-        path_ids, t_fills = batched_fills(cfg, cfg.n_paths)
+        path_ids, t_fills, _, _ = all_fills(cfg)
         order = np.lexsort((t_fills, path_ids))
         path_ids, t_fills = path_ids[order], t_fills[order]
         same_path = path_ids[1:] == path_ids[:-1]
@@ -157,7 +249,7 @@ class TestPoissonOracle:
         p = ModelParams(mu=0.0, sigma=0.0)
         cfg = SimConfig(params=p, q0=4, dt=0.1, n_paths=2000, seed=6,
                         policy=FixedQuote(-10.0))
-        path_ids, _ = batched_fills(cfg, cfg.n_paths)
+        path_ids, _, _, _ = all_fills(cfg)
         counts = np.bincount(path_ids, minlength=2000)
         assert np.all(counts == 4)
 
@@ -171,7 +263,7 @@ class TestTradingCurveOracle:
         summary = simulate_ensemble(cfg)
         checkpoints = np.linspace(15.0, 285.0, 20)
         idx = np.searchsorted(summary.trading_curve.times, checkpoints)
-        oracle = binf_trading_curve(p, 6, checkpoints).expected_inventory
+        oracle = binf_trading_curve(p, 6, summary.trading_curve.times[idx]).expected_inventory
         got = summary.trading_curve.expected_inventory[idx]
         stderr = summary.mc_stderr_curve[idx]
         assert np.all(np.abs(got - oracle) <= 3 * stderr)
@@ -191,10 +283,10 @@ class TestTradingCurveOracle:
                            + curves[0.15].mc_stderr_curve[idx] ** 2)
         assert np.all(np.abs(diff) <= 3 * combined)
 
-    def test_halving_dt_moves_curve_within_noise(self):
-        # the per-dt runs consume their streams differently, so the two
-        # estimates are independent; the discretization bias (one fill per
-        # step, held quotes) must hide inside the combined MC noise band
+    def test_curve_at_shared_grid_times_independent_of_dt(self):
+        # dt only sets the reporting grid: the events are exact in time, so
+        # the curve and its stderr at the times both grids share are the
+        # same numbers
         p = ModelParams()
         surface = quote_surface(solve_grid(p, 10_000))
         results = {}
@@ -202,12 +294,13 @@ class TestTradingCurveOracle:
             cfg = SimConfig(params=p, q0=6, dt=dt, n_paths=10_000, seed=55,
                             policy=OptimalSurface(surface))
             results[dt] = simulate_ensemble(cfg)
-        idx = np.arange(300, 6000, 300)
-        coarse = results[0.05].trading_curve.expected_inventory[idx]
-        fine = results[0.025].trading_curve.expected_inventory[2 * idx]
-        combined = np.sqrt(results[0.05].mc_stderr_curve[idx] ** 2
-                           + results[0.025].mc_stderr_curve[2 * idx] ** 2)
-        assert np.all(np.abs(coarse - fine) <= 3 * combined)
+        coarse, fine = results[0.05], results[0.025]
+        assert np.array_equal(coarse.trading_curve.times,
+                              fine.trading_curve.times[::2])
+        assert np.array_equal(coarse.trading_curve.expected_inventory,
+                              fine.trading_curve.expected_inventory[::2])
+        assert np.array_equal(coarse.mc_stderr_curve, fine.mc_stderr_curve[::2])
+        assert coarse.utility_mean == fine.utility_mean
 
 
 class TestOptimalityDominance:
@@ -244,18 +337,17 @@ class TestOptimalityDominance:
 
 class TestMarketOrderFallback:
     def test_fallback_sells_at_reference_price(self):
-        p = ModelParams(sigma=3.0)  # deeply negative quotes appear
+        # without price risk the reference price stays at s0, so a market
+        # order settles at exactly s0 and a limit fill at s0 + delta >= s0
+        p = ModelParams(mu=0.0, sigma=0.0, b=50.0)
         surface = quote_surface(solve_grid(p, 5000))
-        cfg = SimConfig(params=p, q0=6, dt=0.5, n_paths=1, seed=21,
-                        policy=MarketOrderFallback(surface, threshold=0.0))
-        path = simulate_path(cfg)
-        assert path.market_order_count > 0
-        for t, px in path.fills:
-            step = int(round(t / cfg.dt)) - 1
-            if px == path.price[step]:
-                break
-        else:
-            pytest.fail("no zero-premium fill found")
+        cfg = SimConfig(params=p, q0=6, dt=0.5, n_paths=2000, seed=21,
+                        policy=MarketOrderFallback(surface, threshold=0.0),
+                        s0=100.0)
+        _, _, price, market = all_fills(cfg)
+        assert market.any()
+        assert np.all(price[market] == 100.0)
+        assert np.all(price[~market] >= 100.0)
 
     def test_fallback_accelerates_liquidation(self):
         p = ModelParams(sigma=3.0)
