@@ -18,10 +18,10 @@ from .closed_forms import (TradingCurve, asymptotic_quote, asymptotic_w,
 from .errors import (CalibrationError, DataError, NoAsymptoteError,
                      OptliqError, ParameterError, RegimeError,
                      SolverFailureError, UsageError)
-from .market_data import (CalibrationResult, IntensityFit, TapeFormat,
-                          TradeRecord, TradeTape, calibrate_gamma,
-                          calibrate_intensity, calibrate_sigma,
-                          calibrate_tape, load_tape, synthetic_tape)
+from .market_data import (CalibrationResult, IntensityFit, TradeTape,
+                          calibrate_gamma, calibrate_intensity,
+                          calibrate_sigma, calibrate_tape, load_tape,
+                          synthetic_tape)
 from .model import (DerivedCoefficients, ModelParams, QuoteSurface,
                     derive_coefficients, hjb_residual, quote_from_w,
                     terminal_quote)

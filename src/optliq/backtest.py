@@ -18,7 +18,6 @@ and config (including the rounding seed) reproduces the ledger bit for bit.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -149,14 +148,6 @@ class BacktestLedger:
     mark: float = 0.0
     gamma_used: float = float("nan")
     sigma_hat: float = float("nan")
-
-    @property
-    def inventory_series(self):
-        return [(t, inv) for t, _, inv, _ in self.series]
-
-    @property
-    def cash_series(self):
-        return [(t, cash) for t, _, _, cash in self.series]
 
     def write_csvs(self, outdir) -> None:
         import os
@@ -322,10 +313,6 @@ class BacktestReport:
             "fill_count", "market_order_count", "avg_fill_premium", "completed",
             "completion_time", "terminal_mark", "benchmark",
             "slippage_vs_benchmark")}
-
-    def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
 
 
 def summarize(ledger: BacktestLedger) -> BacktestReport:

@@ -3,9 +3,11 @@
 Subcommands: solve, quotes, sweep, closed-form, simulate, calibrate,
 backtest.  Config files carry model parameters as flat key=value lines
 (keys mu, sigma, A, k, gamma, b, T, q_max) with optional [sim] and
-[backtest] sections; ``--set key=value`` / ``--set section.key=value``
-override file values, and explicit flags override both.  Relative
-``--config`` paths fall back to $OPTLIQ_CONFIG_DIR when not found locally.
+[backtest] sections (keys in :data:`SECTIONS`; others are refused);
+``--set key=value`` / ``--set section.key=value`` override file values,
+and explicit flags override both.  Only what the user set reaches the
+library, which owns the defaults.  Relative ``--config`` paths fall back
+to $OPTLIQ_CONFIG_DIR when not found locally.
 
 Exit codes: 0 success, 2 usage, 3 domain or regime error, 4 data error.
 """
@@ -16,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -24,7 +27,7 @@ from .backtest import BacktestConfig, run_backtest, summarize
 from .errors import (CalibrationError, DataError, NoAsymptoteError,
                      ParameterError, RegimeError, SolverFailureError,
                      UsageError)
-from .market_data import TapeFormat, calibrate_tape, load_tape
+from .market_data import calibrate_tape, load_tape
 from .model import CONFIG_KEY_TO_FIELD, ModelParams, parse_config
 from .ode import DEFAULT_N_STEPS, quote_surface, solve_grid
 from .simulate import (FixedQuote, MarketOrderFallback, OptimalSurface,
@@ -32,6 +35,53 @@ from .simulate import (FixedQuote, MarketOrderFallback, OptimalSurface,
 
 CONFIG_DIR_ENV = "OPTLIQ_CONFIG_DIR"
 SWEEPABLE = ("mu", "sigma", "A", "k", "gamma", "b")
+
+
+class Setting(NamedTuple):
+    """A [sim] or [backtest] key: its flag, the cast of a file or --set
+    value, the config field it sets and, only for a SimConfig field that
+    has none, its default."""
+
+    flag: str
+    cast: Callable
+    field: str
+    default: object = None
+    choices: Optional[tuple] = None
+    help: Optional[str] = None
+
+
+#: [sim] key -> :class:`optliq.simulate.SimConfig` field; q0 defaults to q_max
+SIM_SETTINGS = {
+    "q0": Setting("--q0", int, "q0"),
+    "dt": Setting("--dt", float, "dt", 0.05,
+                  help="reporting grid step (s) of curve.csv; fill times are exact"),
+    "paths": Setting("--paths", int, "n_paths", 1000),
+    "seed": Setting("--seed", int, "seed", 0),
+    "s0": Setting("--s0", float, "s0"),
+    "policy": Setting("--policy", str, "policy", "optimal",
+                      help="optimal | fixed:<delta> | fallback:<threshold>"),
+}
+
+#: [backtest] key -> :class:`optliq.backtest.BacktestConfig` field
+BACKTEST_SETTINGS = {
+    "q0": Setting("--q0", int, "q0"),
+    "delta_t": Setting("--delta-t", float, "delta_t"),
+    "rounding": Setting("--rounding", str, "rounding", choices=("nearest", "randomized")),
+    "seed": Setting("--seed", int, "seed"),
+    "recalib_window": Setting("--recalib-window", float, "recalib_window"),
+    "warmup": Setting("--warmup", float, "warmup"),
+    "gamma_mode": Setting("--gamma-mode", str, "gamma_mode",
+                          choices=("fixed", "quote_target")),
+    "gamma_value": Setting("--gamma-value", float, "gamma_value"),
+    "fallback_threshold": Setting("--fallback-threshold", float, "market_order_threshold"),
+    "b": Setting("--b", float, "b"),
+    "horizon": Setting("--horizon", float, "horizon"),
+    "reference": Setting("--reference", str, "reference", choices=("mid", "bid")),
+    "sampling_dt": Setting("--sampling-dt", float, "sampling_dt"),
+    "n_min": Setting("--n-min", int, "n_min"),
+}
+
+SECTIONS = {"sim": SIM_SETTINGS, "backtest": BACKTEST_SETTINGS}
 
 
 def _resolve_config_path(path: str) -> str:
@@ -73,6 +123,14 @@ def _load_params(args) -> tuple:
     for key in model_items:
         if key not in CONFIG_KEY_TO_FIELD:
             raise UsageError(f"unknown model parameter key {key!r}")
+    for name, items in sections.items():
+        if name not in SECTIONS:
+            raise UsageError(f"unknown section [{name}] (keys {list(items)}); "
+                             f"sections are [sim] and [backtest]")
+        for key in items:
+            if key not in SECTIONS[name]:
+                raise UsageError(f"unknown key {key!r} in [{name}]; known keys: "
+                                 f"{', '.join(SECTIONS[name])}")
     try:
         params = ModelParams.from_mapping(model_items)
     except ParameterError as exc:
@@ -80,17 +138,28 @@ def _load_params(args) -> tuple:
     return params, sections
 
 
-def _pick(args, section, key, default, cast=float):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in section:
-        raw = section[key]
+def _settings(args, sections: dict, name: str) -> dict:
+    """Config fields of section ``name`` that the user set, from the file
+    and --set, then from the flags, which win; plus the table defaults."""
+    values = {}
+    for key, raw in sections.get(name, {}).items():
+        setting = SECTIONS[name][key]
         try:
-            return cast(raw)
+            values[setting.field] = setting.cast(raw)
         except ValueError as exc:
-            raise UsageError(f"bad [section] value {key}={raw!r}") from exc
-    return default
+            raise UsageError(f"bad [{name}] value {key}={raw!r}") from exc
+    for key, setting in SECTIONS[name].items():
+        flag = getattr(args, key)
+        if flag is not None:
+            values[setting.field] = flag
+        elif setting.default is not None:
+            values.setdefault(setting.field, setting.default)
+    return values
+
+
+def _given(args, *names) -> dict:
+    """The named flags the user set, as keyword arguments."""
+    return {n: getattr(args, n) for n in names if getattr(args, n) is not None}
 
 
 # -- subcommands -----------------------------------------------------------
@@ -191,38 +260,33 @@ def _build_policy(spec: str, params: ModelParams, steps: int):
     kind, _, value = spec.partition(":")
     if kind == "fixed":
         try:
-            return FixedQuote(float(value))
+            delta = float(value)
         except ValueError as exc:
             raise UsageError(f"bad fixed policy {spec!r}") from exc
+        return FixedQuote(delta)
     if kind == "fallback":
         try:
-            threshold = float(value) if value else 0.0
+            kwargs = {"threshold": float(value)} if value else {}
         except ValueError as exc:
             raise UsageError(f"bad fallback policy {spec!r}") from exc
         return MarketOrderFallback(quote_surface(solve_grid(params, n_steps=steps)),
-                                   threshold=threshold)
+                                   **kwargs)
     raise UsageError(f"unknown policy {spec!r} (optimal | fixed:<d> | fallback:<t>)")
 
 
 def cmd_simulate(args) -> int:
     params, sections = _load_params(args)
-    sim = sections.get("sim", {})
-    q0 = int(_pick(args, sim, "q0", params.q_max, int))
-    dt = _pick(args, sim, "dt", 0.05)
-    n_paths = int(_pick(args, sim, "paths", 1000, int))
-    seed = int(_pick(args, sim, "seed", 0, int))
-    s0 = _pick(args, sim, "s0", 0.0)
-    policy_spec = args.policy or sim.get("policy", "optimal")
-    policy = _build_policy(policy_spec, params, args.steps)
-    cfg = SimConfig(params=params, q0=q0, dt=dt, n_paths=n_paths, seed=seed,
-                    policy=policy, s0=s0)
+    settings = _settings(args, sections, "sim")
+    settings.setdefault("q0", params.q_max)
+    if args.events and settings["n_paths"] != 1:
+        raise UsageError("--events requires paths=1")
+    settings["policy"] = _build_policy(settings["policy"], params, args.steps)
+    cfg = SimConfig(params=params, **settings)
     os.makedirs(args.out, exist_ok=True)
     summary = simulate_ensemble(cfg)
     summary.curve_to_csv(os.path.join(args.out, "curve.csv"))
     summary.stats_to_json(os.path.join(args.out, "stats.json"))
     if args.events:
-        if n_paths != 1:
-            raise UsageError("--events requires paths=1")
         simulate_path(cfg, 0).to_events_csv(os.path.join(args.out, "events.csv"))
     return 0
 
@@ -232,16 +296,19 @@ def _parse_offsets(spec: str):
         start, stop, step = (float(x) for x in spec.split(":"))
     except ValueError as exc:
         raise UsageError(f"--offsets expects start:stop:step, got {spec!r}") from exc
+    if not (np.isfinite([start, stop, step]).all() and step > 0 and start <= stop):
+        raise UsageError(f"--offsets {spec!r} must be finite with step > 0 and "
+                         f"start <= stop")
     return tuple(np.arange(start, stop + 1e-12, step))
 
 
 def cmd_calibrate(args) -> int:
-    tape = load_tape(args.tape, TapeFormat(tick_size=args.tick_size))
-    result = calibrate_tape(
-        tape, sampling_dt=args.sampling_dt,
-        distance_grid=_parse_offsets(args.offsets),
-        window=args.window, n_min=args.n_min,
-        gamma_target=args.gamma_target, b=args.b, horizon=args.horizon)
+    tape = load_tape(args.tape, **_given(args, "tick_size"))
+    kwargs = _given(args, "sampling_dt", "window", "n_min", "gamma_target",
+                    "b", "horizon")
+    if args.offsets is not None:
+        kwargs["distance_grid"] = _parse_offsets(args.offsets)
+    result = calibrate_tape(tape, **kwargs)
     if args.out:
         result.to_json(args.out)
     else:
@@ -249,27 +316,15 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
+def backtest_config(args) -> BacktestConfig:
+    """The protocol settings of a parsed ``backtest`` command line."""
+    _, sections = _load_params(args)
+    return BacktestConfig(**_settings(args, sections, "backtest"))
+
+
 def cmd_backtest(args) -> int:
-    tape = load_tape(args.tape, TapeFormat(tick_size=args.tick_size))
-    _, sections = _load_params(args) if args.config else (None, {})
-    bt = sections.get("backtest", {})
-    cfg = BacktestConfig(
-        q0=int(_pick(args, bt, "q0", 3, int)),
-        delta_t=_pick(args, bt, "delta_t", 30.0),
-        rounding=str(_pick(args, bt, "rounding", "nearest", str)),
-        seed=int(_pick(args, bt, "seed", 0, int)),
-        recalib_window=_pick(args, bt, "recalib_window", 1800.0),
-        warmup=_pick(args, bt, "warmup", None),
-        gamma_mode=str(_pick(args, bt, "gamma_mode", "quote_target", str)),
-        gamma_value=_pick(args, bt, "gamma_value", 1.0),
-        market_order_threshold=_pick(args, bt, "fallback_threshold", None),
-        b=_pick(args, bt, "b", 3.0),
-        horizon=_pick(args, bt, "horizon", None),
-        reference=str(_pick(args, bt, "reference", "mid", str)),
-        sampling_dt=_pick(args, bt, "sampling_dt", 1.0),
-        n_min=int(_pick(args, bt, "n_min", 50, int)),
-    )
-    ledger = run_backtest(tape, cfg)
+    tape = load_tape(args.tape, **_given(args, "tick_size"))
+    ledger = run_backtest(tape, backtest_config(args))
     os.makedirs(args.out, exist_ok=True)
     ledger.write_csvs(args.out)
     report = summarize(ledger)
@@ -292,6 +347,12 @@ def _add_model_flags(sp):
     sp.add_argument("--set", action="append", metavar="KEY=VALUE",
                     help="override a config value (repeatable; "
                     "section keys as section.key=value)")
+
+
+def _add_settings_flags(sp, table: dict):
+    for key, setting in table.items():
+        sp.add_argument(setting.flag, dest=key, type=setting.cast,
+                        choices=setting.choices, help=setting.help)
 
 
 def _add_solver_flags(sp):
@@ -344,13 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(sp)
     _add_solver_flags(sp)
     sp.add_argument("--out", required=True, help="output directory")
-    sp.add_argument("--paths", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--dt", type=float,
-                    help="reporting grid step (s) of curve.csv; fill times are exact")
-    sp.add_argument("--q0", type=int)
-    sp.add_argument("--s0", type=float)
-    sp.add_argument("--policy", help="optimal | fixed:<delta> | fallback:<threshold>")
+    _add_settings_flags(sp, SIM_SETTINGS)
     sp.add_argument("--events", action="store_true",
                     help="also write the fill log (paths=1 only)")
     sp.set_defaults(func=cmd_simulate)
@@ -358,37 +413,24 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("calibrate", help="estimate sigma, (A, k) and gamma "
                         "from a tape")
     sp.add_argument("--tape", required=True)
-    sp.add_argument("--tick-size", type=float, default=1.0)
-    sp.add_argument("--sampling-dt", type=float, default=1.0)
-    sp.add_argument("--offsets", default="0.5:5.0:0.5")
+    sp.add_argument("--tick-size", type=float, help="currency per Tick")
+    sp.add_argument("--sampling-dt", type=float)
+    sp.add_argument("--offsets", metavar="START:STOP:STEP",
+                    help="premium offsets (Ticks) of the intensity fit")
     sp.add_argument("--window", type=float)
-    sp.add_argument("--n-min", type=int, default=50)
+    sp.add_argument("--n-min", type=int)
     sp.add_argument("--gamma-target", type=float)
-    sp.add_argument("--b", type=float, default=3.0)
-    sp.add_argument("--horizon", type=float, default=300.0)
+    sp.add_argument("--b", type=float)
+    sp.add_argument("--horizon", type=float)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_calibrate)
 
     sp = sub.add_parser("backtest", help="replay the quoting protocol on a tape")
     _add_model_flags(sp)
     sp.add_argument("--tape", required=True)
-    sp.add_argument("--tick-size", type=float, default=1.0)
+    sp.add_argument("--tick-size", type=float, help="currency per Tick")
     sp.add_argument("--out", required=True, help="output directory")
-    sp.add_argument("--q0", type=int)
-    sp.add_argument("--delta-t", dest="delta_t", type=float)
-    sp.add_argument("--rounding", choices=("nearest", "randomized"))
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--recalib-window", dest="recalib_window", type=float)
-    sp.add_argument("--warmup", type=float)
-    sp.add_argument("--gamma-mode", dest="gamma_mode",
-                    choices=("fixed", "quote_target"))
-    sp.add_argument("--gamma-value", dest="gamma_value", type=float)
-    sp.add_argument("--fallback-threshold", dest="fallback_threshold", type=float)
-    sp.add_argument("--b", type=float)
-    sp.add_argument("--horizon", type=float)
-    sp.add_argument("--reference", choices=("mid", "bid"))
-    sp.add_argument("--sampling-dt", dest="sampling_dt", type=float)
-    sp.add_argument("--n-min", dest="n_min", type=int)
+    _add_settings_flags(sp, BACKTEST_SETTINGS)
     sp.set_defaults(func=cmd_backtest)
     return parser
 

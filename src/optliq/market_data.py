@@ -1,10 +1,10 @@
 """Trade-by-trade data ingestion and parameter calibration.
 
-Input format: delimited text with a header row and columns
-``ts,price,size,bid,ask`` where ts is seconds since session open (decimal)
-and prices are in currency; loading converts prices to Ticks via the tick
-size.  Ingestion streams row by row with bounded memory; calibration is a
-pure function of the loaded tape.
+Input format: comma-separated text with a header row naming the columns
+``ts,price,size,bid,ask``, all finite numbers; ts is seconds since session
+open (decimal) and prices are in currency, which loading converts to Ticks
+via the tick size.  Ingestion streams row by row with bounded memory;
+calibration is a pure function of the loaded tape.
 
 Estimators:
 
@@ -18,6 +18,7 @@ Estimators:
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import math
@@ -31,8 +32,6 @@ from .model import ModelParams, quote_from_w
 from .ode import solve_w
 
 __all__ = [
-    "TapeFormat",
-    "TradeRecord",
     "TradeTape",
     "IntensityFit",
     "CalibrationResult",
@@ -45,34 +44,11 @@ __all__ = [
 ]
 
 DEFAULT_DISTANCE_GRID = tuple(np.arange(0.5, 5.01, 0.5))
-
-
-@dataclass(frozen=True)
-class TapeFormat:
-    """How to read a tape file: delimiter, tick size, and column names."""
-
-    tick_size: float = 1.0
-    delimiter: str = ","
-    ts_col: str = "ts"
-    price_col: str = "price"
-    size_col: str = "size"
-    bid_col: str = "bid"
-    ask_col: str = "ask"
-
-    def __post_init__(self):
-        if not self.tick_size > 0:
-            raise ParameterError(f"tick_size must be > 0, got {self.tick_size}")
-
-
-@dataclass(frozen=True)
-class TradeRecord:
-    """One print: timestamp (s), prices in Ticks, size in shares."""
-
-    ts: float
-    price: float
-    size: float
-    best_bid: float
-    best_ask: float
+#: tape columns, in the order :meth:`TradeTape.write_csv` writes them
+COLUMNS = ("ts", "price", "size", "bid", "ask")
+# calibrate_gamma bisects over this gamma range until the quote is this close
+_GAMMA_BRACKET = (1e-6, 1e2)
+_QUOTE_TOL = 1e-4
 
 
 class TradeTape:
@@ -88,10 +64,13 @@ class TradeTape:
         n = self.ts.size
         if n == 0:
             raise DataError("empty tape: no trade records")
-        for name, arr in (("price", self.price), ("size", self.size),
-                          ("bid", self.bid), ("ask", self.ask)):
+        for name in COLUMNS:
+            arr = getattr(self, name)
             if arr.size != n:
                 raise DataError(f"column {name} length mismatch")
+            if not np.all(np.isfinite(arr)):
+                i = int(np.argmax(~np.isfinite(arr)))
+                raise DataError(f"non-finite {name} {arr[i]} at record {i}")
         if np.any(np.diff(self.ts) < 0):
             i = int(np.argmax(np.diff(self.ts) < 0)) + 1
             raise DataError(f"timestamps not sorted at record {i}")
@@ -109,11 +88,6 @@ class TradeTape:
     def __len__(self) -> int:
         return int(self.ts.size)
 
-    def __getitem__(self, i: int) -> TradeRecord:
-        return TradeRecord(ts=float(self.ts[i]), price=float(self.price[i]),
-                           size=float(self.size[i]), best_bid=float(self.bid[i]),
-                           best_ask=float(self.ask[i]))
-
     @property
     def mid(self) -> np.ndarray:
         return 0.5 * (self.bid + self.ask)
@@ -127,53 +101,55 @@ class TradeTape:
         return float(self.ts[-1] - self.ts[0])
 
     def slice_time(self, start: float, end: float) -> "TradeTape":
+        """The records in [start, end]; a part of a valid tape is valid, so
+        it is not checked again."""
         lo = int(np.searchsorted(self.ts, start, side="left"))
         hi = int(np.searchsorted(self.ts, end, side="right"))
         if hi <= lo:
             raise DataError(f"no records in [{start}, {end}]")
-        return TradeTape(self.ts[lo:hi], self.price[lo:hi], self.size[lo:hi],
-                         self.bid[lo:hi], self.ask[lo:hi], self.tick_size)
+        part = copy.copy(self)
+        part.__dict__.update({name: getattr(self, name)[lo:hi] for name in COLUMNS})
+        part.ats = float(np.mean(part.size))
+        return part
 
-    def write_csv(self, path, fmt: TapeFormat | None = None) -> None:
+    def write_csv(self, path) -> None:
         """Write back in the input format (prices restored to currency)."""
-        fmt = fmt or TapeFormat(tick_size=self.tick_size)
-        scale = fmt.tick_size
+        scale = self.tick_size
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(f"{fmt.ts_col},{fmt.price_col},{fmt.size_col},"
-                     f"{fmt.bid_col},{fmt.ask_col}\n")
+            fh.write(",".join(COLUMNS) + "\n")
             for i in range(len(self)):
                 fh.write(f"{self.ts[i]:.17g},{self.price[i] * scale:.17g},"
                          f"{self.size[i]:.17g},{self.bid[i] * scale:.17g},"
                          f"{self.ask[i] * scale:.17g}\n")
 
 
-def load_tape(path, fmt: TapeFormat | None = None) -> TradeTape:
-    """Load and validate a tape file; prices are converted to Ticks."""
-    fmt = fmt or TapeFormat()
-    cols = {name: [] for name in ("ts", "price", "size", "bid", "ask")}
-    col_names = (fmt.ts_col, fmt.price_col, fmt.size_col, fmt.bid_col, fmt.ask_col)
+def load_tape(path, tick_size: float = 1.0) -> TradeTape:
+    """Load and validate a tape file; prices divided by tick_size are Ticks."""
+    if not 0 < tick_size < math.inf:
+        raise ParameterError(f"tick_size must be > 0 and finite, got {tick_size}")
+    cols = {name: [] for name in COLUMNS}
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise DataError(f"cannot read tape {path}: {exc}") from exc
     with fh:
-        reader = csv.DictReader(fh, delimiter=fmt.delimiter)
+        reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise DataError(f"{path}: empty file")
-        missing = [c for c in col_names if c not in reader.fieldnames]
+        missing = [c for c in COLUMNS if c not in reader.fieldnames]
         if missing:
             raise DataError(f"{path}: missing columns {missing}")
         for row in reader:
             line = reader.line_num
             try:
-                values = [float(row[c]) for c in col_names]
+                values = [float(row[c]) for c in COLUMNS]
             except (TypeError, ValueError) as exc:
                 raise DataError(f"{path}: malformed row at line {line}") from exc
             for key, value in zip(cols, values):
                 cols[key].append(value)
     if not cols["ts"]:
         raise DataError(f"{path}: no data rows")
-    scale = 1.0 / fmt.tick_size
+    scale = 1.0 / tick_size
     try:
         return TradeTape(
             ts=cols["ts"],
@@ -181,7 +157,7 @@ def load_tape(path, fmt: TapeFormat | None = None) -> TradeTape:
             size=cols["size"],
             bid=np.asarray(cols["bid"]) * scale,
             ask=np.asarray(cols["ask"]) * scale,
-            tick_size=fmt.tick_size,
+            tick_size=tick_size,
         )
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
@@ -282,19 +258,16 @@ def calibrate_intensity(tape: TradeTape,
 
 
 def calibrate_gamma(big_a: float, k: float, sigma: float, mu: float, b: float,
-                    horizon: float, target_quote: float = 1.0,
-                    bracket=(1e-6, 1e2), quote_tol: float = 1e-4) -> float:
+                    horizon: float, target_quote: float = 1.0) -> float:
     """Risk aversion that makes the time-0 premium at q = 1 hit the target.
 
-    The premium is continuous and decreasing in gamma over the bracket, so
-    plain bisection to ``quote_tol`` on the quote suffices.  If the target
-    falls outside the premiums attainable on the bracket, raises
-    :class:`CalibrationError` reporting the attainable interval.
+    The premium is continuous and decreasing in gamma over the bracket
+    [1e-6, 100], so plain bisection to 1e-4 Ticks on the quote suffices.
+    If the target falls outside the premiums attainable on the bracket,
+    raises :class:`CalibrationError` reporting the attainable interval.
     Deterministic: no randomness anywhere in the evaluation.
     """
-    lo, hi = bracket
-    if not 0 < lo < hi:
-        raise ParameterError(f"bad bracket {bracket}")
+    lo, hi = _GAMMA_BRACKET
 
     def first_quote(gamma: float) -> float:
         params = ModelParams(mu=mu, sigma=sigma, big_a=big_a, k=k, gamma=gamma,
@@ -303,7 +276,7 @@ def calibrate_gamma(big_a: float, k: float, sigma: float, mu: float, b: float,
         return quote_from_w(w0[1], w0[0], params)
 
     q_lo, q_hi = first_quote(lo), first_quote(hi)
-    if not (q_hi - quote_tol <= target_quote <= q_lo + quote_tol):
+    if not (q_hi - _QUOTE_TOL <= target_quote <= q_lo + _QUOTE_TOL):
         raise CalibrationError(
             f"target quote {target_quote} outside attainable "
             f"[{q_hi:.6g}, {q_lo:.6g}] for gamma in [{lo:.3g}, {hi:.3g}]"
@@ -311,7 +284,7 @@ def calibrate_gamma(big_a: float, k: float, sigma: float, mu: float, b: float,
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         q_mid = first_quote(mid)
-        if abs(q_mid - target_quote) < quote_tol:
+        if abs(q_mid - target_quote) < _QUOTE_TOL:
             return mid
         if q_mid > target_quote:
             lo = mid
@@ -367,30 +340,28 @@ def calibrate_tape(tape: TradeTape, sampling_dt: float = 1.0,
 
 def synthetic_tape(duration: float, sigma: float, big_a: float, k: float,
                    mid0: float = 1000.0, drift: float = 0.0,
-                   spread_schedule=1.0, tick_size: float = 1.0, seed: int = 0,
-                   two_sided: bool = True, size_range=(50.0, 150.0)) -> TradeTape:
+                   spread_schedule=1.0, tick_size: float = 1.0, seed: int = 0) -> TradeTape:
     """Generate a tape whose prints match the model's fill-rate law.
 
-    Trades arrive as a Poisson stream (rate ``2 big_a`` two-sided, else
-    ``big_a``); each print lands an Exp(k)-distributed offset above the mid
-    (or below, for the sell side), so trades at or above mid + d arrive at
-    rate ``big_a exp(-k d)`` exactly.  The mid diffuses with volatility
-    ``sigma``.  ``spread_schedule`` is either a constant spread in Ticks or
-    a list of ``(start_time, spread)`` pairs.  Prices are in Ticks; use
+    Trades arrive as a Poisson stream of rate ``2 big_a``, half of them buys
+    printing an Exp(k)-distributed offset above the mid, half sells printing one
+    below, so trades at or above mid + d arrive at rate ``big_a exp(-k d)``
+    exactly; sizes are uniform on [50, 150].  The mid diffuses with volatility
+    ``sigma``.  ``spread_schedule`` is either a constant spread in Ticks or a
+    list of ``(start_time, spread)`` pairs.  Prices are in Ticks; use
     :meth:`TradeTape.write_csv` to produce a loadable file in currency.
     """
     if duration <= 0:
         raise ParameterError("duration must be > 0")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    rate = 2.0 * big_a if two_sided else big_a
-    n = rng.poisson(rate * duration)
+    n = rng.poisson(2.0 * big_a * duration)
     if n < 2:
         raise DataError("synthetic tape came out empty; increase duration or big_a")
     ts = np.sort(rng.random(n) * duration)
     gaps = np.diff(np.concatenate(([0.0], ts)))
     mid = (mid0 + drift * ts
            + np.cumsum(rng.standard_normal(n) * sigma * np.sqrt(gaps)))
-    side = rng.random(n) < 0.5 if two_sided else np.zeros(n, dtype=bool)
+    side = rng.random(n) < 0.5
     offs = rng.exponential(1.0 / k, size=n)
     price = np.where(side, mid - offs, mid + offs)
     if np.any(price <= 0):
@@ -402,7 +373,7 @@ def synthetic_tape(duration: float, sigma: float, big_a: float, k: float,
         starts = np.array([s for s, _ in sched])
         vals = np.array([v for _, v in sched])
         spread = vals[np.clip(np.searchsorted(starts, ts, side="right") - 1, 0, None)]
-    sizes = rng.uniform(size_range[0], size_range[1], size=n)
+    sizes = rng.uniform(50.0, 150.0, size=n)
     return TradeTape(ts=ts, price=price, size=sizes,
                      bid=mid - 0.5 * spread, ask=mid + 0.5 * spread,
                      tick_size=tick_size)

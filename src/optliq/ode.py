@@ -168,15 +168,6 @@ class WGrid:
         row, and near it the top levels, legitimately hold zeros."""
         return not bool(np.all(self.values[-1] > 0))
 
-    def value(self, time_index: int, q: int) -> float:
-        return float(self.values[time_index, q])
-
-    @property
-    def log_values(self) -> np.ndarray:
-        """log w, with -inf where w underflowed to zero."""
-        with np.errstate(divide="ignore"):
-            return np.log(self.values)
-
     def check_invariants(self) -> None:
         assert np.all(self.values[:, 0] == 1.0), "w_0 must be identically 1"
         term = _terminal_values(self.params)

@@ -63,8 +63,12 @@ _CHUNK = 1 << 16
 
 @dataclass(frozen=True)
 class FixedQuote:
-    """Quote a constant premium (Ticks) for the whole run."""
+    """Quote a constant premium (Ticks) for the whole run; inf never fills."""
     delta: float
+
+    def __post_init__(self):
+        if math.isnan(self.delta):
+            raise ParameterError("FixedQuote premium must not be NaN")
 
 
 @dataclass(frozen=True)
@@ -80,6 +84,10 @@ class MarketOrderFallback:
     (an idealised market order: guaranteed fill, zero premium, no fees)."""
     surface: QuoteSurface
     threshold: float = 0.0
+
+    def __post_init__(self):
+        if math.isnan(self.threshold):
+            raise ParameterError("MarketOrderFallback threshold must not be NaN")
 
 
 Policy = Union[FixedQuote, OptimalSurface, MarketOrderFallback]

@@ -9,7 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from optliq import ModelParams
+from optliq import BacktestConfig, ModelParams
+from optliq.cli import backtest_config, build_parser
 from optliq.market_data import synthetic_tape
 from tests.conftest import REFERENCE_QUOTES_T0, TABLE_TOL
 
@@ -130,6 +131,16 @@ class TestSimulateCommand:
                       "2", "--events", "--out", str(tmp_path / "x"),
                       "--steps", "500")
         assert res.returncode == 2
+        # refused before the ensemble runs: nothing is written
+        assert not (tmp_path / "x").exists()
+
+    def test_set_without_config(self, tmp_path):
+        outdir = tmp_path / "s"
+        res = run_cli("simulate", "--set", "sim.paths=3", "--set", "sim.dt=1",
+                      "--out", str(outdir), "--steps", "200")
+        assert res.returncode == 0, res.stderr
+        assert json.loads((outdir / "stats.json").read_text())["n_paths"] == 3
+        assert len((outdir / "curve.csv").read_text().splitlines()) == 302
 
 
 class TestCalibrateCommand:
@@ -145,6 +156,14 @@ class TestCalibrateCommand:
     def test_missing_tape_is_data_error(self, tmp_path):
         res = run_cli("calibrate", "--tape", str(tmp_path / "nope.csv"))
         assert res.returncode == 4
+
+    @pytest.mark.parametrize("spec", ["0.5:5:0", "0.5:5:-0.5", "5:0.5:0.5",
+                                      "0.5:inf:0.5", "nan:5:0.5", "0.5:5",
+                                      "a:b:c"])
+    def test_bad_offsets_are_usage_errors(self, tape_path, spec):
+        res = run_cli("calibrate", "--tape", str(tape_path), f"--offsets={spec}")
+        assert res.returncode == 2, res.stderr
+        assert "--offsets" in res.stderr and "Traceback" not in res.stderr
 
 
 class TestBacktestCommand:
@@ -162,12 +181,91 @@ class TestBacktestCommand:
         assert (outdir / "orders.csv").exists()
         assert (outdir / "series.csv").exists()
 
+    def test_set_backtest_key_without_config(self, tape_path, tmp_path):
+        outdir = tmp_path / "bt"
+        res = run_cli("backtest", "--tape", str(tape_path), "--out",
+                      str(outdir), "--set", "backtest.q0=1", "--warmup", "600",
+                      "--recalib-window", "600", "--gamma-mode", "fixed",
+                      "--gamma-value", "0.05", "--n-min", "30")
+        assert res.returncode == 0, res.stderr
+        summary = json.loads((outdir / "summary.json").read_text())
+        assert summary["fill_count"] + summary["q_end"] == 1
+
     def test_bad_tape_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("ts,price,size,bid,ask\n1.0,100.0,10,101.0,100.0\n")
         res = run_cli("backtest", "--tape", str(bad), "--out",
                       str(tmp_path / "o"))
         assert res.returncode == 4
+
+
+def parsed_backtest_config(tmp_path, *argv, config_text=None):
+    head = ["backtest", "--tape", "t.csv", "--out", str(tmp_path / "o")]
+    if config_text is not None:
+        path = tmp_path / "bt.cfg"
+        path.write_text(config_text)
+        head += ["--config", str(path)]
+    return backtest_config(build_parser().parse_args(head + list(argv)))
+
+
+class TestSettings:
+    """[backtest] file keys, --set and flags reach one BacktestConfig,
+    which owns the defaults."""
+
+    def test_no_settings_gives_library_defaults(self, tmp_path):
+        assert parsed_backtest_config(tmp_path) == BacktestConfig()
+        assert parsed_backtest_config(tmp_path, config_text="mu = 0\n") == BacktestConfig()
+
+    @pytest.mark.parametrize("key,flag,raw,field,value", [
+        ("q0", "--q0", "5", "q0", 5),
+        ("delta_t", "--delta-t", "12.5", "delta_t", 12.5),
+        ("rounding", "--rounding", "randomized", "rounding", "randomized"),
+        ("warmup", "--warmup", "600", "warmup", 600.0),
+        ("fallback_threshold", "--fallback-threshold", "0.5",
+         "market_order_threshold", 0.5),
+        ("n_min", "--n-min", "30", "n_min", 30),
+    ])
+    def test_file_set_and_flag_agree(self, tmp_path, key, flag, raw, field, value):
+        expected = BacktestConfig(**{field: value})
+        from_file = parsed_backtest_config(
+            tmp_path, config_text=f"[backtest]\n{key} = {raw}\n")
+        from_set = parsed_backtest_config(tmp_path, "--set", f"backtest.{key}={raw}")
+        from_flag = parsed_backtest_config(tmp_path, flag, raw)
+        assert from_file == from_set == from_flag == expected
+
+    def test_flag_beats_file_and_set(self, tmp_path):
+        cfg = parsed_backtest_config(
+            tmp_path, "--set", "backtest.delta_t=7", "--delta-t", "9",
+            "--q0", "4", config_text="[backtest]\nq0 = 2\ndelta_t = 5\nseed = 3\n")
+        assert cfg == BacktestConfig(q0=4, delta_t=9.0, seed=3)
+        # --set beats the file
+        cfg = parsed_backtest_config(tmp_path, "--set", "backtest.q0=6",
+                                     config_text="[backtest]\nq0 = 2\n")
+        assert cfg.q0 == 6
+
+    @pytest.mark.parametrize("command,section,key", [
+        ("backtest", "backtest", "delta_T"),
+        ("backtest", "bt", "q0"),
+        ("simulate", "sim", "pahts"),
+        ("quotes", "simulate", "paths"),
+    ])
+    def test_unknown_section_or_key_is_usage_error(self, tape_path, tmp_path,
+                                                    command, section, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[{section}]\n{key} = 5\n")
+        out = ["--out", str(tmp_path / "o")]
+        extra = ["--tape", str(tape_path)] if command == "backtest" else []
+        for source in (["--config", str(cfg)], ["--set", f"{section}.{key}=5"]):
+            res = run_cli(command, *source, *extra, *out)
+            assert res.returncode == 2, res.stderr
+            assert f"[{section}]" in res.stderr and repr(key) in res.stderr, res.stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_bad_section_value_names_section(self, config_path, tmp_path):
+        res = run_cli("simulate", "--config", str(config_path), "--set",
+                      "sim.paths=abc", "--out", str(tmp_path / "o"))
+        assert res.returncode == 2
+        assert "bad [sim] value paths='abc'" in res.stderr
 
 
 class TestUsageErrors:

@@ -2,12 +2,13 @@
 round trip."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 from optliq import (CalibrationError, DataError, ModelParams, ParameterError,
-                    TapeFormat, TradeTape, calibrate_gamma,
+                    TradeTape, calibrate_gamma,
                     calibrate_intensity, calibrate_sigma, calibrate_tape,
                     load_tape, quote_surface, solve_grid, synthetic_tape)
 
@@ -32,14 +33,14 @@ class TestLoadTape:
         tape = load_tape(write_tape(tmp_path, GOOD_ROWS))
         assert len(tape) == 3
         assert tape.ats == pytest.approx ((120 + 80 + 100) / 3)
-        assert tape[1].price == 100.7
-        assert tape[2].best_ask == 100.4
+        assert tape.price[1] == 100.7
+        assert tape.ask[2] == 100.4
 
     def test_tick_size_conversion(self, tmp_path):
         path = write_tape(tmp_path, GOOD_ROWS)
-        half = load_tape(path, TapeFormat(tick_size=0.5))
-        assert half[0].price == pytest.approx(201.2)
-        assert half[0].best_bid == pytest.approx(199.0)
+        half = load_tape(path, tick_size=0.5)
+        assert half.price[0] == pytest.approx(201.2)
+        assert half.bid[0] == pytest.approx(199.0)
 
     def test_empty_file_rejected(self, tmp_path):
         with pytest.raises(DataError, match="no data rows"):
@@ -59,6 +60,23 @@ class TestLoadTape:
         with pytest.raises(DataError, match="bid >= ask at record 2"):
             load_tape(write_tape(tmp_path, rows))
 
+    @pytest.mark.parametrize("column", ["ts", "price", "size", "bid", "ask"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_names_column_and_record(self, column, value):
+        cols = {"ts": [1.0, 2.5, 4.0], "price": [100.6, 100.7, 99.4],
+                "size": [120.0, 80.0, 100.0], "bid": [99.5, 99.6, 99.4],
+                "ask": [100.5, 100.6, 100.4]}
+        cols[column][1] = value
+        with pytest.raises(DataError, match=f"non-finite {column} .* at record 1"):
+            TradeTape(**cols)
+
+    def test_nan_timestamp_names_path(self, tmp_path):
+        rows = GOOD_ROWS[:1] + ["nan,100.7,80,99.6,100.6\n"] + GOOD_ROWS[2:]
+        path = write_tape(tmp_path, rows)
+        with pytest.raises(DataError,
+                           match=re.escape(f"{path}: non-finite ts nan at record 1")):
+            load_tape(path)
+
     def test_unsorted_timestamps_rejected(self, tmp_path):
         with pytest.raises(DataError, match="not sorted"):
             load_tape(write_tape(tmp_path, [GOOD_ROWS[1], GOOD_ROWS[0]]))
@@ -74,7 +92,7 @@ class TestLoadTape:
                               tick_size=0.5)
         path = tmp_path / "rt.csv"
         tape.write_csv(path)
-        back = load_tape(path, TapeFormat(tick_size=0.5))
+        back = load_tape(path, tick_size=0.5)
         assert np.array_equal(back.ts, tape.ts)
         assert np.array_equal(back.price, tape.price)
         assert np.array_equal(back.bid, tape.bid)
@@ -95,7 +113,7 @@ class TestCalibrateSigma:
         path = tmp_path / "scale.csv"
         tape.write_csv(path)
         one = calibrate_sigma(load_tape(path), 1.0)
-        two = calibrate_sigma(load_tape(path, TapeFormat(tick_size=2.0)), 1.0)
+        two = calibrate_sigma(load_tape(path, tick_size=2.0), 1.0)
         assert two == pytest.approx(one / 2, rel=1e-12)
 
     def test_short_span_rejected(self, tmp_path):

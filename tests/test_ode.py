@@ -15,7 +15,8 @@ from scipy.linalg import expm
 from optliq import (ModelParams, ParameterError, SolverFailureError,
                     hjb_residual, quote_surface, solve_grid, solve_w,
                     terminal_quote)
-from optliq.closed_forms import asymptotic_quote, binf_w, nodrift_novol_w
+from optliq.closed_forms import (asymptotic_quote, binf_w, nodrift_novol_quote,
+                                 nodrift_novol_w)
 from optliq.model import DerivedCoefficients, derive_coefficients
 from tests.conftest import (HIGH_VOL_K_SWEEP, REFERENCE_QUOTES_T0,
                             SWEEP_QUOTES_T0, TABLE_TOL, q1_asymptote_gap)
@@ -282,6 +283,50 @@ class TestQuoteSurface:
         assert surface.at_time(0.0, 1) == surface.quote(0, 1)
         assert surface.at_time(grid_dt * 2.5, 1) == surface.quote(2, 1)
         assert surface.at_time(ref_params.horizon, 1) == surface.quote(100, 1)
+
+
+    @given(q_max=st.integers(1, 200), horizon=st.floats(1.0, 86_400.0),
+           sigma=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+           b=st.floats(0.0, 50.0),
+           mu=st.one_of(st.just(0.0), st.floats(-0.02, 0.02)))
+    @settings(max_examples=100, deadline=None)
+    def test_quote_invariants_or_refused(self, q_max, horizon, sigma, b, mu):
+        p = ModelParams(mu=mu, sigma=sigma, b=b, horizon=horizon, q_max=q_max)
+        grid = solve_grid(p, 10)
+        tiny = np.finfo(float).tiny
+        if not (np.all(np.isfinite(grid.values)) and np.all(grid.values[0] >= tiny)):
+            with pytest.raises(SolverFailureError, match="double range"):
+                quote_surface(grid)
+            return
+        surface = quote_surface(grid)
+        body = surface.values[:-1]
+        # a quote is (1/k) ln(w_q / w_{q-1}), as precise as the two levels:
+        # 1e-13 relative from the solver, and where a level is subnormal the
+        # rounding of a (q_max + 1)-term dot product to the subnormal grid
+        w = grid.values[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = 1e-13 + (q_max + 1) * np.spacing(w) / w  # inf where w = 0
+        tol = (rel[:, 1:] + rel[:, :-1]) / p.k
+        with np.errstate(invalid="ignore"):
+            step = np.diff(body, axis=1)  # nan between two -inf levels
+        # strictly decreasing in q; with little price risk the premiums of
+        # high levels converge and may tie to that precision
+        assert np.all((step < tol[:, 1:] + tol[:, :-1]) | np.isnan(step))
+        pinned = grid.values[-1, 1:] > 0
+        last = surface.values[-1]
+        assert np.all(np.abs(last[pinned] - terminal_quote(p)) < 1e-10)
+        assert np.all(last[~pinned] == -np.inf)
+        if mu == 0.0 and sigma == 0.0:
+            # the closed form sums e^{-kb} w_{q-1} term by term (and divides
+            # by zero where that underflows); compared where neither side
+            # rounds a subnormal number
+            for i in (0, 5):
+                t = float(surface.times[i])
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    exact = np.array([nodrift_novol_quote(p, t, q)
+                                      for q in range(1, q_max + 1)])
+                normal = (w[i, 1:] >= tiny) & (w[i, :-1] * math.exp(-p.k * p.b) >= tiny)
+                assert np.all(np.abs(body[i] - exact)[normal] < 1e-9)
 
 
 class TestCrossMethodInvariants:

@@ -53,6 +53,16 @@ class TestConfigValidation:
             with pytest.raises(ParameterError):
                 SimConfig(**{**good, **bad})
 
+    def test_rejects_nan_policy_values(self, ref_surface):
+        with pytest.raises(ParameterError, match="NaN"):
+            FixedQuote(float("nan"))
+        with pytest.raises(ParameterError, match="NaN"):
+            MarketOrderFallback(ref_surface, threshold=float("nan"))
+        # an infinite premium is valid and never fills
+        cfg = SimConfig(params=ModelParams(), q0=6, dt=1.0, n_paths=100,
+                        seed=0, policy=FixedQuote(float("inf")))
+        assert simulate_ensemble(cfg).terminal_inventory_hist[6] == 100
+
     def test_rejects_surface_not_covering_horizon(self, ref_surface):
         long_p = ModelParams(horizon=600.0)
         with pytest.raises(ParameterError, match="cover"):
