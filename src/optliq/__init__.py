@@ -16,8 +16,7 @@ from .closed_forms import (TradingCurve, asymptotic_quote, asymptotic_w,
                            nodrift_novol_quote, nodrift_novol_w,
                            risk_neutral_quote)
 from .errors import (CalibrationError, DataError, NoAsymptoteError,
-                     OptliqError, ParameterError, RegimeError,
-                     SolverFailureError, UsageError)
+                     OptliqError, ParameterError, RegimeError, UsageError)
 from .market_data import (CalibrationResult, IntensityFit, TradeTape,
                           calibrate_gamma, calibrate_intensity,
                           calibrate_sigma, calibrate_tape, load_tape,

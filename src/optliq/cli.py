@@ -25,8 +25,7 @@ import numpy as np
 from . import closed_forms as cf
 from .backtest import BacktestConfig, run_backtest, summarize
 from .errors import (CalibrationError, DataError, NoAsymptoteError,
-                     ParameterError, RegimeError, SolverFailureError,
-                     UsageError)
+                     ParameterError, RegimeError, UsageError)
 from .market_data import calibrate_tape, load_tape
 from .model import CONFIG_KEY_TO_FIELD, ModelParams, parse_config
 from .ode import DEFAULT_N_STEPS, quote_surface, solve_grid
@@ -442,8 +441,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ParameterError, RegimeError, NoAsymptoteError,
-            SolverFailureError) as exc:
+    except (ParameterError, RegimeError, NoAsymptoteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (DataError, CalibrationError) as exc:

@@ -93,16 +93,32 @@ def _require_nodrift_novol(p: ModelParams, name: str):
              f"sigma={p.sigma}, mu={p.mu}")
 
 
-def _poly_w_terms(scale: float, kb: float, q: int, remaining: float):
-    """Terms ``scale^j / j! * exp(-kb (q-j)) * remaining^j`` for j = 0..q."""
-    terms = np.empty(q + 1)
-    term = math.exp(-kb * q)
-    terms[0] = term
-    factor = 1.0
-    for j in range(1, q + 1):
-        factor *= scale * remaining / j
-        terms[j] = factor * math.exp(-kb * (q - j))
-    return terms
+def _log_poly_w_terms(scale: float, kb: float, q: int, remaining: float) -> np.ndarray:
+    """ln of the terms ``scale^j / j! * exp(-kb (q-j)) * remaining^j`` for
+    j = 0..q, finite wherever the term is positive."""
+    log_rate = math.log(scale * remaining) if remaining > 0 else -math.inf
+    j = np.arange(1, q + 1, dtype=float)
+    out = np.empty(q + 1)
+    out[0] = -kb * q
+    out[1:] = j * (log_rate + kb) - np.log(j).cumsum() + out[0]
+    return out
+
+
+def _log_sum(logs: np.ndarray) -> float:
+    """ln of the sum of exp(logs) (logsumexp)."""
+    top = logs.max()
+    return float(top + math.log(np.exp(logs - top).sum()))
+
+
+def _poly_quote(scale: float, p: ModelParams, t: float, q: int) -> float:
+    """``-b + (1/k) ln(1 + top/bottom)`` of the series with rate ``scale``:
+    top is its j = q term and bottom the j < q partial sum, both in logs."""
+    if q < 1:
+        raise ParameterError(f"q must be >= 1, got {q}")
+    if not 0.0 <= t <= p.horizon:
+        raise ParameterError(f"t={t} outside [0, {p.horizon}]")
+    logs = _log_poly_w_terms(scale, p.k * p.b, q, p.horizon - t)
+    return -p.b + float(np.logaddexp(0.0, logs[q] - _log_sum(logs[:q]))) / p.k
 
 
 def nodrift_novol_w(p: ModelParams, t: float, q: int) -> float:
@@ -114,26 +130,21 @@ def nodrift_novol_w(p: ModelParams, t: float, q: int) -> float:
     if not 0.0 <= t <= p.horizon:
         raise ParameterError(f"t={t} outside [0, {p.horizon}]")
     eta = derive_coefficients(p).eta
-    return float(np.sum(_poly_w_terms(eta, p.k * p.b, q, p.horizon - t)))
+    return float(np.exp(_log_sum(_log_poly_w_terms(eta, p.k * p.b, q, p.horizon - t))))
 
 
 def nodrift_novol_quote(p: ModelParams, t: float, q: int) -> float:
     """Premium in the mu = sigma = 0 regime.
 
     ``-b + (1/k) ln(1 + top/bottom) + (1/gamma) ln(1 + gamma/k)`` where top
-    is the j = q term and bottom the j < q partial sum of the w series.
+    is the j = q term and bottom the j < q partial sum of the w series,
+    summed in logs so the quote is finite wherever w is positive.
     Strictly above the terminal quote for t < T.
     """
     _require_nodrift_novol(p, "nodrift_novol_quote")
     p.require_risk_averse("nodrift_novol_quote")
-    if q < 1:
-        raise ParameterError(f"q must be >= 1, got {q}")
-    if not 0.0 <= t <= p.horizon:
-        raise ParameterError(f"t={t} outside [0, {p.horizon}]")
     eta = derive_coefficients(p).eta
-    terms = _poly_w_terms(eta, p.k * p.b, q, p.horizon - t)
-    ratio = terms[q] / float(np.sum(terms[:q]))
-    return -p.b + math.log1p(ratio) / p.k + math.log1p(p.gamma / p.k) / p.gamma
+    return _poly_quote(eta, p, t, q) + math.log1p(p.gamma / p.k) / p.gamma
 
 
 def risk_neutral_quote(p: ModelParams, t: float, q: int) -> float:
@@ -145,13 +156,7 @@ def risk_neutral_quote(p: ModelParams, t: float, q: int) -> float:
     the remaining horizon increases.
     """
     _require(p.mu == 0.0, f"risk_neutral_quote requires mu = 0, got mu={p.mu}")
-    if q < 1:
-        raise ParameterError(f"q must be >= 1, got {q}")
-    if not 0.0 <= t <= p.horizon:
-        raise ParameterError(f"t={t} outside [0, {p.horizon}]")
-    terms = _poly_w_terms(p.big_a / math.e, p.k * p.b, q, p.horizon - t)
-    ratio = terms[q] / float(np.sum(terms[:q]))
-    return -p.b + math.log1p(ratio) / p.k + 1.0 / p.k
+    return _poly_quote(p.big_a / math.e, p, t, q) + 1.0 / p.k
 
 
 def _growth_factor(beta: float, remaining: float, horizon: float) -> float:

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.  The w solver has no
+failure of its own: it solves every finite parameter set."""
 
 
 class OptliqError(Exception):
@@ -15,12 +16,6 @@ class RegimeError(OptliqError, ValueError):
 
 class NoAsymptoteError(RegimeError):
     """The long-horizon quote limit does not exist for these parameters."""
-
-
-class SolverFailureError(OptliqError, RuntimeError):
-    """w left the range of normal doubles at t = 0 (it underflowed below
-    ``np.finfo(float).tiny`` or overflowed), so the quotes, which are ratios
-    of consecutive levels, cannot be formed; lowering q_max avoids it."""
 
 
 class DataError(OptliqError, ValueError):

@@ -219,13 +219,14 @@ def quote_from_w(w_q: float, w_qm1: float, p: ModelParams) -> float:
     Returns ``(1/k) ln(w_q / w_{q-1}) + (1/gamma) ln(1 + gamma/k)`` in Ticks.
     The result may be negative; callers decide what to do with quotes below
     the reference price (see the market-order fallback in the simulator and
-    backtester).
+    backtester).  Both values must be finite positive doubles;
+    :func:`optliq.ode.quote_surface` quotes w beyond the double range.
     """
     p.require_risk_averse("quote_from_w")
     if not (0 < w_q < math.inf and 0 < w_qm1 < math.inf):
         raise ParameterError(
             f"w values must be finite and strictly positive, got w_q={w_q}, "
-            f"w_qm1={w_qm1} (w left the double range or an upstream solver failed)"
+            f"w_qm1={w_qm1} (w left the double range; quote it with quote_surface)"
         )
     return math.log(w_q / w_qm1) / p.k + math.log1p(p.gamma / p.k) / p.gamma
 
@@ -282,12 +283,9 @@ class QuoteSurface:
         """Raise AssertionError unless terminal pinning and monotonicity in
         q hold.  Intended for tests and post-solve sanity checks."""
         target = terminal_quote(self.params)
-        last = self.values[-1]
-        finite = np.isfinite(last)
-        assert np.all(np.abs(last[finite] - target) < terminal_tol), (
-            f"terminal quotes deviate from {target} by "
-            f"{np.max(np.abs(last[finite] - target))}"
-        )
+        deviation = np.max(np.abs(self.values[-1] - target))
+        assert deviation < terminal_tol, (
+            f"terminal quotes deviate from {target} by {deviation}")
         if self.q_max > 1:
             # strictly decreasing in inventory before the deadline; at T all
             # levels meet at the common terminal value
@@ -298,7 +296,6 @@ class QuoteSurface:
     # -- exports ----------------------------------------------------------
 
     def to_csv(self, path) -> None:
-        from .ode import _write_tq_csv
         _write_tq_csv(path, self.times, self.values, first_q=1)
 
     def to_json_dict(self) -> dict:
@@ -308,6 +305,17 @@ class QuoteSurface:
             "times": self.times.tolist(),
             "quotes": self.values.tolist(),
         }
+
+
+def _write_tq_csv(path, times, values, first_q: int) -> None:
+    # 17 significant digits so a read-back reproduces the doubles
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("t,q,value\n")
+        n_q = values.shape[1]
+        for i, t in enumerate(times):
+            row = values[i]
+            for j in range(n_q):
+                fh.write(f"{t:.17g},{first_q + j},{row[j]:.17g}\n")
 
 
 def hjb_residual(w, p: ModelParams, t: float, q: int,
@@ -331,13 +339,13 @@ def hjb_residual(w, p: ModelParams, t: float, q: int,
         )
     if not 1 <= q <= p.q_max:
         raise ParameterError(f"q must be in 1..{p.q_max}, got {q}")
-    stencil = (w.values[i - 1, q], w.values[i, q], w.values[i + 1, q],
-               w.values[i, q - 1])
+    rows = w.doubles(slice(i - 1, i + 2))
+    stencil = (rows[0, q], rows[1, q], rows[2, q], rows[1, q - 1])
     if not all(v > 0 for v in stencil):
         raise ParameterError(
             f"w must be strictly positive around (t={t}, q={q})"
         )
     h = times[i + 1] - times[i - 1]
-    wdot = (w.values[i + 1, q] - w.values[i - 1, q]) / h
+    wdot = (rows[2, q] - rows[0, q]) / h
     lam_q = coeffs.alpha * q * q - coeffs.beta * q
-    return float(wdot - lam_q * w.values[i, q] + coeffs.eta * w.values[i, q - 1])
+    return float(wdot - lam_q * rows[1, q] + coeffs.eta * rows[1, q - 1])

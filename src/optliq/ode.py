@@ -6,29 +6,32 @@ linear system
     wdot_q(t) = lambda_q w_q(t) - eta w_{q-1}(t),   lambda_q = alpha q^2 - beta q,
     w_0 = 1,   w_q(T) = exp(-k q b),
 
-so ``w(t) = exp(-(T - t) M) w(T)`` with M the bidiagonal system matrix.
-:func:`solve_w` returns that solution; it evaluates w at one time or on a
-uniform grid through a single propagator, ``exp(-tau M)``.
+so ``w(t) = exp(-(T - t) M) w(T)``.  :func:`solve_w` returns it, at one
+time or on a uniform grid, through one walk back from w(T).
 
-The propagator is computed without a subtraction.  ``-M`` is Metzler (its
-off-diagonal ``eta`` is nonnegative), so with ``c = max lambda_q`` the
-shifted matrix ``N = cI - M`` is entrywise nonnegative and
-``exp(-tau M) = exp(-tau c) exp(tau N)``.  ``exp(h N)`` is a Taylor
-polynomial of a nonnegative matrix, evaluated by Horner's rule, at a step
-``h = tau / 2^s`` small enough that the truncation is below rounding; ``s``
-squarings then reach ``tau``, each followed by writing the exact diagonal
-``exp(-h' lambda)``.  Every operation adds or multiplies
-nonnegative numbers, so every entry keeps its relative accuracy however
-small it is: degenerate or resonant spectra, ``mu = sigma = 0``, long
-horizons and terminal values that underflow need no special case (Moler &
-Van Loan, *Nineteen dubious ways to compute the exponential of a matrix*,
-SIAM Rev. 2003; Xue & Ye, Numer. Math. 2008).
+The propagator is computed without a subtraction: with ``c = max lambda``,
+``N = cI - M`` is entrywise nonnegative, ``exp(-tau M) = exp(-tau c)
+exp(tau N)`` is a Taylor polynomial of N at a step ``tau / 2^s`` squared s
+times, and every entry keeps its relative accuracy however small it is
+(Moler & Van Loan, SIAM Rev. 2003; Xue & Ye, Numer. Math. 2008).
 
-A w that is not a normal double at t = 0 cannot give a quote; that is
-refused by :func:`quote_surface`, see :class:`optliq.errors.SolverFailureError`.
-
-All functions are pure; distinct parameter sets may be solved concurrently
-by the caller.
+w can leave the double range by thousands of binary orders; quotes need
+only ``w_q / w_{q-1}``.  So w is carried as mantissas times exact powers of
+two, one exponent per level and per segment of the walk: ``w_q = v_q
+2^(e_q)``.  With ``D = diag(2^e)`` the walk applies ``exp(-h D^-1 M D)``,
+whose subdiagonal is ``eta 2^(e_{q-1} - e_q)``: nonnegative, scaled exactly
+(Higham, *Accuracy and Stability of Numerical Algorithms*, 2002).  A
+segment's length is worked out before it is walked: for ``G = -D^-1 M D``
+and v > 0, the extreme log-growth rates ``r_lo <= (G v)_q / v_q <= r_up``
+give ``e^(tau r_lo) v <= exp(tau G) v <= e^(tau r_up) v`` for all tau >= 0,
+as ``exp(tau G)`` is nonnegative and commutes with G, and the segment goes
+as far as that keeps every mantissa within ``2^+-_WINDOW``.  No ratio of
+two mantissas, or entry of a scaled step, then exceeds 2^1000, and the
+rounding of an entry below the double range is under 2^-70 of the level
+it feeds.  The
+exponents change only where a segment could not reach the next grid node;
+where w stays well inside the double range they are 0 and the arithmetic
+is that of plain doubles.
 """
 
 from __future__ import annotations
@@ -39,8 +42,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ParameterError, SolverFailureError
-from .model import (FIELD_TO_CONFIG_KEY, ModelParams, QuoteSurface,
+from .errors import ParameterError
+from .model import (FIELD_TO_CONFIG_KEY, ModelParams, QuoteSurface, _write_tq_csv,
                     derive_coefficients, terminal_quote)
 
 __all__ = [
@@ -62,37 +65,50 @@ _THETA = 0.5
 # powers E_h^j precomputed per block when building a grid
 _BLOCK = 32
 _INV_FACTORIAL = 1.0 / np.array([math.factorial(j) for j in range(171)], dtype=float)
+# log2 bound on the mantissas of a segment
+_WINDOW = 500.0
+# a level more than 2^_LIFT below the one under it is lifted in the walk's
+# profile: its value is negligible beside what it is fed in any
+# representable step, and its mantissa may round to zero
+_LIFT = 64.0
+_TINY = np.finfo(float).tiny
+_LOG_TINY = math.log(_TINY)
+# ln 2 in pieces of 31 bits, so that n * piece is exact for |n| < 2^22
+_LN2_PIECES = (0.6931471801362932, 4.2365213637554633e-10, 2.0538208177030216e-19)
 
 
-def _terminal_values(p: ModelParams) -> np.ndarray:
-    return np.exp(-p.k * p.b * np.arange(p.q_max + 1, dtype=float))
+def _terminal_state(p: ModelParams) -> tuple:
+    """w(T) = exp(-k q b) as (mantissas, exponents): the double itself with
+    exponent 0 where it is normal, else reduced by a multiple of ``ln 2``
+    first (Cody & Waite)."""
+    x = -p.k * p.b * np.arange(p.q_max + 1, dtype=float)
+    if x[-1] >= _LOG_TINY:  # the top level, the smallest, is normal
+        return np.exp(x), np.zeros(x.size, dtype=np.int64)
+    e = np.where(x < _LOG_TINY, np.floor(x / math.log(2.0)) + 1.0, 0.0)
+    for piece in _LN2_PIECES:
+        x = x - e * piece
+    return np.exp(x), e.astype(np.int64)
 
 
-def _rates(p: ModelParams) -> tuple:
-    """(lambda_q for q = 0..q_max, eta): M has diagonal lambda and
-    subdiagonal -eta."""
-    coeffs = derive_coefficients(p)
-    q = np.arange(p.q_max + 1, dtype=float)
-    return coeffs.alpha * q * q - coeffs.beta * q, coeffs.eta
-
-
-def _propagator(p: ModelParams, tau: float) -> np.ndarray:
-    """exp(-tau M), entrywise nonnegative, each entry to relative accuracy.
+def _propagator(lam: np.ndarray, eta: float, tau: float, e: np.ndarray) -> np.ndarray:
+    """``D^-1 exp(-tau M) D``, ``D = diag(2^e)``, each entry to relative
+    accuracy.
 
     Entry (q, q - d) of the Taylor remainder of ``exp(hN)`` after degree m
     is at most ``theta^(m+1-d) e^theta / (m+1-d)!`` of that entry, with
-    ``theta = h max(diag N)``; the degree is chosen so the bound, amplified
-    by the ``2^s`` factors of the product, stays below rounding for every
-    ``d <= q_max``.  The diagonal of each power is reset to the exact
-    ``exp(-h' lambda)``, which keeps the squarings from compounding its
-    rounding error (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 2009).
+    ``theta = h max(diag N)`` (the scaling multiplies it by a constant); the
+    degree keeps that, amplified by the ``2^s`` factors of the product,
+    below rounding for every ``d <= q_max``.  Resetting the exact diagonal
+    keeps the squarings from compounding its rounding error (Al-Mohy &
+    Higham, SIAM J. Matrix Anal. Appl. 2009).
     """
-    lam, eta = _rates(p)
-    n = p.q_max + 1
+    shift = e[:-1] - e[1:]
+    sub = np.ldexp(eta, shift.astype(np.int32)) if shift.any() else eta
+    n = lam.size
     c = float(lam.max())
     diag = c - lam
     d_max = float(diag.max())
-    norm = tau * (d_max + eta)
+    norm = tau * (d_max + float(np.max(sub)))
     s = math.ceil(math.log2(norm / _THETA)) if norm > _THETA else 0
     h = tau / 2.0 ** s
     theta = h * d_max
@@ -100,11 +116,11 @@ def _propagator(p: ModelParams, tau: float) -> np.ndarray:
     while bound > 2.0 ** -53:
         k += 1
         bound *= theta / k
-    m = p.q_max + k - 1
+    m = n + k - 2
 
     a = np.zeros((n, n))
     a.reshape(-1)[::n + 1] = h * diag
-    a.reshape(-1)[n::n + 1] = h * eta  # subdiagonal
+    a.reshape(-1)[n::n + 1] = h * sub  # subdiagonal
     # Horner's rule in A^r over blocks sum_j A^j / (i r + j)!
     # (Paterson-Stockmeyer), so a degree-m polynomial costs ~2 sqrt(m)
     # products; all coefficients are positive
@@ -116,47 +132,198 @@ def _propagator(p: ModelParams, tau: float) -> np.ndarray:
         np.matmul(powers[j - 1], a, out=powers[j])
     a_r = powers[-1] @ a
     coef = np.zeros(n_blocks * r)
-    # 1/j! underflows past j = 170; with h * eta <= 1/2 such terms are
+    # 1/j! underflows past j = 170; with h * sub <= 1/2 such terms are
     # below the double range anyway
     top = min(m, _INV_FACTORIAL.size - 1) + 1
     coef[:top] = _INV_FACTORIAL[:top] * math.exp(-h * c)
     blocks = (coef.reshape(n_blocks, r) @ powers.reshape(r, n * n)).reshape(n_blocks, n, n)
-    e = blocks[-1]
+    out = blocks[-1]
     for i in range(n_blocks - 2, -1, -1):
-        e = a_r @ e
-        e += blocks[i]
+        out = a_r @ out
+        out += blocks[i]
 
     # square in place between two buffers, each with a view on its diagonal
-    buffers = (e, np.empty_like(e))
+    buffers = (out, np.empty_like(out))
     diagonals = tuple(b.reshape(-1)[::n + 1] for b in buffers)
-    with np.errstate(over="ignore", invalid="ignore"):
-        exact_diag = np.exp(np.multiply.outer(-h * 2.0 ** np.arange(s + 1), lam))
-        diagonals[0][:] = exact_diag[0]
-        for i in range(1, s + 1):
-            np.matmul(buffers[1 - i % 2], buffers[1 - i % 2], out=buffers[i % 2])
-            diagonals[i % 2][:] = exact_diag[i]
+    exact_diag = np.exp(np.multiply.outer(-h * 2.0 ** np.arange(s + 1), lam))
+    diagonals[0][:] = exact_diag[0]
+    for i in range(1, s + 1):
+        np.matmul(buffers[1 - i % 2], buffers[1 - i % 2], out=buffers[i % 2])
+        diagonals[i % 2][:] = exact_diag[i]
     return buffers[s % 2]
+
+
+class _Walk:
+    """The walk of w back from T: the bound that sizes its segments and the
+    scaled steps it takes."""
+
+    def __init__(self, p: ModelParams):
+        c = derive_coefficients(p)
+        q = np.arange(p.q_max + 1, dtype=float)
+        # M has diagonal lam and subdiagonal -eta
+        self.p, self.lam, self.eta = p, c.alpha * q * q - c.beta * q, c.eta
+        self._step = None  # (h, profile, propagator) last built
+
+    @staticmethod
+    def _lift(lw: np.ndarray) -> tuple:
+        """log2 w with each level raised to at least 2^-_LIFT times the
+        level below, and the mask of the levels left as they were."""
+        lift = _LIFT * np.arange(lw.size)
+        shifted = lw + lift
+        floor = np.maximum.accumulate(shifted)
+        own = shifted == floor
+        return np.where(own, lw, floor - lift), own
+
+    def reach(self, v: np.ndarray, e: np.ndarray, want: float) -> float:
+        """How long, up to about ``want``, w = v 2^e can be walked back
+        keeping every mantissa in the window: the lifted w bounds growth,
+        the levels left as they were bound decay."""
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            a = np.log2(v)
+            lw = a + e
+            lifted, own = self._lift(lw)
+            up = (self.eta * np.exp2(lifted[:-1] - lifted[1:]) - self.lam[1:]).max()
+            fed = self.eta * np.exp2(lw[:-1] - lw[1:]) - self.lam[1:]
+        return self._span(lw, e, want, float(up), float(fed[own[1:]].min(initial=0.0)),
+                          float((lifted - e).max()), float(a[own].min()))
+
+    def terminal_reach(self, want: float) -> float:
+        """:meth:`reach` at w(T) = exp(-k b q) when it is all normal, in
+        closed form: the rates are ``eta e^(kb) - lambda_q`` and level q
+        lies ``k b q / ln 2`` bits below level 0."""
+        lam = self.lam[1:].tolist()
+        kb = self.p.k * self.p.b
+        feed = self.eta * math.exp(kb)
+        depth = kb / math.log(2.0)
+        return self._span(-depth * np.arange(len(lam) + 1), 0, want, feed - min(lam),
+                          feed - max(lam), 0.0, -depth * len(lam))
+
+    def _span(self, lw, e, want, up, lo, top, bottom) -> float:
+        """Time for mantissas between 2^bottom and 2^top, growing at most at
+        rate up and decaying at most at rate -lo, to leave the window.  The
+        lifted w grows fastest just after T; where that bound falls short
+        of want, the profile u_q = max(w_q, eta u_{q-1} / (r + lambda_q)),
+        for which ``G u <= r u``, bounds growth by e^(tau r) over tau at a
+        rate r spending half the window on want."""
+        if not -_WINDOW <= bottom <= top <= _WINDOW:
+            return 0.0
+        ln2 = math.log(2.0)
+        growth = (_WINDOW - top) * ln2 / up if up > 0 else math.inf
+        r = _WINDOW * ln2 / (2.0 * want) if growth < want else 0.0
+        if r > 0 and r + self.lam[1:].min() > 0:
+            step = np.log2(self.eta / (r + self.lam)).cumsum()
+            step -= step[0]  # log2 of prod_{j < i <= q} eta / (r + lambda_i) is step_q - step_j
+            ceiling = step + np.maximum.accumulate(lw - step)
+            growth = max(growth, (_WINDOW - float((ceiling - e).max())) * ln2 / r)
+        return min(growth, (_WINDOW + bottom) * ln2 / -lo if lo < 0 else math.inf)
+
+    def profile(self, v: np.ndarray, e: np.ndarray) -> tuple:
+        """w = v 2^e with each exponent moved to the nearest integer of the
+        level's lifted log2."""
+        with np.errstate(divide="ignore"):
+            e_new = np.rint(self._lift(np.log2(v) + e)[0]).astype(np.int64)
+        return np.ldexp(v, (e - e_new).astype(np.int32)), e_new
+
+    def step(self, h: float, e: np.ndarray) -> np.ndarray:
+        """The propagator over h in the profile e.  The last one built, for
+        h or h / 2^j, is rescaled exactly and squared j times, unless the
+        rescaling would raise an entry below the diagonal: one lost below
+        the double range would stay lost."""
+        if self._step is not None:
+            h0, e0, s = self._step
+            j = math.log2(h / h0)
+            d = e - e0
+            shift = d[None, :] - d[:, None]
+            if j >= 0 and j == int(j) and not (np.tril(shift) > 0).any():
+                if d.any():
+                    s = np.ldexp(s, shift.astype(np.int32))
+                for i in range(1, int(j) + 1):
+                    s = s @ s
+                    s.reshape(-1)[::s.shape[0] + 1] = np.exp(-h0 * 2.0 ** i * self.lam)
+                self._step = (h, e, s)
+                return s
+        self._step = (h, e, _propagator(self.lam, self.eta, h, e))
+        return self._step[2]
+
+    def run(self, tau: float, n_steps: int, emit) -> tuple:
+        """Walk w back from T over n_steps steps of tau / n_steps.
+
+        Each segment goes to ``emit(i, v, e, step, length)``: the state
+        w = v 2^e at node i (i steps before T), the scaled one-step
+        propagator (None when length is 0) and the number of steps it
+        spans; emit returns the state at node i + length.  Where even a
+        fresh profile cannot take one step, the walk crosses it in dyadic
+        sub-steps.  Returns the state at node n_steps.
+        """
+        h = tau / n_steps
+        v, e = _terminal_state(self.p)
+        reach = self.reach(v, e, tau) if e.any() else self.terminal_reach(tau)
+        i = 0
+        while True:
+            length = int(min(n_steps - i, reach / h))
+            if length < min(n_steps - i, _BLOCK):
+                v2, e2 = self.profile(v, e)
+                length2 = int(min(n_steps - i, self.reach(v2, e2, (n_steps - i) * h) / h))
+                # node i is written in the new profile: only where it is exact
+                if length2 > length and v2.min() >= _TINY:
+                    v, e, length = v2, e2, length2
+            v = emit(i, v, e, self.step(h, e) if length else None, length)
+            i += length
+            if i == n_steps:
+                return v, e
+            if not length:
+                v, e = self._substeps(v, e, h)
+                i += 1
+            reach = self.reach(v, e, (n_steps - i) * h)
+
+    def _substeps(self, v: np.ndarray, e: np.ndarray, h: float) -> tuple:
+        """Cross one step h in pieces h / 2^level, each as long as the
+        bound allows and aligned to its own length."""
+        level, done = 0, 0  # done pieces of h / 2^level
+        while done < 2 ** level:
+            reach = self.reach(v, e, h)
+            if reach < h / 2.0 ** level:
+                v, e = self.profile(v, e)
+                reach = self.reach(v, e, h)
+            want = math.ceil(math.log2(h / reach)) if reach < h else 0
+            while level > want and done % 2 == 0:
+                level, done = level - 1, done // 2
+            if want > level:
+                done, level = done << (want - level), want
+            v = self.step(h / 2.0 ** level, e) @ v
+            done += 1
+        return v, e
 
 
 @dataclass(frozen=True)
 class WGrid:
     """Solution w_q(t) on a uniform time grid.
 
-    times   grid 0 = t_0 < ... < t_N = T, shape (N+1,)
-    values  w values, shape (N+1, q_max+1); column q holds w_q
+    times      grid 0 = t_0 < ... < t_N = T, shape (N+1,)
+    values     mantissas, shape (N+1, q_max+1); column q holds level q
+    exponents  int64 powers of two, one row per segment of rows, so that
+               ``w = values * 2^exponents``; default one row of zeros
+    breaks     first row of each segment, increasing from 0
     """
 
     params: ModelParams
     times: np.ndarray
     values: np.ndarray
+    exponents: np.ndarray = None
+    breaks: np.ndarray = (0,)
 
     def __post_init__(self):
         times = np.ascontiguousarray(self.times, dtype=float)
         values = np.ascontiguousarray(self.values, dtype=float)
-        if values.shape != (times.size, self.params.q_max + 1):
+        breaks = np.asarray(self.breaks, dtype=np.int64)
+        exponents = np.zeros((breaks.size, values.shape[-1]), dtype=np.int64) \
+            if self.exponents is None else np.asarray(self.exponents, dtype=np.int64)
+        if (values.shape != (times.size, self.params.q_max + 1) or breaks[0] != 0
+                or exponents.shape != (breaks.size, values.shape[1])):
             raise ParameterError("w grid shape mismatch")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
+        for name, value in (("times", times), ("values", values),
+                            ("exponents", exponents), ("breaks", breaks)):
+            object.__setattr__(self, name, value)
 
     @property
     def q_max(self) -> int:
@@ -164,56 +331,39 @@ class WGrid:
 
     @property
     def terminal_underflow(self) -> bool:
-        """True when exp(-k q b) rounded to zero for some q, so the terminal
-        row, and near it the top levels, legitimately hold zeros."""
-        return not bool(np.all(self.values[-1] > 0))
+        """True when exp(-k q b) rounds to zero as a double for some q."""
+        p = self.params
+        return not math.exp(-p.k * p.b * p.q_max) > 0.0
+
+    def doubles(self, rows=slice(None)) -> np.ndarray:
+        """w at the given rows as the doubles it rounds to (0 or inf beyond
+        the double range)."""
+        segment = np.searchsorted(self.breaks, np.arange(self.times.size)[rows], "right") - 1
+        with np.errstate(over="ignore"):
+            return np.ldexp(self.values[rows], self.exponents[segment].astype(np.int32))
 
     def check_invariants(self) -> None:
-        assert np.all(self.values[:, 0] == 1.0), "w_0 must be identically 1"
-        term = _terminal_values(self.params)
-        got = self.values[-1]
-        assert np.allclose(got, term, rtol=1e-12, atol=0.0), (
-            f"terminal row deviates: {got} vs {term}"
-        )
-        if not self.terminal_underflow:
-            assert np.all(self.values > 0), "w must be strictly positive"
-        else:
-            # each level switches on at some time before T and must then
-            # stay positive all the way back to t = 0
-            assert np.all(self.values >= 0)
-            assert np.all(self.values[0] > 0), "w must be positive by t=0"
-            for q in range(1, self.q_max + 1):
-                positive = self.values[:, q] > 0
-                first_zero = np.argmin(positive)
-                assert positive[:first_zero].all() and not positive[first_zero:].any()
-
-    # -- exports ----------------------------------------------------------
+        assert np.all(self.values[:, 0] == 1.0) and np.all(self.exponents[:, 0] == 0), \
+            "w_0 must be identically 1"
+        v_term, e_term = _terminal_state(self.params)
+        got = np.ldexp(self.values[-1], (self.exponents[-1] - e_term).astype(np.int32))
+        assert np.array_equal(got, v_term), f"terminal row deviates: {got} vs {v_term}"
+        assert np.all(self.values > 0), "w must be strictly positive"
 
     def to_csv(self, path) -> None:
-        _write_tq_csv(path, self.times, self.values, first_q=0)
+        _write_tq_csv(path, self.times, self.doubles(), first_q=0)
 
     def to_json_dict(self) -> dict:
         return {
             "params": {FIELD_TO_CONFIG_KEY[f.name]: getattr(self.params, f.name)
                        for f in fields(self.params)},
             "times": self.times.tolist(),
-            "w": self.values.tolist(),
+            "w": self.doubles().tolist(),
         }
 
     def to_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_json_dict(), fh)
-
-
-def _write_tq_csv(path, times, values, first_q: int) -> None:
-    # 17 significant digits so a read-back reproduces the doubles
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("t,q,value\n")
-        n_q = values.shape[1]
-        for i, t in enumerate(times):
-            row = values[i]
-            for j in range(n_q):
-                fh.write(f"{t:.17g},{first_q + j},{row[j]:.17g}\n")
 
 
 @dataclass(frozen=True)
@@ -223,69 +373,69 @@ class WSolution:
     params: ModelParams
 
     def evaluate_at(self, t: float) -> np.ndarray:
-        """w(t) for q = 0..q_max.
-
-        One product ``exp(-(T - t) M) w(T)``.  With a positive drift over a
-        long time to go an entry of the whole propagator can overflow while
-        w is still a double; the time to go is then halved until the
-        propagator of one piece is finite, and w(T) is walked back through
-        the 2^m pieces.  A w that itself leaves the double range stays inf.
-        """
+        """w(t) for q = 0..q_max as doubles (0 or inf beyond the double
+        range): a walk of one step, so one product ``exp(-(T - t) M) w(T)``
+        wherever that stays in range."""
         p = self.params
         if not 0.0 <= t <= p.horizon:
             raise ParameterError(f"t={t} outside [0, {p.horizon}]")
-        tau = p.horizon - t
-        w = _terminal_values(p)
-        out = _propagator(p, tau) @ w
-        if np.isfinite(out).all():
-            return out
-        pieces = 2
-        step = _propagator(p, tau / 2)
-        while not np.isfinite(step).all():
-            pieces *= 2
-            step = _propagator(p, tau / pieces)
-        out = w
-        with np.errstate(over="ignore", invalid="ignore"):  # w itself may overflow
-            for _ in range(pieces):
-                out = step @ out
-        return out
+        v, e = _terminal_state(p) if t == p.horizon else _Walk(p).run(
+            p.horizon - t, 1, lambda i, v, e, step, length: step @ v if length else v)
+        if not e.any():
+            return v
+        with np.errstate(over="ignore"):
+            return np.ldexp(v, e.astype(np.int32))
 
     def to_wgrid(self, n_steps: int = DEFAULT_N_STEPS) -> WGrid:
         """w on the uniform grid of n_steps steps, exact at every node.
 
-        With ``E = exp(-h M)``, ``h = T / n_steps``, the grid times are
-        taken in blocks of B = 32: node j of a block is ``E^(B-1-j) S``,
-        where the start S is w at the block's last node.  The powers
+        Within a segment, with ``E`` its scaled propagator over one step,
+        the nodes are taken in blocks of B = 32: node j of a block is
+        ``E^(B-1-j) S``, S being w at the block's last node.  The powers
         ``E^j``, ``j <= B``, are built once, the starts are walked back from
-        w(T) by ``E^B``, and one matrix product forms every node, in time
-        order.
+        the segment's first node by ``E^B``, and one matrix product writes
+        every node into the rows of the grid, in time order.
         """
         p = self.params
         if n_steps < 1:
             raise ParameterError(f"n_steps must be >= 1, got {n_steps}")
         n = p.q_max + 1
         h = p.horizon / n_steps
-        step = _propagator(p, h)
-        lam, _ = _rates(p)
-        block = min(_BLOCK, n_steps + 1)
-        n_blocks = -(-(n_steps + 1) // block)
-        # the first `pad` rows of the product fall before t = 0
-        pad = n_blocks * block - (n_steps + 1)
-        powers = np.empty((block + 1, n, n))
-        powers[0] = np.eye(n)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(1, block + 1):
-                np.matmul(powers[j - 1], step, out=powers[j])
-                powers[j].reshape(-1)[::n + 1] = np.exp(-j * h * lam)
+        walk = _Walk(p)
+        # the padding of a segment's earliest block falls on rows that the
+        # next segment, or nothing past t = 0, overwrites
+        rows = np.empty((n_steps + 1 + _BLOCK, n))
+        firsts, profiles = [], []
+        built = [None, np.empty((0, n, n))]  # a step and its powers
+
+        def emit(i, v, e, step, length):
+            last = _BLOCK + n_steps - i  # the segment's first node
+            firsts.append(i)
+            profiles.append(e)
+            block = min(_BLOCK, length + 1)
+            n_blocks = -(-(length + 1) // block)
+            if length and (built[0] is not step or len(built[1]) < block + (n_blocks > 1)):
+                built[:] = step, np.empty((block + (n_blocks > 1), n, n))
+                built[1][0] = np.eye(n)
+                for j in range(1, len(built[1])):
+                    np.matmul(built[1][j - 1], step, out=built[1][j])
+                    built[1][j].reshape(-1)[::n + 1] = np.exp(-j * h * walk.lam)
+            powers = built[1] if length else np.eye(n)[None]
             starts = np.empty((n, n_blocks))
-            starts[:, -1] = _terminal_values(p)
+            starts[:, -1] = v
             for k in range(n_blocks - 2, -1, -1):
                 starts[:, k] = powers[block] @ starts[:, k + 1]
             # stacked[l, j * n + q] = (E^(B-1-j))[q, l]
             stacked = powers[block - 1::-1].transpose(2, 0, 1).reshape(n, block * n)
-            values = (starts.T @ stacked).reshape(-1, n)[pad:]
-        times = np.linspace(0.0, p.horizon, n_steps + 1)
-        return WGrid(params=p, times=times, values=values)
+            out = rows[last + 1 - n_blocks * block:last + 1].reshape(n_blocks, block * n)
+            np.matmul(starts.T, stacked, out=out)
+            return rows[last - length].copy()
+
+        walk.run(p.horizon, n_steps, emit)
+        # a segment owns its rows down to the next segment's first node
+        return WGrid(params=p, times=np.linspace(0.0, p.horizon, n_steps + 1),
+                     values=rows[_BLOCK:], exponents=profiles[::-1],
+                     breaks=[0] + [n_steps - i + 1 for i in firsts[:0:-1]])
 
 
 def solve_w(p: ModelParams) -> WSolution:
@@ -307,36 +457,25 @@ def solve_grid(p: ModelParams, n_steps: int = DEFAULT_N_STEPS) -> WGrid:
 def quote_surface(w: WGrid) -> QuoteSurface:
     """Optimal premiums delta*(t, q) for q = 1..q_max from a solved grid.
 
-    Applies :func:`optliq.model.quote_from_w` column past column.  The
-    terminal row is ``terminal_quote(p)`` wherever ``w_q(T) > 0``, since the
-    ratio of consecutive terminal values is exactly ``exp(-k b)``, and -inf
-    where ``exp(-k q b)`` rounded to zero (the forced-liquidation limit is
-    unbounded below at T); other quotes from zeros near T are -inf too.
-
-    Raises :class:`SolverFailureError` when a level of w(0) is not a
-    normal double or a level overflowed, since its quotes would be ratios
-    of lost digits.
+    Each quote is ``(ln(v_q / v_{q-1}) + (e_q - e_{q-1}) ln 2) / k`` plus
+    the spread term, from the mantissas v and exponents e of its row, so it
+    keeps its digits wherever w lies.  The terminal row is
+    ``terminal_quote(p)``, as consecutive terminal values differ by exactly
+    ``exp(-k b)``.
     """
     p = w.params
     p.require_risk_averse("quote_surface")
     vals = w.values
-    if np.any(vals < 0):
-        raise ParameterError("w grid contains negative values")
-    info = np.finfo(float)
-    out_of_range = ~((vals[0] >= info.tiny) & np.isfinite(vals).all(axis=0))
-    if out_of_range.any():
-        q = int(np.argmax(out_of_range))
-        raise SolverFailureError(
-            f"w_{q}(0) = {vals[0, q]:.3g} left the double range "
-            f"[{info.tiny:.3g}, {info.max:.3g}], so its quotes cannot be "
-            f"formed; lower q_max below {q}"
-        )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quotes = vals[:, 1:] / vals[:, :-1]
-        np.log(quotes, out=quotes)
-    quotes /= p.k
-    quotes += math.log1p(p.gamma / p.k) / p.gamma
-    # 0/0 where consecutive levels both underflowed near T
-    quotes[np.isnan(quotes)] = -np.inf
-    quotes[-1] = np.where(vals[-1, 1:] > 0, terminal_quote(p), -np.inf)
+    if not np.all(vals > 0):
+        raise ParameterError("w grid must be strictly positive")
+    quotes = np.empty((vals.shape[0], p.q_max))
+    body = quotes[:-1]
+    np.divide(vals[:-1, 1:], vals[:-1, :-1], out=body)
+    np.log(body, out=body)
+    for first, end, e in zip(w.breaks, list(w.breaks[1:]) + [None], w.exponents):
+        if np.diff(e).any():
+            body[first:end] += np.diff(e) * math.log(2.0)
+    body /= p.k
+    body += math.log1p(p.gamma / p.k) / p.gamma
+    quotes[-1] = terminal_quote(p)
     return QuoteSurface(times=w.times, values=quotes, params=p)

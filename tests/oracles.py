@@ -4,7 +4,10 @@ propagator in :mod:`optliq.ode`.
 * :func:`solve_rk`          classical fixed-step 4th-order Runge-Kutta,
 * :func:`solve_quadrature`  variation-of-constants form, with the
                             level-(q-1) integral evaluated by composite
-                            Simpson quadrature, recursively in q.
+                            Simpson quadrature, recursively in q;
+* :func:`mp_log_w`          the eigen-expansion in 60-digit ``mpmath``
+                            arithmetic, for spectra without repeated
+                            eigenvalues, with no range limit.
 
 For very large k*q*b the terminal values round to zero (below ~1e-300);
 both then integrate the correctly rounded terminal data, which coincides
@@ -14,14 +17,19 @@ on the terminal row.
 
 import math
 
+import mpmath
 import numpy as np
 
-from optliq import ModelParams, ParameterError, SolverFailureError, WGrid
+from optliq import ModelParams, ParameterError, WGrid
 from optliq.model import DerivedCoefficients, derive_coefficients
 from optliq.ode import DEFAULT_N_STEPS
 
 # terminal values exp(-k*q*b) below this are treated as exact zeros
 _UNDERFLOW_FLOOR = 1e-300
+
+
+class OracleFailure(RuntimeError):
+    """A reference solver lost positivity; its step is too coarse."""
 
 
 def _terminal_values(p: ModelParams) -> np.ndarray:
@@ -51,7 +59,7 @@ def solve_rk(p: ModelParams, n_steps: int = DEFAULT_N_STEPS,
     The system is linear and autonomous, so one RK4 step is the fixed
     polynomial ``I + P + P^2/2 + P^3/6 + P^4/24`` of ``P = h*M`` applied per
     step (identical arithmetic to the four-stage form).  Any non-positive w
-    raises :class:`SolverFailureError` naming the offending (t, q).
+    raises :class:`OracleFailure` naming the offending (t, q).
     """
     p.require_risk_averse("solve_rk")
     if n_steps < 1:
@@ -76,19 +84,19 @@ def solve_rk(p: ModelParams, n_steps: int = DEFAULT_N_STEPS,
         bad = active & ~(w > 0)
         if bad.any():
             q_bad = int(np.argmax(bad))
-            raise SolverFailureError(
+            raise OracleFailure(
                 f"non-positive w at t={times[i]:.6g}, q={q_bad} "
                 f"(w={w[q_bad]:.3g}); reduce the step size"
             )
         if not underflow and not np.all(w > 0):
             q_bad = int(np.argmax(~(w > 0)))
-            raise SolverFailureError(
+            raise OracleFailure(
                 f"non-positive w at t={times[i]:.6g}, q={q_bad}; reduce the step size"
             )
         active |= w > 0
         values[i] = w
     if underflow and not np.all(values[0] > 0):
-        raise SolverFailureError("w failed to become positive by t=0; refine the grid")
+        raise OracleFailure("w failed to become positive by t=0; refine the grid")
     return WGrid(params=p, times=times, values=values)
 
 
@@ -132,8 +140,39 @@ def solve_quadrature(p: ModelParams, n_quad: int = DEFAULT_N_STEPS,
         body = col if not underflow else col[:-1]
         if not np.all(body > 0):
             i = int(np.argmax(~(body > 0)))
-            raise SolverFailureError(
+            raise OracleFailure(
                 f"non-positive w at t={times[i]:.6g}, q={q}; refine the quadrature grid"
             )
         values[:, q] = col
     return WGrid(params=p, times=times, values=values)
+
+
+def mp_log_w(p: ModelParams, t: float, dps: int = 60) -> list:
+    """ln w_q(t), q = 0..q_max, as ``mpmath`` numbers of ``dps`` digits.
+
+    With distinct eigenvalues lambda_j the eigenvector of level j has
+    ``x_i = eta x_{i-1} / (lambda_i - lambda_j)`` for i > j; w(T) is
+    expanded in them by forward substitution and each mode decays as
+    ``exp(-lambda_j (T - t))``.  The cancellation in that sum is absorbed
+    by the working precision, not by the double range.
+    """
+    with mpmath.workdps(dps):
+        c = derive_coefficients(p)
+        alpha, beta, eta = (mpmath.mpf(x) for x in (c.alpha, c.beta, c.eta))
+        n = p.q_max + 1
+        lam = [alpha * q * q - beta * q for q in range(n)]
+        if len(set(lam)) < n:
+            raise ValueError("mp_log_w needs distinct eigenvalues")
+        kb = mpmath.mpf(p.k) * mpmath.mpf(p.b)
+        x = [[mpmath.mpf(0)] * n for _ in range(n)]  # x[j][i]
+        for j in range(n):
+            x[j][j] = mpmath.mpf(1)
+            for i in range(j + 1, n):
+                x[j][i] = eta * x[j][i - 1] / (lam[i] - lam[j])
+        coef = []
+        for i in range(n):
+            coef.append(mpmath.exp(-kb * i) - mpmath.fsum(coef[j] * x[j][i] for j in range(i)))
+        tau = mpmath.mpf(p.horizon) - mpmath.mpf(t)
+        decay = [mpmath.exp(-lam[j] * tau) for j in range(n)]
+        return [mpmath.log(mpmath.fsum(coef[j] * x[j][i] * decay[j] for j in range(i + 1)))
+                for i in range(n)]

@@ -3,6 +3,7 @@ agreement with the numerical solvers in each regime."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -119,6 +120,24 @@ class TestNoDriftNoVol:
         quotes = [nodrift_novol_quote(nodrift_params.with_(b=b), 0.0, 2)
                   for b in (0.0, 3.0, 20.0)]
         assert np.all(np.diff(quotes) < 0)
+
+    def test_finite_where_the_low_terms_underflow(self):
+        # every j < q term of the q = 124 series is below the double range; summed in logs the quote is finite, below
+        # the q = 123 one, and equal to a 40-digit sum
+        p = ModelParams(mu=0.0, sigma=0.0, b=37.0, horizon=7.0, q_max=124)
+        for quote, rate, spread in (
+                (nodrift_novol_quote, derive_coefficients(p).eta,
+                 math.log1p(p.gamma / p.k) / p.gamma),
+                (risk_neutral_quote, p.big_a / math.e, 1 / p.k)):
+            top = quote(p, 3.5, 124)
+            assert math.isfinite(top) and top < quote(p, 3.5, 123)
+            with mpmath.workdps(40):
+                terms = [mpmath.mpf(rate) ** j / mpmath.factorial(j)
+                         * mpmath.exp(-mpmath.mpf(p.k * p.b) * (124 - j))
+                         * mpmath.mpf(3.5) ** j for j in range(125)]
+                ratio = terms[124] / mpmath.fsum(terms[:124])
+                exact = -p.b + float(mpmath.log1p(ratio)) / p.k + spread
+            assert top == pytest.approx(exact, abs=1e-12)
 
     def test_regime_guards(self, ref_params):
         with pytest.raises(RegimeError):

@@ -1,6 +1,7 @@
 """The exact propagator against the Runge-Kutta and quadrature oracles,
-``scipy.linalg.expm`` and the closed forms; convergence orders, range
-refusals and export schemas."""
+``scipy.linalg.expm``, a 60-digit ``mpmath`` eigen-expansion and the
+closed forms; convergence orders, w beyond the double range and export
+schemas."""
 
 import csv
 import json
@@ -12,15 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from optliq import (ModelParams, ParameterError, SolverFailureError,
-                    hjb_residual, quote_surface, solve_grid, solve_w,
-                    terminal_quote)
+from optliq import (ModelParams, ParameterError, hjb_residual, quote_surface,
+                    solve_grid, solve_w, terminal_quote)
 from optliq.closed_forms import (asymptotic_quote, binf_w, nodrift_novol_quote,
                                  nodrift_novol_w)
 from optliq.model import DerivedCoefficients, derive_coefficients
 from tests.conftest import (HIGH_VOL_K_SWEEP, REFERENCE_QUOTES_T0,
                             SWEEP_QUOTES_T0, TABLE_TOL, q1_asymptote_gap)
-from tests.oracles import solve_quadrature, solve_rk, system_matrix
+from tests.oracles import (OracleFailure, mp_log_w, solve_quadrature, solve_rk,
+                          system_matrix)
 
 N = 10_000
 
@@ -30,9 +31,16 @@ def max_rel(a, b):
     return float(np.max(np.abs(a[mask] - b[mask]) / np.abs(b[mask])))
 
 
-def expm_w(p, t):
-    """w(t) = expm(-(T - t) M) w(T) from scipy's Pade approximant,
-    independent of the Taylor propagator in optliq.ode.
+def log_w(grid, rows=slice(None)):
+    """ln w of a grid's rows, from its mantissas and exponents."""
+    index = np.arange(grid.times.size)[rows]
+    segment = np.searchsorted(grid.breaks, index, side="right") - 1
+    return np.log(grid.values[rows]) + grid.exponents[segment] * math.log(2.0)
+
+
+def expm_log_w(p, t):
+    """ln w(t), w(t) = expm(-(T - t) M) w(T), from scipy's Pade
+    approximant, independent of the Taylor propagator in optliq.ode.
 
     scipy's expm is accurate relative to the norm of its argument, not
     entry by entry, and w_q(t) can be carried by entries far below that
@@ -44,14 +52,13 @@ def expm_w(p, t):
     scipy squares triangular input with a divided difference that cancels
     for nearly equal eigenvalues, so it only gets blocks small enough to
     need no squaring; the squarings are done here, with the exact diagonal
-    reset after each.  Growing levels (mu > 0) are shifted down first, so
-    the exponential stays in range wherever w does.
+    reset after each.  Growing levels (mu > 0) are shifted down first, and
+    the shift is added back to the log.
     """
     tau = p.horizon - t
     a = -tau * system_matrix(p)
-    terminal = np.exp(-p.k * p.b * np.arange(p.q_max + 1))
     w = np.empty(p.q_max + 1)
-    w[0] = 1.0
+    w[0] = 0.0
     for q in range(1, p.q_max + 1):
         eta_tau = a[1, 0]
         rho = math.exp(min(p.k * p.b, math.log(q / eta_tau))) if eta_tau > 0 else 1.0
@@ -66,9 +73,11 @@ def expm_w(p, t):
         for i in range(s - 1, -1, -1):
             f = f @ f
             f[on_diag] = np.exp(np.diag(block) / 2.0 ** i)
-        total = np.sum(f[q] * rho ** (np.arange(q + 1) - q) * terminal[:q + 1])
-        with np.errstate(divide="ignore", over="ignore"):
-            w[q] = np.exp(np.log(total) + shift)
+        with np.errstate(divide="ignore"):  # entries below the double range
+            log_terms = (np.log(f[q]) + (np.arange(q + 1) - q) * math.log(rho)
+                         - p.k * p.b * np.arange(q + 1))
+        top = log_terms.max()
+        w[q] = top + math.log(np.sum(np.exp(log_terms - top))) + shift
     return w
 
 
@@ -96,7 +105,7 @@ class TestSolveRK:
         assert surface.quote(0, 1) == pytest.approx(10.6095, abs=TABLE_TOL)
 
     def test_coarse_step_raises_naming_location(self):
-        with pytest.raises(SolverFailureError, match=r"t=.*q="):
+        with pytest.raises(OracleFailure, match=r"t=.*q="):
             solve_rk(ModelParams(sigma=3.0), n_steps=2)
 
     def test_rejects_bad_step_count(self, ref_params):
@@ -126,13 +135,20 @@ class TestSolveSpectral:
         alpha = derive_coefficients(ModelParams()).alpha
         p = ModelParams(mu=3 * alpha / 0.3)
         got = solve_w(p).evaluate_at(0.0)
-        assert max_rel(got, expm_w(p, 0.0)) < 1e-10
+        assert np.max(np.abs(np.log(got) - expm_log_w(p, 0.0))) < 1e-10
 
     def test_fully_degenerate_when_no_price_risk(self, nodrift_params):
         # mu = sigma = 0: every eigenvalue is zero
         grid = solve_grid(nodrift_params, 1000)
         oracle = closed_form_grid(nodrift_params, grid.times[::100])
         assert max_rel(grid.values[::100], oracle) < 1e-12
+
+    def test_in_range_grid_carries_no_exponents(self, ref_params):
+        # where w stays a normal double, the mantissas are w itself
+        grid = solve_grid(ref_params, 1000)
+        assert np.array_equal(grid.breaks, [0])
+        assert np.all(grid.exponents == 0)
+        assert np.array_equal(grid.doubles(), grid.values)
 
     def test_zero_eigenvalue_mode_is_constant(self, ref_params):
         dec = solve_w(ref_params)
@@ -147,8 +163,8 @@ class TestSolveSpectral:
                         b=3.0, horizon=1800.0, q_max=10)
         t = p.horizon - time_left
         got = solve_w(p).evaluate_at(t)
-        ref = expm_w(p, t)
-        gap = math.log(got[10] / got[9]) / p.k - math.log(ref[10] / ref[9]) / p.k
+        ref = expm_log_w(p, t)
+        gap = math.log(got[10] / got[9]) / p.k - (ref[10] - ref[9]) / p.k
         assert abs(gap) < 1e-9
 
     def test_grid_nodes_match_point_evaluation(self):
@@ -156,16 +172,16 @@ class TestSolveSpectral:
         dec = solve_w(p)
         grid = dec.to_wgrid(1000)
         for i in (0, 1, 31, 32, 33, 500, 999, 1000):
-            assert max_rel(grid.values[i], dec.evaluate_at(float(grid.times[i]))) < 1e-12
+            assert max_rel(grid.doubles(i), dec.evaluate_at(float(grid.times[i]))) < 1e-12
 
     def test_point_evaluation_survives_propagator_overflow(self):
         # w_36(0) ~ 9.35e303 is a double, but an entry of the whole
-        # propagator exp(-T M) overflows; the grid walks w on vectors
+        # propagator exp(-T M) overflows; the walk bounds each segment
         p = ModelParams(mu=0.015, sigma=1e-6, b=27.0, horizon=4462.0,
                         q_max=36)
         got = solve_w(p).evaluate_at(0.0)
-        assert np.all(np.isfinite(got))
-        assert max_rel(got, solve_w(p).to_wgrid(1000).values[0]) < 1e-12
+        assert got[36] == pytest.approx(9.354325769120325e303, rel=1e-13)
+        assert max_rel(got, solve_w(p).to_wgrid(1000).doubles(0)) < 1e-12
 
     def test_rejects_bad_step_count_and_time(self, ref_params):
         with pytest.raises(ParameterError):
@@ -177,21 +193,13 @@ class TestSolveSpectral:
            sigma=st.floats(0.0, 3.0), b=st.floats(0.0, 50.0),
            mu=st.floats(-0.02, 0.02))
     @settings(max_examples=100, deadline=None)
-    def test_extreme_regimes_exact_or_refused(self, q_max, horizon, sigma, b, mu):
+    def test_extreme_regimes_exact(self, q_max, horizon, sigma, b, mu):
         p = ModelParams(mu=mu, sigma=sigma, b=b, horizon=horizon, q_max=q_max)
         grid = solve_grid(p, 50)
-        w0 = grid.values[0]
-        if np.all(np.isfinite(grid.values)) and np.all(w0 >= np.finfo(float).tiny):
-            assert np.all(grid.values >= 0)
-            assert np.array_equal(grid.values[-1], np.exp(-p.k * p.b * np.arange(q_max + 1)))
-            assert max_rel(w0, expm_w(p, 0.0)) < 1e-10
-            last = quote_surface(grid).values[-1]
-            pinned = grid.values[-1, 1:] > 0
-            assert np.all(np.abs(last[pinned] - terminal_quote(p)) < 1e-10)
-            assert np.all(last[~pinned] == -np.inf)
-        else:
-            with pytest.raises(SolverFailureError, match="double range"):
-                quote_surface(grid)
+        # w_0 = 1, w > 0 and the terminal row exact to the last bit
+        grid.check_invariants()
+        assert np.max(np.abs(log_w(grid, 0) - expm_log_w(p, 0.0))) < 1e-10
+        assert np.all(quote_surface(grid).values[-1] == terminal_quote(p))
 
 
 class TestSolveQuadrature:
@@ -290,43 +298,33 @@ class TestQuoteSurface:
            b=st.floats(0.0, 50.0),
            mu=st.one_of(st.just(0.0), st.floats(-0.02, 0.02)))
     @settings(max_examples=100, deadline=None)
-    def test_quote_invariants_or_refused(self, q_max, horizon, sigma, b, mu):
+    def test_quote_invariants(self, q_max, horizon, sigma, b, mu):
         p = ModelParams(mu=mu, sigma=sigma, b=b, horizon=horizon, q_max=q_max)
         grid = solve_grid(p, 10)
-        tiny = np.finfo(float).tiny
-        if not (np.all(np.isfinite(grid.values)) and np.all(grid.values[0] >= tiny)):
-            with pytest.raises(SolverFailureError, match="double range"):
-                quote_surface(grid)
-            return
         surface = quote_surface(grid)
         body = surface.values[:-1]
-        # a quote is (1/k) ln(w_q / w_{q-1}), as precise as the two levels:
-        # 1e-13 relative from the solver, and where a level is subnormal the
-        # rounding of a (q_max + 1)-term dot product to the subnormal grid
-        w = grid.values[:-1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rel = 1e-13 + (q_max + 1) * np.spacing(w) / w  # inf where w = 0
+        # a quote is (1/k) ln(w_q / w_{q-1}), as precise as the logs of the
+        # two levels: 1e-13 from the solver, plus the ulps of ln w itself,
+        # which a drift exp(k mu q T) makes large (|ln w| reaches 1e5 here)
+        rel = 1e-13 + 8 * np.finfo(float).eps * np.abs(log_w(grid, slice(None, -1)))
         tol = (rel[:, 1:] + rel[:, :-1]) / p.k
-        with np.errstate(invalid="ignore"):
-            step = np.diff(body, axis=1)  # nan between two -inf levels
         # strictly decreasing in q; with little price risk the premiums of
         # high levels converge and may tie to that precision
-        assert np.all((step < tol[:, 1:] + tol[:, :-1]) | np.isnan(step))
-        pinned = grid.values[-1, 1:] > 0
-        last = surface.values[-1]
-        assert np.all(np.abs(last[pinned] - terminal_quote(p)) < 1e-10)
-        assert np.all(last[~pinned] == -np.inf)
+        assert np.all(np.diff(body, axis=1) < tol[:, 1:] + tol[:, :-1])
+        assert np.all(surface.values[-1] == terminal_quote(p))
         if mu == 0.0 and sigma == 0.0:
-            # the closed form sums e^{-kb} w_{q-1} term by term (and divides
-            # by zero where that underflows); compared where neither side
-            # rounds a subnormal number
             for i in (0, 5):
                 t = float(surface.times[i])
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    exact = np.array([nodrift_novol_quote(p, t, q)
-                                      for q in range(1, q_max + 1)])
-                normal = (w[i, 1:] >= tiny) & (w[i, :-1] * math.exp(-p.k * p.b) >= tiny)
-                assert np.all(np.abs(body[i] - exact)[normal] < 1e-9)
+                exact = [nodrift_novol_quote(p, t, q) for q in range(1, q_max + 1)]
+                assert np.all(np.abs(body[i] - exact) < 1e-9)
+
+    def test_subnormal_interior_matches_closed_form(self):
+        # w_122..124(4) lie below the normal range of doubles; quotes built
+        # from them as doubles missed the closed form by 1.7e-8 Ticks
+        p = ModelParams(mu=0.0, sigma=0.0, b=25.0, horizon=8.0, q_max=124)
+        surface = quote_surface(solve_grid(p, 10))
+        exact = [nodrift_novol_quote(p, 4.0, q) for q in range(1, 125)]
+        assert np.max(np.abs(surface.values[5] - exact)) < 1e-12
 
 
 class TestCrossMethodInvariants:
@@ -378,42 +376,59 @@ class TestExtremeLiquidationCost:
         oracle = closed_form_grid(p, rk.times[sub])
         assert max_rel(rk.values[sub], oracle) < 1e-6
         assert max_rel(quad.values[sub], oracle) < 1e-6
-        assert max_rel(exact.values[sub], oracle) < 1e-12
-        rk.check_invariants()
+        assert max_rel(exact.doubles()[sub], oracle) < 1e-12
         exact.check_invariants()
 
-    def test_terminal_quotes_unbounded_below(self):
+    def test_terminal_quotes_pin_when_terminal_underflows(self):
         p = ModelParams(mu=0.0, sigma=0.0, b=2600.0)
-        surface = quote_surface(solve_rk(p, 4000))
-        assert np.all(surface.values[-1] == -np.inf)
-        assert np.all(np.isfinite(surface.values[0]))
+        surface = quote_surface(solve_grid(p, 4000))
+        assert np.all(surface.values[-1] == terminal_quote(p))
+        assert np.all(np.isfinite(surface.values))
+        # the Runge-Kutta grid rounds w(T) to zeros, and its first step
+        # reaches only four levels above them
+        with pytest.raises(ParameterError, match="positive"):
+            quote_surface(solve_rk(p, 4000))
 
     def test_underflowed_terminal_is_solved(self):
         p = ModelParams(sigma=0.3, b=2600.0)
         grid = solve_grid(p, 4000)
         assert grid.terminal_underflow
-        assert np.all(grid.values[-1, 1:] == 0.0)
-        assert np.all(grid.values[0] > 0)
-        assert max_rel(grid.values[0], expm_w(p, 0.0)) < 1e-10
+        assert np.all(grid.doubles(-1)[1:] == 0.0)
+        assert np.all(grid.values > 0)
+        assert np.max(np.abs(log_w(grid, 0) - expm_log_w(p, 0.0))) < 1e-10
         grid.check_invariants()
 
     def test_subnormal_terminal_quotes_pin_exactly(self):
         # exp(-k q b) is subnormal for q >= 89 and zero from q = 94
         p = ModelParams(b=20.0, k=0.4, horizon=300.0, q_max=100)
-        grid = solve_grid(p)
-        surface = quote_surface(grid)
-        last = surface.values[-1]
-        finite = np.isfinite(last)
-        assert np.array_equal(finite, grid.values[-1, 1:] > 0)
-        assert finite.sum() == 93
-        assert np.max(np.abs(last[finite] - terminal_quote(p))) < 1e-10
+        surface = quote_surface(solve_grid(p))
+        assert np.all(np.isfinite(surface.values))
+        assert np.all(surface.values[-1] == terminal_quote(p))
 
-    def test_w_below_double_range_is_refused(self):
-        # the true w_100(0) is about 1e-346
-        grid = solve_grid(ModelParams(sigma=3.0, q_max=100))
-        with pytest.raises(SolverFailureError,
-                           match=r"w_\d+\(0\).*left the double range.*lower q_max"):
-            quote_surface(grid)
+    @pytest.mark.parametrize("k", [0.2, 0.3, 0.4])
+    @pytest.mark.parametrize("horizon", [300.0, 7200.0])
+    def test_w_below_double_range_matches_mpmath(self, k, horizon):
+        # w_q(0) falls to about 1e-310 and below from q ~ 90 on
+        p = ModelParams(sigma=3.0, k=k, horizon=horizon, q_max=100)
+        surface = quote_surface(solve_grid(p))
+        spread = math.log1p(p.gamma / p.k) / p.gamma
+        for i in (0, surface.times.size // 2):
+            ref = mp_log_w(p, float(surface.times[i]))
+            exact = [float(ref[q] - ref[q - 1]) / p.k + spread for q in range(1, 101)]
+            assert np.max(np.abs(surface.values[i] - exact)) < 1e-9
+
+    def test_relaxation_far_below_terminal_matches_mpmath(self):
+        # w_200 falls from 1 at T to about 2^-2690 within a second, far
+        # below what the terminal exponents can carry; a propagator
+        # rescaled into the new exponents instead of rebuilt misses the
+        # feed entries it lost below the double range (by 4.8 Ticks)
+        p = ModelParams(sigma=3.0, b=0.0, q_max=200, horizon=86400.0)
+        surface = quote_surface(solve_grid(p, 10))
+        spread = math.log1p(p.gamma / p.k) / p.gamma
+        for i in (0, 5):
+            ref = mp_log_w(p, float(surface.times[i]))
+            exact = [float(ref[q] - ref[q - 1]) / p.k + spread for q in range(1, 201)]
+            assert np.max(np.abs(surface.values[i] - exact)) < 1e-9
 
     def test_large_b_matches_forced_liquidation_shape(self):
         # normalising by big_a^q removes the only big_a dependence left in
@@ -439,6 +454,19 @@ class TestExports:
         t, q, value = rows[1 + 13 * 7 + 4]
         assert float(t) == grid.times[13]
         assert float(value) == grid.values[13, 4]
+
+    def test_wgrid_csv_rounds_levels_beyond_double_range(self, tmp_path):
+        # w_q(0) falls below the smallest subnormal from q ~ 95 on; the CSV
+        # holds the double each level rounds to
+        grid = solve_grid(ModelParams(sigma=3.0, q_max=100), 100)
+        path = tmp_path / "w.csv"
+        grid.to_csv(path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        w0 = np.array([float(r[2]) for r in rows[:101]])
+        assert w0[100] == 0.0 and w0[60] > 0.0
+        assert np.array_equal(w0, grid.doubles(0))
+        assert np.allclose(np.log(w0[1:60]), log_w(grid, 0)[1:60], rtol=1e-15, atol=0)
 
     def test_wgrid_json(self, ref_params, tmp_path):
         grid = solve_grid(ref_params, 10)
