@@ -28,10 +28,9 @@ as ``exp(tau G)`` is nonnegative and commutes with G, and the segment goes
 as far as that keeps every mantissa within ``2^+-_WINDOW``.  No ratio of
 two mantissas, or entry of a scaled step, then exceeds 2^1000, and the
 rounding of an entry below the double range is under 2^-70 of the level
-it feeds.  The
-exponents change only where a segment could not reach the next grid node;
-where w stays well inside the double range they are 0 and the arithmetic
-is that of plain doubles.
+it feeds.  The exponents change only where a segment could not reach the
+next grid node; where w stays well inside the double range they are 0 and
+the arithmetic is that of plain doubles.
 """
 
 from __future__ import annotations
@@ -102,8 +101,7 @@ def _propagator(lam: np.ndarray, eta: float, tau: float, e: np.ndarray) -> np.nd
     keeps the squarings from compounding its rounding error (Al-Mohy &
     Higham, SIAM J. Matrix Anal. Appl. 2009).
     """
-    shift = e[:-1] - e[1:]
-    sub = np.ldexp(eta, shift.astype(np.int32)) if shift.any() else eta
+    sub = np.ldexp(eta, (e[:-1] - e[1:]).astype(np.int32))
     n = lam.size
     c = float(lam.max())
     diag = c - lam
@@ -174,48 +172,22 @@ class _Walk:
         own = shifted == floor
         return np.where(own, lw, floor - lift), own
 
-    def reach(self, v: np.ndarray, e: np.ndarray, want: float) -> float:
-        """How long, up to about ``want``, w = v 2^e can be walked back
-        keeping every mantissa in the window: the lifted w bounds growth,
-        the levels left as they were bound decay."""
+    def reach(self, v: np.ndarray, e: np.ndarray) -> float:
+        """How long w = v 2^e can be walked back keeping every mantissa in
+        the window: the lifted w bounds growth, the levels left as they
+        were bound decay."""
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             a = np.log2(v)
             lw = a + e
             lifted, own = self._lift(lw)
-            up = (self.eta * np.exp2(lifted[:-1] - lifted[1:]) - self.lam[1:]).max()
+            up = float((self.eta * np.exp2(lifted[:-1] - lifted[1:]) - self.lam[1:]).max())
             fed = self.eta * np.exp2(lw[:-1] - lw[1:]) - self.lam[1:]
-        return self._span(lw, e, want, float(up), float(fed[own[1:]].min(initial=0.0)),
-                          float((lifted - e).max()), float(a[own].min()))
-
-    def terminal_reach(self, want: float) -> float:
-        """:meth:`reach` at w(T) = exp(-k b q) when it is all normal, in
-        closed form: the rates are ``eta e^(kb) - lambda_q`` and level q
-        lies ``k b q / ln 2`` bits below level 0."""
-        lam = self.lam[1:].tolist()
-        kb = self.p.k * self.p.b
-        feed = self.eta * math.exp(kb)
-        depth = kb / math.log(2.0)
-        return self._span(-depth * np.arange(len(lam) + 1), 0, want, feed - min(lam),
-                          feed - max(lam), 0.0, -depth * len(lam))
-
-    def _span(self, lw, e, want, up, lo, top, bottom) -> float:
-        """Time for mantissas between 2^bottom and 2^top, growing at most at
-        rate up and decaying at most at rate -lo, to leave the window.  The
-        lifted w grows fastest just after T; where that bound falls short
-        of want, the profile u_q = max(w_q, eta u_{q-1} / (r + lambda_q)),
-        for which ``G u <= r u``, bounds growth by e^(tau r) over tau at a
-        rate r spending half the window on want."""
+        lo = float(fed[own[1:]].min(initial=0.0))
+        top, bottom = float((lifted - e).max()), float(a[own].min())
         if not -_WINDOW <= bottom <= top <= _WINDOW:
             return 0.0
-        ln2 = math.log(2.0)
-        growth = (_WINDOW - top) * ln2 / up if up > 0 else math.inf
-        r = _WINDOW * ln2 / (2.0 * want) if growth < want else 0.0
-        if r > 0 and r + self.lam[1:].min() > 0:
-            step = np.log2(self.eta / (r + self.lam)).cumsum()
-            step -= step[0]  # log2 of prod_{j < i <= q} eta / (r + lambda_i) is step_q - step_j
-            ceiling = step + np.maximum.accumulate(lw - step)
-            growth = max(growth, (_WINDOW - float((ceiling - e).max())) * ln2 / r)
-        return min(growth, (_WINDOW + bottom) * ln2 / -lo if lo < 0 else math.inf)
+        growth = (_WINDOW - top) * math.log(2.0) / up if up > 0 else math.inf
+        return min(growth, (_WINDOW + bottom) * math.log(2.0) / -lo if lo < 0 else math.inf)
 
     def profile(self, v: np.ndarray, e: np.ndarray) -> tuple:
         """w = v 2^e with each exponent moved to the nearest integer of the
@@ -257,13 +229,12 @@ class _Walk:
         """
         h = tau / n_steps
         v, e = _terminal_state(self.p)
-        reach = self.reach(v, e, tau) if e.any() else self.terminal_reach(tau)
         i = 0
         while True:
-            length = int(min(n_steps - i, reach / h))
+            length = int(min(n_steps - i, self.reach(v, e) / h))
             if length < min(n_steps - i, _BLOCK):
                 v2, e2 = self.profile(v, e)
-                length2 = int(min(n_steps - i, self.reach(v2, e2, (n_steps - i) * h) / h))
+                length2 = int(min(n_steps - i, self.reach(v2, e2) / h))
                 # node i is written in the new profile: only where it is exact
                 if length2 > length and v2.min() >= _TINY:
                     v, e, length = v2, e2, length2
@@ -274,17 +245,16 @@ class _Walk:
             if not length:
                 v, e = self._substeps(v, e, h)
                 i += 1
-            reach = self.reach(v, e, (n_steps - i) * h)
 
     def _substeps(self, v: np.ndarray, e: np.ndarray, h: float) -> tuple:
         """Cross one step h in pieces h / 2^level, each as long as the
         bound allows and aligned to its own length."""
         level, done = 0, 0  # done pieces of h / 2^level
         while done < 2 ** level:
-            reach = self.reach(v, e, h)
+            reach = self.reach(v, e)
             if reach < h / 2.0 ** level:
                 v, e = self.profile(v, e)
-                reach = self.reach(v, e, h)
+                reach = self.reach(v, e)
             want = math.ceil(math.log2(h / reach)) if reach < h else 0
             while level > want and done % 2 == 0:
                 level, done = level - 1, done // 2
@@ -374,15 +344,13 @@ class WSolution:
 
     def evaluate_at(self, t: float) -> np.ndarray:
         """w(t) for q = 0..q_max as doubles (0 or inf beyond the double
-        range): a walk of one step, so one product ``exp(-(T - t) M) w(T)``
-        wherever that stays in range."""
+        range): a walk of one step, ``exp(-(T - t) M) w(T)``, crossed in
+        pieces where the bound falls short of it."""
         p = self.params
         if not 0.0 <= t <= p.horizon:
             raise ParameterError(f"t={t} outside [0, {p.horizon}]")
         v, e = _terminal_state(p) if t == p.horizon else _Walk(p).run(
             p.horizon - t, 1, lambda i, v, e, step, length: step @ v if length else v)
-        if not e.any():
-            return v
         with np.errstate(over="ignore"):
             return np.ldexp(v, e.astype(np.int32))
 
@@ -473,8 +441,7 @@ def quote_surface(w: WGrid) -> QuoteSurface:
     np.divide(vals[:-1, 1:], vals[:-1, :-1], out=body)
     np.log(body, out=body)
     for first, end, e in zip(w.breaks, list(w.breaks[1:]) + [None], w.exponents):
-        if np.diff(e).any():
-            body[first:end] += np.diff(e) * math.log(2.0)
+        body[first:end] += np.diff(e) * math.log(2.0)
     body /= p.k
     body += math.log1p(p.gamma / p.k) / p.gamma
     quotes[-1] = terminal_quote(p)

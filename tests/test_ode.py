@@ -304,9 +304,15 @@ class TestQuoteSurface:
         surface = quote_surface(grid)
         body = surface.values[:-1]
         # a quote is (1/k) ln(w_q / w_{q-1}), as precise as the logs of the
-        # two levels: 1e-13 from the solver, plus the ulps of ln w itself,
-        # which a drift exp(k mu q T) makes large (|ln w| reaches 1e5 here)
-        rel = 1e-13 + 8 * np.finfo(float).eps * np.abs(log_w(grid, slice(None, -1)))
+        # two levels: 1e-13 from the solver, plus the (q_max + 1) ulps of a
+        # dot product of doubles at a level with exponent 0, or else the
+        # ulps of ln w itself, which a drift exp(k mu q T) makes large
+        # (|ln w| reaches 1e5 here)
+        v = grid.values[:-1]
+        e = grid.exponents[np.searchsorted(grid.breaks, np.arange(v.shape[0]), "right") - 1]
+        assert np.all(v[e == 0] >= np.finfo(float).tiny)
+        rel = 1e-13 + np.where(e == 0, (q_max + 1) * np.spacing(v) / v,
+                               8 * np.finfo(float).eps * np.abs(log_w(grid, slice(None, -1))))
         tol = (rel[:, 1:] + rel[:, :-1]) / p.k
         # strictly decreasing in q; with little price risk the premiums of
         # high levels converge and may tie to that precision
@@ -398,6 +404,13 @@ class TestExtremeLiquidationCost:
         assert np.max(np.abs(log_w(grid, 0) - expm_log_w(p, 0.0))) < 1e-10
         grid.check_invariants()
 
+    def test_node_is_kept_out_of_a_profile_that_rounds_it(self):
+        # the feed is so weak that the walk renormalises before its first
+        # segment, in a profile that would round w_1..3(T) to zero
+        p = ModelParams(mu=0.0, sigma=0.0, big_a=1e-14, k=1.0, b=3000.0,
+                        horizon=1e-3, q_max=3)
+        solve_grid(p, 1000).check_invariants()
+
     def test_subnormal_terminal_quotes_pin_exactly(self):
         # exp(-k q b) is subnormal for q >= 89 and zero from q = 94
         p = ModelParams(b=20.0, k=0.4, horizon=300.0, q_max=100)
@@ -419,15 +432,27 @@ class TestExtremeLiquidationCost:
 
     def test_relaxation_far_below_terminal_matches_mpmath(self):
         # w_200 falls from 1 at T to about 2^-2690 within a second, far
-        # below what the terminal exponents can carry; a propagator
-        # rescaled into the new exponents instead of rebuilt misses the
-        # feed entries it lost below the double range (by 4.8 Ticks)
+        # below what the terminal exponents can carry
         p = ModelParams(sigma=3.0, b=0.0, q_max=200, horizon=86400.0)
         surface = quote_surface(solve_grid(p, 10))
         spread = math.log1p(p.gamma / p.k) / p.gamma
         for i in (0, 5):
             ref = mp_log_w(p, float(surface.times[i]))
             exact = [float(ref[q] - ref[q - 1]) / p.k + spread for q in range(1, 201)]
+            assert np.max(np.abs(surface.values[i] - exact)) < 1e-9
+
+    def test_reused_propagator_keeps_entries_below_double_range(self):
+        # the step next to T is crossed in pieces; a propagator rescaled
+        # into exponents that raise an entry below the diagonal, instead
+        # of rebuilt, misses the feed it lost below the double range (by
+        # 0.016 Ticks)
+        p = ModelParams(mu=-0.02, sigma=4.4, b=0.0, horizon=427.0, q_max=146,
+                        k=0.65, big_a=6.2)
+        surface = quote_surface(solve_grid(p, 10))
+        spread = math.log1p(p.gamma / p.k) / p.gamma
+        for i in (0, 9):
+            ref = mp_log_w(p, float(surface.times[i]))
+            exact = [float(ref[q] - ref[q - 1]) / p.k + spread for q in range(1, 147)]
             assert np.max(np.abs(surface.values[i] - exact)) < 1e-9
 
     def test_large_b_matches_forced_liquidation_shape(self):
