@@ -27,7 +27,7 @@ import numpy as np
 from .errors import CalibrationError, DataError, ParameterError
 from .market_data import (DEFAULT_DISTANCE_GRID, TradeTape, calibrate_gamma,
                           calibrate_intensity, calibrate_sigma)
-from .model import ModelParams, quote_from_w
+from .model import ModelParams
 from .ode import solve_w
 
 __all__ = [
@@ -169,12 +169,6 @@ class BacktestLedger:
                 fh.write(f"{t:.17g},{mid:.17g},{inv},{cash:.17g}\n")
 
 
-def _quote_for_state(params: ModelParams, elapsed: float, q: int) -> float:
-    """delta*(elapsed, q) for the full remaining problem."""
-    w = solve_w(params).evaluate_at(elapsed)
-    return quote_from_w(w[q], w[q - 1], params)
-
-
 def run_backtest(tape: TradeTape, cfg: BacktestConfig) -> BacktestLedger:
     """Replay the protocol on a tape.  See the module docstring for the
     event loop; calibration failure anywhere aborts with a diagnostic."""
@@ -243,7 +237,7 @@ def run_backtest(tape: TradeTape, cfg: BacktestConfig) -> BacktestLedger:
         params = ModelParams(mu=0.0, sigma=sigma_hat, big_a=fit.a_hat,
                              k=fit.k_hat, gamma=gamma, b=cfg.b,
                              horizon=horizon, q_max=q)
-        raw_delta = _quote_for_state(params, elapsed, q)
+        raw_delta = float(solve_w(params).quotes_at(elapsed)[q - 1])
 
         if (cfg.market_order_threshold is not None
                 and raw_delta < cfg.market_order_threshold):

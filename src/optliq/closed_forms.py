@@ -225,10 +225,10 @@ class TradingCurve:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "expected_inventory", inv)
 
-    def check_invariants(self, tol: float = 1e-12) -> None:
+    def check_invariants(self) -> None:
         if self.times[0] == 0.0:
-            assert abs(self.expected_inventory[0] - self.q0) <= tol * self.q0
-        assert np.all(np.diff(self.expected_inventory) <= tol), (
+            assert abs(self.expected_inventory[0] - self.q0) <= 1e-12 * self.q0
+        assert np.all(np.diff(self.expected_inventory) <= 1e-12), (
             "expected inventory must be non-increasing"
         )
 

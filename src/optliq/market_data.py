@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import CalibrationError, DataError, ParameterError
-from .model import ModelParams, quote_from_w
+from .model import ModelParams
 from .ode import solve_w
 
 __all__ = [
@@ -272,8 +272,7 @@ def calibrate_gamma(big_a: float, k: float, sigma: float, mu: float, b: float,
     def first_quote(gamma: float) -> float:
         params = ModelParams(mu=mu, sigma=sigma, big_a=big_a, k=k, gamma=gamma,
                              b=b, horizon=horizon, q_max=1)
-        w0 = solve_w(params).evaluate_at(0.0)
-        return quote_from_w(w0[1], w0[0], params)
+        return float(solve_w(params).quotes_at(0.0)[0])
 
     q_lo, q_hi = first_quote(lo), first_quote(hi)
     if not (q_hi - _QUOTE_TOL <= target_quote <= q_lo + _QUOTE_TOL):

@@ -220,13 +220,13 @@ def quote_from_w(w_q: float, w_qm1: float, p: ModelParams) -> float:
     The result may be negative; callers decide what to do with quotes below
     the reference price (see the market-order fallback in the simulator and
     backtester).  Both values must be finite positive doubles;
-    :func:`optliq.ode.quote_surface` quotes w beyond the double range.
+    :meth:`optliq.ode.WSolution.quotes_at` quotes w beyond the double range.
     """
     p.require_risk_averse("quote_from_w")
     if not (0 < w_q < math.inf and 0 < w_qm1 < math.inf):
         raise ParameterError(
             f"w values must be finite and strictly positive, got w_q={w_q}, "
-            f"w_qm1={w_qm1} (w left the double range; quote it with quote_surface)"
+            f"w_qm1={w_qm1} (w left the double range; quote it with WSolution.quotes_at)"
         )
     return math.log(w_q / w_qm1) / p.k + math.log1p(p.gamma / p.k) / p.gamma
 
@@ -263,28 +263,22 @@ class QuoteSurface:
             raise ParameterError(f"q must be in 1..{self.q_max}, got {q}")
         return float(self.values[time_index, q - 1])
 
-    def nodes_at(self, t) -> np.ndarray:
-        """Index of the nearest grid time not after each t (controls are
-        decided on information available at t); -1 before the grid.
-
-        A t a few ulps below a node, as ``i * dt`` can be, counts as that
-        node."""
-        t = np.asarray(t, dtype=float)
-        return np.searchsorted(self.times, t * (1 + 1e-15) + 1e-300, side="right") - 1
-
     def at_time(self, t: float, q: int) -> float:
-        """Quote at the nearest grid time not after t."""
-        i = int(self.nodes_at(t))
+        """Quote at the nearest grid time not after t (controls are decided
+        on information available at t).  A t a few ulps below a node, as
+        ``i * dt`` can be, counts as that node."""
+        i = int(np.searchsorted(self.times, t * (1 + 1e-15) + 1e-300, side="right")) - 1
         if i < 0:
             raise ParameterError(f"t={t} precedes the surface grid")
         return self.quote(i, q)
 
-    def check_invariants(self, terminal_tol: float = 1e-10) -> None:
-        """Raise AssertionError unless terminal pinning and monotonicity in
-        q hold.  Intended for tests and post-solve sanity checks."""
+    def check_invariants(self) -> None:
+        """Raise AssertionError unless terminal pinning (to 1e-10) and
+        monotonicity in q hold.  Intended for tests and post-solve sanity
+        checks."""
         target = terminal_quote(self.params)
         deviation = np.max(np.abs(self.values[-1] - target))
-        assert deviation < terminal_tol, (
+        assert deviation < 1e-10, (
             f"terminal quotes deviate from {target} by {deviation}")
         if self.q_max > 1:
             # strictly decreasing in inventory before the deadline; at T all

@@ -7,7 +7,7 @@ linear system
     w_0 = 1,   w_q(T) = exp(-k q b),
 
 so ``w(t) = exp(-(T - t) M) w(T)``.  :func:`solve_w` returns it, at one
-time or on a uniform grid, through one walk back from w(T).
+time or on a uniform grid, and its quotes through one walk back from w(T).
 
 The propagator is computed without a subtraction: with ``c = max lambda``,
 ``N = cI - M`` is entrywise nonnegative, ``exp(-tau M) = exp(-tau c)
@@ -28,9 +28,11 @@ as ``exp(tau G)`` is nonnegative and commutes with G, and the segment goes
 as far as that keeps every mantissa within ``2^+-_WINDOW``.  No ratio of
 two mantissas, or entry of a scaled step, then exceeds 2^1000, and the
 rounding of an entry below the double range is under 2^-70 of the level
-it feeds.  The exponents change only where a segment could not reach the
-next grid node; where w stays well inside the double range they are 0 and
-the arithmetic is that of plain doubles.
+it feeds.  A segment that stops short of the walk's end spans whole blocks
+of grid steps; the exponents change only where the kept ones cannot reach
+a block, and a step too long even for fresh ones is crossed as a walk of
+two half steps.  Where w stays well inside the double range the exponents
+are 0 and the grid is one block walk of plain doubles from w(T).
 """
 
 from __future__ import annotations
@@ -159,7 +161,7 @@ class _Walk:
         c = derive_coefficients(p)
         q = np.arange(p.q_max + 1, dtype=float)
         # M has diagonal lam and subdiagonal -eta
-        self.p, self.lam, self.eta = p, c.alpha * q * q - c.beta * q, c.eta
+        self.lam, self.eta = c.alpha * q * q - c.beta * q, c.eta
         self._step = None  # (h, profile, propagator) last built
 
     @staticmethod
@@ -217,18 +219,18 @@ class _Walk:
         self._step = (h, e, _propagator(self.lam, self.eta, h, e))
         return self._step[2]
 
-    def run(self, tau: float, n_steps: int, emit) -> tuple:
-        """Walk w back from T over n_steps steps of tau / n_steps.
+    def run(self, v: np.ndarray, e: np.ndarray, tau: float, n_steps: int, emit) -> tuple:
+        """Walk w = v 2^e back over n_steps steps of tau / n_steps.
 
         Each segment goes to ``emit(i, v, e, step, length)``: the state
-        w = v 2^e at node i (i steps before T), the scaled one-step
-        propagator (None when length is 0) and the number of steps it
-        spans; emit returns the state at node i + length.  Where even a
-        fresh profile cannot take one step, the walk crosses it in dyadic
-        sub-steps.  Returns the state at node n_steps.
+        w = v 2^e at node i (i steps back), the scaled one-step propagator
+        (None when length is 0) and the number of steps it spans; emit
+        returns the state at node i + length.  A segment that stops short
+        of node n_steps spans whole blocks of _BLOCK steps if it spans one.
+        Where even a fresh profile cannot take one step, the walk crosses
+        it as a walk of two half steps.  Returns the state at node n_steps.
         """
         h = tau / n_steps
-        v, e = _terminal_state(self.p)
         i = 0
         while True:
             length = int(min(n_steps - i, self.reach(v, e) / h))
@@ -238,31 +240,20 @@ class _Walk:
                 # node i is written in the new profile: only where it is exact
                 if length2 > length and v2.min() >= _TINY:
                     v, e, length = v2, e2, length2
+            if _BLOCK < length < n_steps - i:
+                length -= length % _BLOCK
             v = emit(i, v, e, self.step(h, e) if length else None, length)
             i += length
             if i == n_steps:
                 return v, e
-            if not length:
-                v, e = self._substeps(v, e, h)
+            if not length:  # v2, e2: the fresh profile tried above
+                v, e = self.run(v2, e2, h, 2, _advance)
                 i += 1
 
-    def _substeps(self, v: np.ndarray, e: np.ndarray, h: float) -> tuple:
-        """Cross one step h in pieces h / 2^level, each as long as the
-        bound allows and aligned to its own length."""
-        level, done = 0, 0  # done pieces of h / 2^level
-        while done < 2 ** level:
-            reach = self.reach(v, e)
-            if reach < h / 2.0 ** level:
-                v, e = self.profile(v, e)
-                reach = self.reach(v, e)
-            want = math.ceil(math.log2(h / reach)) if reach < h else 0
-            while level > want and done % 2 == 0:
-                level, done = level - 1, done // 2
-            if want > level:
-                done, level = done << (want - level), want
-            v = self.step(h / 2.0 ** level, e) @ v
-            done += 1
-        return v, e
+
+def _advance(i, v, e, step, length) -> np.ndarray:
+    """The emit of a walk that keeps only its state."""
+    return _advance(i, step @ v, e, step, length - 1) if length else v
 
 
 @dataclass(frozen=True)
@@ -271,9 +262,9 @@ class WGrid:
 
     times      grid 0 = t_0 < ... < t_N = T, shape (N+1,)
     values     mantissas, shape (N+1, q_max+1); column q holds level q
-    exponents  int64 powers of two, one row per segment of rows, so that
+    exponents  int64 powers of two, one row per exponent profile, so that
                ``w = values * 2^exponents``; default one row of zeros
-    breaks     first row of each segment, increasing from 0
+    breaks     first row of each profile's rows, increasing from 0
     """
 
     params: ModelParams
@@ -342,17 +333,26 @@ class WSolution:
 
     params: ModelParams
 
-    def evaluate_at(self, t: float) -> np.ndarray:
-        """w(t) for q = 0..q_max as doubles (0 or inf beyond the double
-        range): a walk of one step, ``exp(-(T - t) M) w(T)``, crossed in
-        pieces where the bound falls short of it."""
+    def _state_at(self, t: float) -> tuple:
+        """w(t) as (mantissas, exponents), by a walk of one step."""
         p = self.params
         if not 0.0 <= t <= p.horizon:
             raise ParameterError(f"t={t} outside [0, {p.horizon}]")
-        v, e = _terminal_state(p) if t == p.horizon else _Walk(p).run(
-            p.horizon - t, 1, lambda i, v, e, step, length: step @ v if length else v)
+        v, e = _terminal_state(p)
+        return (v, e) if t == p.horizon else _Walk(p).run(v, e, p.horizon - t, 1, _advance)
+
+    def evaluate_at(self, t: float) -> np.ndarray:
+        """w(t), q = 0..q_max, as doubles (0 or inf beyond the double range)."""
+        v, e = self._state_at(t)
         with np.errstate(over="ignore"):
             return np.ldexp(v, e.astype(np.int32))
+
+    def quotes_at(self, t: float) -> np.ndarray:
+        """The premiums delta*(t, q) for q = 1..q_max, formed from the
+        mantissas and exponents of w(t) as :func:`quote_surface` forms
+        them, so they keep their digits wherever w lies."""
+        self.params.require_risk_averse("quotes_at")
+        return _quotes(*self._state_at(t), self.params, np.empty(self.params.q_max))
 
     def to_wgrid(self, n_steps: int = DEFAULT_N_STEPS) -> WGrid:
         """w on the uniform grid of n_steps steps, exact at every node.
@@ -378,8 +378,10 @@ class WSolution:
 
         def emit(i, v, e, step, length):
             last = _BLOCK + n_steps - i  # the segment's first node
-            firsts.append(i)
-            profiles.append(e)
+            # segments that keep their exponents share one profile
+            if not profiles or not np.array_equal(e, profiles[-1]):
+                firsts.append(i)
+                profiles.append(e)
             block = min(_BLOCK, length + 1)
             n_blocks = -(-(length + 1) // block)
             if length and (built[0] is not step or len(built[1]) < block + (n_blocks > 1)):
@@ -399,8 +401,8 @@ class WSolution:
             np.matmul(starts.T, stacked, out=out)
             return rows[last - length].copy()
 
-        walk.run(p.horizon, n_steps, emit)
-        # a segment owns its rows down to the next segment's first node
+        walk.run(*_terminal_state(p), p.horizon, n_steps, emit)
+        # a profile owns its rows down to the next profile's first node
         return WGrid(params=p, times=np.linspace(0.0, p.horizon, n_steps + 1),
                      values=rows[_BLOCK:], exponents=profiles[::-1],
                      breaks=[0] + [n_steps - i + 1 for i in firsts[:0:-1]])
@@ -437,12 +439,19 @@ def quote_surface(w: WGrid) -> QuoteSurface:
     if not np.all(vals > 0):
         raise ParameterError("w grid must be strictly positive")
     quotes = np.empty((vals.shape[0], p.q_max))
-    body = quotes[:-1]
-    np.divide(vals[:-1, 1:], vals[:-1, :-1], out=body)
-    np.log(body, out=body)
-    for first, end, e in zip(w.breaks, list(w.breaks[1:]) + [None], w.exponents):
-        body[first:end] += np.diff(e) * math.log(2.0)
-    body /= p.k
-    body += math.log1p(p.gamma / p.k) / p.gamma
+    ends = list(w.breaks[1:]) + [vals.shape[0] - 1]
+    for first, end, e in zip(w.breaks, ends, w.exponents):
+        _quotes(vals[first:end], e, p, quotes[first:end])
     quotes[-1] = terminal_quote(p)
     return QuoteSurface(times=w.times, values=quotes, params=p)
+
+
+def _quotes(v: np.ndarray, e: np.ndarray, p: ModelParams, out: np.ndarray) -> np.ndarray:
+    """``(ln(v_q / v_{q-1}) + (e_q - e_{q-1}) ln 2) / k`` plus the spread
+    term, for q = 1..q_max along the last axis of v, written into out."""
+    np.divide(v[..., 1:], v[..., :-1], out=out)
+    np.log(out, out=out)
+    out += np.diff(e) * math.log(2.0)
+    out /= p.k
+    out += math.log1p(p.gamma / p.k) / p.gamma
+    return out

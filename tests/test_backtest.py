@@ -229,6 +229,17 @@ class TestEdgesAndErrors:
         assert ledger.mark == pytest.approx(
             ledger.cash_end + ledger.q_end * (ledger.mid_end - 3.0))
 
+    def test_quotes_w_beyond_double_range(self):
+        # at q0 = 100 and sigma = 3 the high levels of w(t) fall below the
+        # double range; re-quoting from doubles refused the first re-quote
+        tape = synthetic_tape(7200.0, sigma=3.0, big_a=0.1, k=0.3, mid0=1e5, seed=1)
+        cfg = BacktestConfig(q0=100, delta_t=30.0, warmup=1800.0,
+                             gamma_mode="fixed", gamma_value=0.05)
+        ledger = run_backtest(tape, cfg)
+        assert len(ledger.fills) + ledger.q_end == 100
+        assert ledger.orders and ledger.orders[0].q_before == 100
+        assert all(np.isfinite(o.raw_delta) for o in ledger.orders)
+
     def test_warmup_swallowing_tape_rejected(self, bullish_tape):
         cfg = BacktestConfig(warmup=10_000.0)
         with pytest.raises(CalibrationError, match="warm-up"):

@@ -121,7 +121,7 @@ class TestQuoteFromW:
 
     @pytest.mark.parametrize("w_q,w_qm1", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
     def test_rejects_nonpositive_w(self, ref_params, w_q, w_qm1):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="quotes_at"):
             quote_from_w(w_q, w_qm1, ref_params)
 
     @pytest.mark.parametrize("w_q,w_qm1", [(math.inf, 1e300), (1.0, math.nan)])
@@ -140,18 +140,19 @@ class TestQuoteFromW:
 
 
 class TestHjbResidual:
-    def _closed_form_grid(self, p, n_steps=10_000):
-        times = np.linspace(0.0, p.horizon, n_steps + 1)
-        values = np.empty((n_steps + 1, p.q_max + 1))
-        for q in range(p.q_max + 1):
-            values[:, q] = [nodrift_novol_w(p, t, q) for t in times]
-        return WGrid(params=p, times=times, values=values)
-
     def test_vanishes_on_closed_form(self, nodrift_params):
-        w = self._closed_form_grid(nodrift_params)
+        # the closed form fills the rows hjb_residual reads around each t
+        # and row 0, where every level peaks (w_q falls in t at
+        # mu = sigma = 0); the other rows are zeros
+        p, n_steps, ts = nodrift_params, 10_000, (0.03, 75.0, 150.0, 299.97)
+        times = np.linspace(0.0, p.horizon, n_steps + 1)
+        values = np.zeros((n_steps + 1, p.q_max + 1))
+        for i in {0} | {round(t / p.horizon * n_steps) + d for t in ts for d in (-1, 0, 1)}:
+            values[i] = [nodrift_novol_w(p, times[i], q) for q in range(p.q_max + 1)]
+        w = WGrid(params=p, times=times, values=values)
         for q in range(1, 7):
             scale = np.max(np.abs(w.values[:, q]))
-            for t in (0.03, 75.0, 150.0, 299.97):
+            for t in ts:
                 assert abs(hjb_residual(w, nodrift_params, t, q)) < 1e-6 * scale
 
     def test_zero_coefficients_give_zero_residual(self, ref_params):

@@ -7,17 +7,19 @@ import csv
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from optliq import (ModelParams, ParameterError, hjb_residual, quote_surface,
-                    solve_grid, solve_w, terminal_quote)
+from optliq import (ModelParams, ParameterError, hjb_residual, quote_from_w,
+                    quote_surface, solve_grid, solve_w, terminal_quote)
 from optliq.closed_forms import (asymptotic_quote, binf_w, nodrift_novol_quote,
                                  nodrift_novol_w)
 from optliq.model import DerivedCoefficients, derive_coefficients
+from optliq.ode import _BLOCK, _Walk, _propagator
 from tests.conftest import (HIGH_VOL_K_SWEEP, REFERENCE_QUOTES_T0,
                             SWEEP_QUOTES_T0, TABLE_TOL, q1_asymptote_gap)
 from tests.oracles import (OracleFailure, mp_log_w, solve_quadrature, solve_rk,
@@ -149,6 +151,33 @@ class TestSolveSpectral:
         assert np.array_equal(grid.breaks, [0])
         assert np.all(grid.exponents == 0)
         assert np.array_equal(grid.doubles(), grid.values)
+
+    @pytest.mark.parametrize("changes", [{}, {"horizon": 7200.0},
+                                         {"b": 20.0, "horizon": 7200.0},
+                                         {"sigma": 3.0, "k": 0.2}])
+    def test_in_range_grid_is_one_block_walk(self, changes):
+        # the walk cuts a segment that keeps its exponents only at a whole
+        # block, so the grid is the block walk of one profile from w(T),
+        # bit for bit: node j of block k, counted back from T, is E^j S_k,
+        # the starts S_k walked back from S_0 = w(T) by E^32
+        p = ModelParams(**changes)
+        grid = solve_grid(p, N)
+        assert np.array_equal(grid.breaks, [0])
+        walk, n, h = _Walk(p), p.q_max + 1, p.horizon / N
+        step = _propagator(walk.lam, walk.eta, h, np.zeros(n, dtype=np.int64))
+        powers = np.empty((_BLOCK + 1, n, n))
+        powers[0] = np.eye(n)
+        for j in range(1, _BLOCK + 1):
+            powers[j] = powers[j - 1] @ step
+            np.fill_diagonal(powers[j], np.exp(-j * h * walk.lam))
+        starts = np.empty((N // _BLOCK + 1, n))
+        starts[0] = np.exp(-p.k * p.b * np.arange(n))
+        for k in range(1, len(starts)):
+            starts[k] = powers[_BLOCK] @ starts[k - 1]
+        # one product, laid out as the grid builds its blocks
+        stacked = powers[:_BLOCK].transpose(2, 0, 1).reshape(n, _BLOCK * n)
+        back = (starts @ stacked).reshape(-1, n)
+        assert np.array_equal(grid.values, back[N::-1])
 
     def test_zero_eigenvalue_mode_is_constant(self, ref_params):
         dec = solve_w(ref_params)
@@ -401,6 +430,13 @@ class TestExtremeLiquidationCost:
         assert grid.terminal_underflow
         assert np.all(grid.doubles(-1)[1:] == 0.0)
         assert np.all(grid.values > 0)
+        # the terminal mantissas are exp(x) / 2^e to the last bits for the
+        # double x = -k b q ~ -4680: a one-double ln 2 misses by 700 ulps
+        x = -p.k * p.b * np.arange(p.q_max + 1)
+        with mpmath.workdps(30):
+            exact = [float(mpmath.exp(float(xq)) / mpmath.mpf(2) ** int(eq))
+                     for xq, eq in zip(x, grid.exponents[-1])]
+        assert np.all(np.abs(grid.values[-1] / exact - 1) < 4 * np.finfo(float).eps)
         assert np.max(np.abs(log_w(grid, 0) - expm_log_w(p, 0.0))) < 1e-10
         grid.check_invariants()
 
@@ -429,6 +465,10 @@ class TestExtremeLiquidationCost:
             ref = mp_log_w(p, float(surface.times[i]))
             exact = [float(ref[q] - ref[q - 1]) / p.k + spread for q in range(1, 101)]
             assert np.max(np.abs(surface.values[i] - exact)) < 1e-9
+        # the point quotes are formed as the surface's, from w(0) in one step
+        assert np.max(np.abs(solve_w(p).quotes_at(0.0) - surface.values[0])) < 1e-12
+        with pytest.raises(ParameterError, match="quotes_at"):
+            quote_from_w(*solve_w(p).evaluate_at(0.0)[[100, 99]], p)
 
     def test_relaxation_far_below_terminal_matches_mpmath(self):
         # w_200 falls from 1 at T to about 2^-2690 within a second, far
