@@ -169,6 +169,11 @@ class BacktestLedger:
                 fh.write(f"{t:.17g},{mid:.17g},{inv},{cash:.17g}\n")
 
 
+def _mid(tape: TradeTape, row: int) -> float:
+    # one row's mid, bit for bit the row of ``tape.mid``
+    return 0.5 * (float(tape.bid[row]) + float(tape.ask[row]))
+
+
 def run_backtest(tape: TradeTape, cfg: BacktestConfig) -> BacktestLedger:
     """Replay the protocol on a tape.  See the module docstring for the
     event loop; calibration failure anywhere aborts with a diagnostic."""
@@ -193,7 +198,7 @@ def run_backtest(tape: TradeTape, cfg: BacktestConfig) -> BacktestLedger:
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     i_state = int(np.searchsorted(tape.ts, start, side="right")) - 1
-    mid_start = float(tape.mid[i_state])
+    mid_start = _mid(tape, i_state)
     ledger = BacktestLedger(config=cfg, start_time=start, end_time=end_cap,
                             horizon=horizon, mid_start=mid_start,
                             sigma_hat=sigma_hat)
@@ -271,7 +276,7 @@ def run_backtest(tape: TradeTape, cfg: BacktestConfig) -> BacktestLedger:
                 ledger.fills.append(FillEvent(t=t_now, price=order_price,
                                               q_after=q,
                                               order_index=order_index))
-                mid_j = float(tape.mid[j])
+                mid_j = _mid(tape, j)
                 ledger.series.append((t_now, mid_j, q, cash))
                 filled = True
                 break
@@ -281,7 +286,7 @@ def run_backtest(tape: TradeTape, cfg: BacktestConfig) -> BacktestLedger:
             i_state = int(np.searchsorted(tape.ts, t_now, side="right")) - 1
 
     i_end = int(np.searchsorted(tape.ts, end_cap, side="right")) - 1
-    ledger.mid_end = float(tape.mid[i_end])
+    ledger.mid_end = _mid(tape, i_end)
     ledger.cash_end = cash
     ledger.q_end = q
     ledger.mark = cash + q * (ledger.mid_end - cfg.b)

@@ -11,7 +11,16 @@ Estimators:
 * sigma: realised volatility of the mid price sampled on a fixed clock,
 * (big_a, k) per spread bucket: count trades printing at or above
   mid + offset for a grid of offsets, divide by the time spent in the
-  bucket, and fit ``log rate = log A - k * offset`` by least squares,
+  bucket, and fit ``log rate = log A - k * offset`` by centred least
+  squares.  Every window of one tape is read from one prefix-count index,
+  built on the first fit with a given offset grid and kept on the tape.
+  Per bucket it holds the bucket's sorted row positions, prefix sums of
+  those rows' gaps to the next print, and one sorted key
+  ``j * (n + 1) + row`` per print at or above the ``j``-th offset.  A
+  window fit is then a few ``searchsorted`` calls: its print count is a
+  difference of row positions, its time a difference of gap sums plus
+  the tail to the window end, and every offset count a difference of
+  key positions.
 * gamma: bisection so the solved time-0 premium at q = 1 hits a target
   (one Tick by default).
 """
@@ -51,16 +60,39 @@ _GAMMA_BRACKET = (1e-6, 1e2)
 _QUOTE_TOL = 1e-4
 
 
+def _frozen(values) -> np.ndarray:
+    # a read-only view: the caller's own array stays writeable
+    arr = np.asarray(values, dtype=float).view()
+    arr.flags.writeable = False
+    return arr
+
+
+def _row_range(ts: np.ndarray, start: float, end: float) -> tuple:
+    """Rows ``[lo, hi)`` of the records in [start, end]; none is an error."""
+    lo = int(np.searchsorted(ts, start, side="left"))
+    hi = int(np.searchsorted(ts, end, side="right"))
+    if hi <= lo:
+        raise DataError(f"no records in [{start}, {end}]")
+    return lo, hi
+
+
 class TradeTape:
-    """Time-sorted trade prints with quote context, prices in Ticks."""
+    """Time-sorted trade prints with quote context, prices in Ticks.
+
+    A tape is immutable: its five columns are read-only views (of the
+    arrays passed in, when they are float arrays; those must not change
+    either).  The intensity fit caches a prefix-count index per offset grid
+    on the tape, and an edit in place would leave it counting old prints.
+    """
 
     def __init__(self, ts, price, size, bid, ask, tick_size: float = 1.0):
-        self.ts = np.asarray(ts, dtype=float)
-        self.price = np.asarray(price, dtype=float)
-        self.size = np.asarray(size, dtype=float)
-        self.bid = np.asarray(bid, dtype=float)
-        self.ask = np.asarray(ask, dtype=float)
+        self.ts = _frozen(ts)
+        self.price = _frozen(price)
+        self.size = _frozen(size)
+        self.bid = _frozen(bid)
+        self.ask = _frozen(ask)
         self.tick_size = float(tick_size)
+        self._intensity_indexes = {}  # offset grid tuple -> _IntensityIndex
         n = self.ts.size
         if n == 0:
             raise DataError("empty tape: no trade records")
@@ -103,14 +135,20 @@ class TradeTape:
     def slice_time(self, start: float, end: float) -> "TradeTape":
         """The records in [start, end]; a part of a valid tape is valid, so
         it is not checked again."""
-        lo = int(np.searchsorted(self.ts, start, side="left"))
-        hi = int(np.searchsorted(self.ts, end, side="right"))
-        if hi <= lo:
-            raise DataError(f"no records in [{start}, {end}]")
+        lo, hi = _row_range(self.ts, start, end)
         part = copy.copy(self)
         part.__dict__.update({name: getattr(self, name)[lo:hi] for name in COLUMNS})
         part.ats = float(np.mean(part.size))
+        # the copied cache would hold indexes over this tape's rows
+        part._intensity_indexes = {}
         return part
+
+    def _intensity_index(self, grid: np.ndarray) -> "_IntensityIndex":
+        key = tuple(grid.tolist())
+        index = self._intensity_indexes.get(key)
+        if index is None:
+            index = self._intensity_indexes[key] = _IntensityIndex(self, key)
+        return index
 
     def write_csv(self, path) -> None:
         """Write back in the input format (prices restored to currency)."""
@@ -179,7 +217,7 @@ def calibrate_sigma(tape: TradeTape, sampling_dt: float) -> float:
     n = int(tape.span / sampling_dt)
     sample_t = tape.ts[0] + sampling_dt * np.arange(n + 1)
     idx = np.searchsorted(tape.ts, sample_t, side="right") - 1
-    mids = tape.mid[idx]
+    mids = 0.5 * (tape.bid[idx] + tape.ask[idx])
     ds = np.diff(mids)
     return float(math.sqrt(np.sum(ds * ds) / (n * sampling_dt)))
 
@@ -198,6 +236,71 @@ def _spread_bucket(spread: np.ndarray) -> np.ndarray:
     return np.floor(spread + 0.5).astype(np.int64)
 
 
+class _IntensityIndex:
+    """Prefix counts of one tape against one offset grid (see the module
+    docstring); :meth:`fit` answers one window of rows."""
+
+    def __init__(self, tape: TradeTape, grid: tuple):
+        self.grid = np.array(grid, dtype=float)
+        # key base of each offset, as a column against (lo, hi)
+        self.bases = (len(tape) + 1) * np.arange(self.grid.size)[:, None]
+        buckets = _spread_bucket(tape.spread)
+        # the number of grid offsets at or below each print's offset
+        levels = np.searchsorted(self.grid, tape.price - tape.mid, side="right")
+        # gap sums grow to the tape's span, so a short window's time is their
+        # difference; extended precision (where the platform has it) keeps
+        # the rounding of the long sums out of that difference
+        gaps = np.append(np.diff(tape.ts), 0.0).astype(np.longdouble)
+        self.buckets = []
+        for bucket in np.unique(buckets):
+            rows = np.flatnonzero(buckets == bucket)
+            gap_sums = np.concatenate(([0.0], np.cumsum(gaps[rows])))
+            keys = np.concatenate([base + rows[levels[rows] > j]
+                                   for j, base in enumerate(self.bases[:, 0])])
+            self.buckets.append((int(bucket), rows, gap_sums, keys))
+
+    def fit(self, lo: int, hi: int, tail: float, n_min: int):
+        """:func:`calibrate_intensity` on rows ``[lo, hi)``, whose last
+        print holds its bucket for ``tail`` seconds up to the window end."""
+        fits, dropped = {}, {}
+        for key, rows, gap_sums, keys in self.buckets:
+            i_lo, i_last, i_hi = rows.searchsorted((lo, hi - 1, hi))
+            n_obs = int(i_hi - i_lo)
+            if n_obs == 0:
+                continue
+            if n_obs < n_min:
+                dropped[key] = f"only {n_obs} prints < n_min = {n_min}"
+                continue
+            # each print holds its bucket up to the next print, the
+            # window's last one up to the window end instead
+            total_time = float(gap_sums[i_last] - gap_sums[i_lo])
+            if i_hi > i_last:
+                total_time += tail
+            if total_time <= 0:
+                dropped[key] = "no time attributed to bucket"
+                continue
+            ends = keys.searchsorted(self.bases + (lo, hi))
+            counts = ends[:, 1] - ends[:, 0]
+            usable = counts > 0
+            n_usable = int(np.count_nonzero(usable))
+            if n_usable < 3:
+                dropped[key] = f"only {n_usable} offsets with prints"
+                continue
+            x = self.grid[usable]
+            log_rates = np.log(counts[usable] / total_time)
+            x_mean = float(x.sum()) / n_usable
+            dx = x - x_mean
+            # measured from the first point, a flat profile decays by exactly 0
+            k_hat = float(dx @ (log_rates[0] - log_rates)) / float(dx @ dx)
+            if k_hat <= 1e-12:  # flat or inverted rate profile
+                dropped[key] = f"non-positive decay estimate ({k_hat:.3g})"
+                continue
+            log_a = float(log_rates.sum()) / n_usable + k_hat * x_mean
+            fits[key] = IntensityFit(a_hat=math.exp(log_a), k_hat=k_hat,
+                                     n_obs=n_obs)
+        return fits, dropped
+
+
 def calibrate_intensity(tape: TradeTape,
                         distance_grid: Sequence[float] = DEFAULT_DISTANCE_GRID,
                         window: Optional[float] = None,
@@ -210,9 +313,11 @@ def calibrate_intensity(tape: TradeTape,
     time attributed to the bucket; the log rates are then fit affinely in
     the offset.  Buckets with fewer than ``n_min`` prints, fewer than 3
     nonzero-count offsets, or a non-positive decay estimate are dropped.
+    The counts come from the tape's prefix-count index for this grid,
+    built on the first call (see the module docstring).
 
     Returns ``(fits, dropped)``: a dict bucket -> :class:`IntensityFit` and
-    a dict bucket -> reason for the unusable ones.
+    a dict bucket -> reason for the unusable ones, both in bucket order.
     """
     grid = np.asarray(distance_grid, dtype=float)
     if grid.size < 3:
@@ -221,40 +326,9 @@ def calibrate_intensity(tape: TradeTape,
         raise ParameterError("distance_grid must be positive and increasing")
     end = float(tape.ts[-1]) if end_time is None else float(end_time)
     start = float(tape.ts[0]) if window is None else end - float(window)
-    sliced = tape.slice_time(start, end)
-
-    buckets = _spread_bucket(sliced.spread)
-    offsets = sliced.price - sliced.mid
-    # time in each bucket: the gap up to the next print carries the current
-    # bucket's label, plus the tail out to the window end
-    durations = np.append(np.diff(sliced.ts), max(end - sliced.ts[-1], 0.0))
-
-    fits, dropped = {}, {}
-    for bucket in np.unique(buckets):
-        in_bucket = buckets == bucket
-        n_obs = int(np.sum(in_bucket))
-        key = int(bucket)
-        if n_obs < n_min:
-            dropped[key] = f"only {n_obs} prints < n_min = {n_min}"
-            continue
-        total_time = float(np.sum(durations[in_bucket]))
-        if total_time <= 0:
-            dropped[key] = "no time attributed to bucket"
-            continue
-        counts = np.array([np.sum(in_bucket & (offsets >= d)) for d in grid])
-        usable = counts > 0
-        if np.sum(usable) < 3:
-            dropped[key] = f"only {int(np.sum(usable))} offsets with prints"
-            continue
-        rates = counts[usable] / total_time
-        slope, intercept = np.polyfit(grid[usable], np.log(rates), 1)
-        k_hat = -float(slope)
-        if k_hat <= 1e-12:  # flat or inverted rate profile
-            dropped[key] = f"non-positive decay estimate ({k_hat:.3g})"
-            continue
-        fits[key] = IntensityFit(a_hat=float(math.exp(intercept)),
-                                 k_hat=k_hat, n_obs=n_obs)
-    return fits, dropped
+    lo, hi = _row_range(tape.ts, start, end)
+    tail = max(end - float(tape.ts[hi - 1]), 0.0)
+    return tape._intensity_index(grid).fit(lo, hi, tail, n_min)
 
 
 def calibrate_gamma(big_a: float, k: float, sigma: float, mu: float, b: float,

@@ -1,5 +1,6 @@
-"""Reference solvers of the w system, kept as oracles for the exact
-propagator in :mod:`optliq.ode`.
+"""Reference implementations kept as oracles: three solvers of the w
+system for the exact propagator in :mod:`optliq.ode`, and a recount of the
+intensity fit for the prefix-count index in :mod:`optliq.market_data`.
 
 * :func:`solve_rk`          classical fixed-step 4th-order Runge-Kutta,
 * :func:`solve_quadrature`  variation-of-constants form, with the
@@ -7,7 +8,10 @@ propagator in :mod:`optliq.ode`.
                             Simpson quadrature, recursively in q;
 * :func:`mp_log_w`          the eigen-expansion in 60-digit ``mpmath``
                             arithmetic, for spectra without repeated
-                            eigenvalues, with no range limit.
+                            eigenvalues, with no range limit;
+* :func:`calibrate_intensity_recount`  slices the window out of the tape,
+                            recounts every print against every offset and
+                            fits with ``np.polyfit``.
 
 For very large k*q*b the terminal values round to zero (below ~1e-300);
 both then integrate the correctly rounded terminal data, which coincides
@@ -21,6 +25,8 @@ import mpmath
 import numpy as np
 
 from optliq import ModelParams, ParameterError, WGrid
+from optliq.market_data import (DEFAULT_DISTANCE_GRID, IntensityFit,
+                                _spread_bucket)
 from optliq.model import DerivedCoefficients, derive_coefficients
 from optliq.ode import DEFAULT_N_STEPS
 
@@ -176,3 +182,51 @@ def mp_log_w(p: ModelParams, t: float, dps: int = 60) -> list:
         decay = [mpmath.exp(-lam[j] * tau) for j in range(n)]
         return [mpmath.log(mpmath.fsum(coef[j] * x[j][i] * decay[j] for j in range(i + 1)))
                 for i in range(n)]
+
+
+def calibrate_intensity_recount(tape, distance_grid=DEFAULT_DISTANCE_GRID,
+                                window=None, end_time=None, n_min=50):
+    """:func:`optliq.calibrate_intensity` by slicing the window out of the
+    tape and recounting it: same arguments, drop rules, reasons, errors
+    and bucket order, with the fit by ``np.polyfit``."""
+    grid = np.asarray(distance_grid, dtype=float)
+    if grid.size < 3:
+        raise ParameterError(f"distance_grid needs >= 3 offsets, got {grid.size}")
+    if np.any(np.diff(grid) <= 0) or grid[0] <= 0:
+        raise ParameterError("distance_grid must be positive and increasing")
+    end = float(tape.ts[-1]) if end_time is None else float(end_time)
+    start = float(tape.ts[0]) if window is None else end - float(window)
+    sliced = tape.slice_time(start, end)
+
+    buckets = _spread_bucket(sliced.spread)
+    offsets = sliced.price - sliced.mid
+    # time in each bucket: the gap up to the next print carries the current
+    # bucket's label, plus the tail out to the window end
+    durations = np.append(np.diff(sliced.ts), max(end - sliced.ts[-1], 0.0))
+
+    fits, dropped = {}, {}
+    for bucket in np.unique(buckets):
+        in_bucket = buckets == bucket
+        n_obs = int(np.sum(in_bucket))
+        key = int(bucket)
+        if n_obs < n_min:
+            dropped[key] = f"only {n_obs} prints < n_min = {n_min}"
+            continue
+        total_time = float(np.sum(durations[in_bucket]))
+        if total_time <= 0:
+            dropped[key] = "no time attributed to bucket"
+            continue
+        counts = np.array([np.sum(in_bucket & (offsets >= d)) for d in grid])
+        usable = counts > 0
+        if np.sum(usable) < 3:
+            dropped[key] = f"only {int(np.sum(usable))} offsets with prints"
+            continue
+        rates = counts[usable] / total_time
+        slope, intercept = np.polyfit(grid[usable], np.log(rates), 1)
+        k_hat = -float(slope)
+        if k_hat <= 1e-12:  # flat or inverted rate profile
+            dropped[key] = f"non-positive decay estimate ({k_hat:.3g})"
+            continue
+        fits[key] = IntensityFit(a_hat=float(math.exp(intercept)),
+                                 k_hat=k_hat, n_obs=n_obs)
+    return fits, dropped

@@ -1,6 +1,8 @@
 """Replay protocol: rounding, determinism, ledger invariants, and the
 fill-at-or-above rule on constructed tapes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from optliq import (BacktestConfig, CalibrationError, ParameterError,
                     TradeTape, round_quote, run_backtest, summarize)
 from optliq.backtest import BacktestLedger
 from optliq.market_data import synthetic_tape
+from tests.oracles import calibrate_intensity_recount
 
 
 def rng(seed=0):
@@ -185,30 +188,36 @@ class TestNoFillPath:
         assert np.allclose(np.diff(inserts), 60.0)
 
 
+def violent_warmup_tape():
+    """Violent warm-up moves push sigma_hat high enough that quoting is
+    hopeless and the fallback fires immediately."""
+    mid = 100.0
+    ts, price, bid, ask = [], [], [], []
+    level = mid
+    for i, t in enumerate(np.arange(0.0, 600.0, 1.0)):
+        level = mid + (8.0 if i % 2 else -8.0)
+        ts.append(t)
+        price.append(level + DECAYING_OFFSETS[i % len(DECAYING_OFFSETS)])
+        bid.append(level - 0.5)
+        ask.append(level + 0.5)
+    for t in np.arange(600.0, 900.0, 2.0):
+        ts.append(t)
+        price.append(level)
+        bid.append(level - 0.5)
+        ask.append(level + 0.5)
+    return TradeTape(ts=ts, price=price, size=np.full(len(ts), 100.0),
+                     bid=bid, ask=ask)
+
+
+FALLBACK_CFG = BacktestConfig(q0=4, delta_t=30.0, warmup=600.0,
+                              recalib_window=900.0, gamma_mode="fixed",
+                              gamma_value=0.5, b=3.0, n_min=20,
+                              market_order_threshold=0.0)
+
+
 class TestMarketOrderFallback:
     def test_negative_quotes_sell_at_best_bid(self):
-        # violent warm-up moves push sigma_hat high enough that quoting is
-        # hopeless and the fallback fires immediately
-        mid = 100.0
-        ts, price, bid, ask = [], [], [], []
-        level = mid
-        for i, t in enumerate(np.arange(0.0, 600.0, 1.0)):
-            level = mid + (8.0 if i % 2 else -8.0)
-            ts.append(t)
-            price.append(level + DECAYING_OFFSETS[i % len(DECAYING_OFFSETS)])
-            bid.append(level - 0.5)
-            ask.append(level + 0.5)
-        for t in np.arange(600.0, 900.0, 2.0):
-            ts.append(t)
-            price.append(level)
-            bid.append(level - 0.5)
-            ask.append(level + 0.5)
-        tape = TradeTape(ts=ts, price=price, size=np.full(len(ts), 100.0),
-                         bid=bid, ask=ask)
-        cfg = BacktestConfig(q0=4, delta_t=30.0, warmup=600.0,
-                             recalib_window=900.0, gamma_mode="fixed",
-                             gamma_value=0.5, b=3.0, n_min=20,
-                             market_order_threshold=0.0)
+        tape, cfg = violent_warmup_tape(), FALLBACK_CFG
         ledger = run_backtest(tape, cfg)
         mo_fills = [f for f in ledger.fills if f.order_index is None]
         assert len(mo_fills) >= 1
@@ -216,6 +225,43 @@ class TestMarketOrderFallback:
             i = int(np.searchsorted(tape.ts, f.t, side="right")) - 1
             assert f.price == tape.bid[i]
         assert cfg.q0 == len(ledger.fills) + ledger.q_end
+
+
+class TestIndexedIntensityFit:
+    """Ledgers from the prefix-count index against the slicing recount."""
+
+    @pytest.mark.parametrize("case", ["fixed", "quote_target", "no_fill",
+                                      "fallback"])
+    def test_ledger_matches_recount(self, case, bullish_tape, bullish_cfg,
+                                    monkeypatch):
+        if case == "fixed":
+            tape, cfg = bullish_tape, bullish_cfg
+        elif case == "quote_target":
+            tape = bullish_tape
+            cfg = dataclasses.replace(bullish_cfg, gamma_mode="quote_target",
+                                      gamma_value=1.0, rounding="randomized")
+        elif case == "no_fill":
+            trading = [(t, 95.0) for t in np.arange(601.0, 1795.0, 3.0)]
+            tape = flat_mid_tape(DECAYING_OFFSETS, trading)
+            cfg = BacktestConfig(q0=3, delta_t=30.0, warmup=600.0,
+                                 recalib_window=1800.0, gamma_mode="fixed",
+                                 gamma_value=0.05, b=3.0, n_min=20)
+        else:
+            tape, cfg = violent_warmup_tape(), FALLBACK_CFG
+        got = run_backtest(tape, cfg)
+        monkeypatch.setattr("optliq.backtest.calibrate_intensity",
+                            calibrate_intensity_recount)
+        want = run_backtest(tape, cfg)
+        assert got.fills or got.orders
+        assert got.fills == want.fills
+        assert got.gamma_used == want.gamma_used
+        assert len(got.orders) == len(want.orders)
+        fitted = dict(raw_delta=0.0, a_hat=0.0, k_hat=0.0)
+        for a, b in zip(got.orders, want.orders):
+            assert dataclasses.replace(a, **fitted) == dataclasses.replace(b, **fitted)
+            assert a.raw_delta == pytest.approx(b.raw_delta, rel=0, abs=1e-12)
+            assert a.a_hat == pytest.approx(b.a_hat, rel=1e-12, abs=0)
+            assert a.k_hat == pytest.approx(b.k_hat, rel=1e-12, abs=0)
 
 
 class TestEdgesAndErrors:

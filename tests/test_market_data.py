@@ -11,6 +11,7 @@ from optliq import (CalibrationError, DataError, ModelParams, ParameterError,
                     TradeTape, calibrate_gamma,
                     calibrate_intensity, calibrate_sigma, calibrate_tape,
                     load_tape, quote_surface, solve_grid, synthetic_tape)
+from tests.oracles import calibrate_intensity_recount
 
 HEADER = "ts,price,size,bid,ask\n"
 
@@ -87,6 +88,16 @@ class TestLoadTape:
         with pytest.raises(DataError, match="missing columns"):
             load_tape(path)
 
+    def test_columns_are_read_only(self):
+        price = np.array([100.6, 100.7, 99.4])
+        tape = TradeTape(ts=[1.0, 2.5, 4.0], price=price, size=[1.0, 1.0, 1.0],
+                         bid=[99.5, 99.6, 99.4], ask=[100.5, 100.6, 100.4])
+        with pytest.raises(ValueError):
+            tape.price[0] = 1.0
+        with pytest.raises(ValueError):
+            tape.slice_time(1.0, 2.5).ts[0] = 0.0
+        assert price.flags.writeable  # the caller's own array is untouched
+
     def test_write_csv_round_trip(self, tmp_path):
         tape = synthetic_tape(600.0, sigma=0.2, big_a=0.2, k=0.3, seed=5,
                               tick_size=0.5)
@@ -141,7 +152,7 @@ class TestCalibrateIntensity:
                          bid=mid - 0.5, ask=mid + 0.5)
         fits, dropped = calibrate_intensity(tape)
         assert fits == {}
-        assert "non-positive decay" in dropped[1]
+        assert dropped[1] == "non-positive decay estimate (0)"
 
     def test_single_spread_gives_single_bucket(self):
         tape = synthetic_tape(10_000.0, sigma=0.1, big_a=0.2, k=0.3, seed=3,
@@ -174,6 +185,100 @@ class TestCalibrateIntensity:
             calibrate_intensity(tape, distance_grid=[0.5, 1.0])
         with pytest.raises(ParameterError):
             calibrate_intensity(tape, distance_grid=[-1.0, 0.5, 1.0])
+
+
+def three_bucket_tape(tied: bool) -> TradeTape:
+    """Spreads of 1, 2 and 3 Ticks taking turns every 40 s; with ``tied``
+    the timestamps are floored to multiples of 5 s, so about three prints
+    share each one."""
+    tape = synthetic_tape(
+        6000.0, sigma=0.2, big_a=0.3, k=0.4, seed=21,
+        spread_schedule=[(40.0 * i, 1.0 + i % 3) for i in range(150)])
+    if not tied:
+        return tape
+    return TradeTape(ts=5.0 * np.floor(tape.ts / 5.0), price=tape.price,
+                     size=tape.size, bid=tape.bid, ask=tape.ask)
+
+
+DROP_KINDS = {"prints < n_min": "n_min", "offsets with prints": "offsets",
+              "no time attributed": "no time", "non-positive decay": "decay"}
+
+
+def compare_with_recount(tape, **kwargs) -> dict:
+    """Assert that the index fit of one window matches the recount oracle;
+    return how often each kind of drop reason was seen."""
+    try:
+        expected = calibrate_intensity_recount(tape, **kwargs)
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            calibrate_intensity(tape, **kwargs)
+        assert str(got.value) == str(exc)
+        return {}
+    fits, dropped = calibrate_intensity(tape, **kwargs)
+    want_fits, want_dropped = expected
+    assert list(fits) == list(want_fits), kwargs
+    assert list(dropped) == list(want_dropped), kwargs
+    for key, fit in fits.items():
+        want = want_fits[key]
+        assert fit.n_obs == want.n_obs
+        assert fit.a_hat == pytest.approx(want.a_hat, rel=1e-12, abs=0)
+        assert fit.k_hat == pytest.approx(want.k_hat, rel=1e-12, abs=0)
+    seen = {}
+    for key, reason in dropped.items():
+        (kind,) = [k for text, k in DROP_KINDS.items() if text in reason]
+        if kind == "decay":
+            # polyfit leaves a residue of ~1e-16 where the index reads 0
+            assert want_dropped[key].startswith("non-positive decay estimate (")
+        else:
+            assert reason == want_dropped[key]
+        seen[kind] = seen.get(kind, 0) + 1
+    return seen
+
+
+class TestIntensityIndex:
+    """The prefix-count index against the slicing recount it replaced."""
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_matches_recount_over_windows(self, tied):
+        tape = three_bucket_tape(tied)
+        rows = np.linspace(0, len(tape) - 2, 80).astype(int)
+        switches = np.flatnonzero(np.diff(tape.spread)) + 1
+        ends = np.concatenate((
+            [tape.ts[0] - 1.0],                        # before the first print
+            tape.ts[rows],                             # on a print time
+            tape.ts[switches],                         # ... that opens a spread
+            0.5 * (tape.ts[rows] + tape.ts[rows + 1]),  # between prints
+            [tape.ts[-1] + 2.5, tape.ts[-1] + 900.0],  # past the last print
+        ))
+        seen = dict.fromkeys(DROP_KINDS.values(), 0)
+        for end in ends:
+            for window in (1800.0, 60.0, 5.0):
+                for n_min in (50, 3):
+                    for kind, n in compare_with_recount(
+                            tape, window=window, end_time=end,
+                            n_min=n_min).items():
+                        seen[kind] += n
+        assert 6 * ends.size >= 1000
+        # every drop rule fired; a 5-s window that closes on the tied first
+        # prints of a new spread gives that bucket no time
+        assert all(seen[kind] > 0 for kind in DROP_KINDS.values()
+                   if tied or kind != "no time"), seen
+
+    def test_slice_builds_its_own_index(self):
+        tape = three_bucket_tape(tied=False)
+        calibrate_intensity(tape)  # the whole tape's index, now cached
+        part = tape.slice_time(1000.0, 2500.0)
+        for end in (1500.0, 2000.0, 2600.0):
+            compare_with_recount(part, window=600.0, end_time=end, n_min=3)
+        compare_with_recount(part, n_min=3)
+
+    def test_each_grid_has_its_own_index(self):
+        tape = three_bucket_tape(tied=True)
+        fine = tuple(np.arange(0.25, 4.01, 0.25))
+        for end in np.linspace(500.0, 6000.0, 12):
+            for grid in (fine, (0.5, 1.0, 1.5, 2.0), fine):
+                compare_with_recount(tape, distance_grid=grid, window=1800.0,
+                                     end_time=end, n_min=3)
 
 
 class TestCalibrateGamma:
