@@ -19,6 +19,7 @@ and config (including the rounding seed) reproduces the ledger bit for bit.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -27,7 +28,7 @@ import numpy as np
 from .errors import CalibrationError, DataError, ParameterError
 from .market_data import (DEFAULT_DISTANCE_GRID, TradeTape, calibrate_gamma,
                           calibrate_intensity, calibrate_sigma)
-from .model import ModelParams
+from .model import ModelParams, _write_csv
 from .ode import solve_w
 
 __all__ = [
@@ -150,23 +151,13 @@ class BacktestLedger:
     sigma_hat: float = float("nan")
 
     def write_csvs(self, outdir) -> None:
-        import os
         os.makedirs(outdir, exist_ok=True)
-        with open(os.path.join(outdir, "orders.csv"), "w", encoding="utf-8",
-                  newline="") as fh:
-            fh.write("t,quote,q\n")
-            for o in self.orders:
-                fh.write(f"{o.t_insert:.17g},{o.quote_ticks},{o.q_before}\n")
-        with open(os.path.join(outdir, "fills.csv"), "w", encoding="utf-8",
-                  newline="") as fh:
-            fh.write("t,price,q_after\n")
-            for f in self.fills:
-                fh.write(f"{f.t:.17g},{f.price:.17g},{f.q_after}\n")
-        with open(os.path.join(outdir, "series.csv"), "w", encoding="utf-8",
-                  newline="") as fh:
-            fh.write("t,mid,inventory,cash\n")
-            for t, mid, inv, cash in self.series:
-                fh.write(f"{t:.17g},{mid:.17g},{inv},{cash:.17g}\n")
+        _write_csv(os.path.join(outdir, "orders.csv"), ("t", "quote", "q"),
+                   ((o.t_insert, o.quote_ticks, o.q_before) for o in self.orders))
+        _write_csv(os.path.join(outdir, "fills.csv"), ("t", "price", "q_after"),
+                   ((f.t, f.price, f.q_after) for f in self.fills))
+        _write_csv(os.path.join(outdir, "series.csv"), ("t", "mid", "inventory", "cash"),
+                   self.series)
 
 
 def _mid(tape: TradeTape, row: int) -> float:

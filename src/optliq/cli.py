@@ -24,10 +24,10 @@ import numpy as np
 
 from . import closed_forms as cf
 from .backtest import BacktestConfig, run_backtest, summarize
-from .errors import (CalibrationError, DataError, NoAsymptoteError,
-                     ParameterError, RegimeError, UsageError)
+from .errors import (CalibrationError, DataError, ParameterError, RegimeError,
+                     UsageError)
 from .market_data import calibrate_tape, load_tape
-from .model import CONFIG_KEY_TO_FIELD, ModelParams, parse_config
+from .model import CONFIG_KEY_TO_FIELD, ModelParams, _write_csv, parse_config
 from .ode import DEFAULT_N_STEPS, quote_surface, solve_grid
 from .simulate import (FixedQuote, MarketOrderFallback, OptimalSurface,
                        SimConfig, simulate_ensemble, simulate_path)
@@ -119,9 +119,6 @@ def _load_params(args) -> tuple:
         except ParameterError as exc:
             raise UsageError(f"{path}: {exc}") from exc
     _apply_overrides(model_items, sections, getattr(args, "set", None))
-    for key in model_items:
-        if key not in CONFIG_KEY_TO_FIELD:
-            raise UsageError(f"unknown model parameter key {key!r}")
     for name, items in sections.items():
         if name not in SECTIONS:
             raise UsageError(f"unknown section [{name}] (keys {list(items)}); "
@@ -161,27 +158,31 @@ def _given(args, *names) -> dict:
     return {n: getattr(args, n) for n in names if getattr(args, n) is not None}
 
 
+def _write_json(path, payload, pretty: bool, end: str = "") -> None:
+    """Write ``payload`` as JSON to the file ``path``, followed by ``end``,
+    or print it when there is no ``path``: compact for the solver exports,
+    indented with sorted keys (``pretty``) for the reports."""
+    text = json.dumps(payload, indent=2, sort_keys=True) if pretty else json.dumps(payload)
+    if not path:
+        print(text)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + end)
+
+
 # -- subcommands -----------------------------------------------------------
 
 
 def cmd_solve(args) -> int:
+    """``solve`` exports the w grid, ``quotes`` the premium surface on it."""
     params, _ = _load_params(args)
-    grid = solve_grid(params, n_steps=args.steps)
+    table = solve_grid(params, n_steps=args.steps)
+    if args.command == "quotes":
+        table = quote_surface(table)
     if args.format == "csv":
-        grid.to_csv(args.out)
+        table.to_csv(args.out)
     else:
-        grid.to_json(args.out)
-    return 0
-
-
-def cmd_quotes(args) -> int:
-    params, _ = _load_params(args)
-    surface = quote_surface(solve_grid(params, n_steps=args.steps))
-    if args.format == "csv":
-        surface.to_csv(args.out)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(surface.to_json_dict(), fh)
+        _write_json(args.out, table.to_json_dict(), pretty=False)
     return 0
 
 
@@ -203,19 +204,13 @@ def cmd_sweep(args) -> int:
         p = params.with_(**{field: value})
         surface = quote_surface(solve_grid(p, n_steps=args.steps))
         columns.append(surface.values[0])  # premiums at t = 0, q = 1..q_max
-    header = ["q"] + [f"{name}={v:g}" for v in values]
+    qs = list(range(1, params.q_max + 1))
     if args.format == "csv":
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for row_q in range(params.q_max):
-                cells = [str(row_q + 1)] + [f"{col[row_q]:.17g}" for col in columns]
-                fh.write(",".join(cells) + "\n")
+        header = ["q"] + [f"{name}={v:g}" for v in values]
+        _write_csv(args.out, header, zip(qs, *(col.tolist() for col in columns)))
     else:
-        payload = {"param": name, "values": values,
-                   "q": list(range(1, params.q_max + 1)),
-                   "quotes": [list(map(float, col)) for col in columns]}
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+        _write_json(args.out, {"param": name, "values": values, "q": qs,
+                               "quotes": [col.tolist() for col in columns]}, pretty=False)
     return 0
 
 
@@ -244,12 +239,7 @@ def cmd_closed_form(args) -> int:
         else:  # binf-w
             values[q] = cf.binf_w(params, t, q)
     payload = {"which": which, "t": t, "values": {str(q): v for q, v in values.items()}}
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write_json(args.out, payload, pretty=True, end="\n")
     return 0
 
 
@@ -284,7 +274,7 @@ def cmd_simulate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     summary = simulate_ensemble(cfg)
     summary.curve_to_csv(os.path.join(args.out, "curve.csv"))
-    summary.stats_to_json(os.path.join(args.out, "stats.json"))
+    _write_json(os.path.join(args.out, "stats.json"), summary.stats_json_dict(), pretty=True)
     if args.events:
         simulate_path(cfg, 0).to_events_csv(os.path.join(args.out, "events.csv"))
     return 0
@@ -307,11 +297,7 @@ def cmd_calibrate(args) -> int:
                     "b", "horizon")
     if args.offsets is not None:
         kwargs["distance_grid"] = _parse_offsets(args.offsets)
-    result = calibrate_tape(tape, **kwargs)
-    if args.out:
-        result.to_json(args.out)
-    else:
-        print(json.dumps(result.to_json_dict(), indent=2, sort_keys=True))
+    _write_json(args.out, calibrate_tape(tape, **kwargs).to_json_dict(), pretty=True)
     return 0
 
 
@@ -332,8 +318,7 @@ def cmd_backtest(args) -> int:
                    gamma_used=ledger.gamma_used, sigma_hat=ledger.sigma_hat,
                    mid_end=ledger.mid_end, start_time=ledger.start_time,
                    end_time=ledger.end_time)
-    with open(os.path.join(args.out, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+    _write_json(os.path.join(args.out, "summary.json"), payload, pretty=True)
     return 0
 
 
@@ -378,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(sp)
     sp.add_argument("--out", required=True)
     sp.add_argument("--format", default="csv", choices=("csv", "json"))
-    sp.set_defaults(func=cmd_quotes)
+    sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("sweep", help="time-0 premiums across one parameter")
     _add_model_flags(sp)
@@ -441,7 +426,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ParameterError, RegimeError, NoAsymptoteError) as exc:
+    except (ParameterError, RegimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (DataError, CalibrationError) as exc:

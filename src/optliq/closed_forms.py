@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NoAsymptoteError, ParameterError, RegimeError
-from .model import DerivedCoefficients, ModelParams, derive_coefficients
+from .model import DerivedCoefficients, ModelParams, _write_csv, derive_coefficients
 
 __all__ = [
     "TradingCurve",
@@ -233,10 +233,7 @@ class TradingCurve:
         )
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("t,V\n")
-            for t, v in zip(self.times, self.expected_inventory):
-                fh.write(f"{t:.17g},{v:.17g}\n")
+        _write_csv(path, ("t", "V"), zip(self.times, self.expected_inventory))
 
 
 def binf_trading_curve(p: ModelParams, q0: int,

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import copy
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -37,7 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import CalibrationError, DataError, ParameterError
-from .model import ModelParams
+from .model import ModelParams, _write_csv
 from .ode import solve_w
 
 __all__ = [
@@ -153,12 +152,9 @@ class TradeTape:
     def write_csv(self, path) -> None:
         """Write back in the input format (prices restored to currency)."""
         scale = self.tick_size
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(COLUMNS) + "\n")
-            for i in range(len(self)):
-                fh.write(f"{self.ts[i]:.17g},{self.price[i] * scale:.17g},"
-                         f"{self.size[i]:.17g},{self.bid[i] * scale:.17g},"
-                         f"{self.ask[i] * scale:.17g}\n")
+        _write_csv(path, COLUMNS, ((t, price * scale, size, bid * scale, ask * scale)
+                                   for t, price, size, bid, ask in
+                                   zip(self.ts, self.price, self.size, self.bid, self.ask)))
 
 
 def load_tape(path, tick_size: float = 1.0) -> TradeTape:
@@ -384,10 +380,6 @@ class CalibrationResult:
                         for k, f in sorted(self.buckets.items())},
             "dropped": {str(k): v for k, v in sorted(self.dropped.items())},
         }
-
-    def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
 
 
 def calibrate_tape(tape: TradeTape, sampling_dt: float = 1.0,

@@ -22,6 +22,7 @@ everything here is safe to share across worker threads or processes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields, replace
 from typing import Mapping, TextIO
@@ -120,9 +121,12 @@ class ModelParams:
 
     # -- flat key=value serialization ------------------------------------
 
+    def to_config_dict(self) -> dict:
+        """The parameters under their config keys, in field order."""
+        return {FIELD_TO_CONFIG_KEY[f.name]: getattr(self, f.name) for f in fields(self)}
+
     def to_config_text(self) -> str:
-        lines = [f"{FIELD_TO_CONFIG_KEY[f.name]} = {getattr(self, f.name)!r}"
-                 for f in fields(self)]
+        lines = [f"{key} = {value!r}" for key, value in self.to_config_dict().items()]
         return "\n".join(lines) + "\n"
 
     def to_config_file(self, path) -> None:
@@ -290,26 +294,42 @@ class QuoteSurface:
     # -- exports ----------------------------------------------------------
 
     def to_csv(self, path) -> None:
-        _write_tq_csv(path, self.times, self.values, first_q=1)
+        _write_csv(path, ("t", "q", "value"), _tq_rows(self.times, self.values, first_q=1))
 
     def to_json_dict(self) -> dict:
         return {
-            "params": {FIELD_TO_CONFIG_KEY[f.name]: getattr(self.params, f.name)
-                       for f in fields(self.params)},
+            "params": self.params.to_config_dict(),
             "times": self.times.tolist(),
             "quotes": self.values.tolist(),
         }
 
 
-def _write_tq_csv(path, times, values, first_q: int) -> None:
-    # 17 significant digits so a read-back reproduces the doubles
+def _write_csv(path, header, rows) -> None:
+    """Write a table as CSV: the header, then one line per row of ``rows``.
+
+    The one CSV format of the package: ``\\n`` line ends, text cells as
+    they are and every other cell to 17 significant digits, so that a
+    read-back gives the same doubles.  The cell types of the first row set
+    the format of every row, which keeps the cost of a row to one
+    ``str.format``; ``rows`` may be any iterable, consumed once.
+    """
+    rows = iter(rows)
+    first = next(rows, None)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("t,q,value\n")
-        n_q = values.shape[1]
-        for i, t in enumerate(times):
-            row = values[i]
-            for j in range(n_q):
-                fh.write(f"{t:.17g},{first_q + j},{row[j]:.17g}\n")
+        fh.write(",".join(header) + "\n")
+        if first is None:
+            return
+        line = ",".join("{}" if isinstance(cell, str) else "{:.17g}" for cell in first) + "\n"
+        fh.write(line.format(*first))
+        fh.writelines(itertools.starmap(line.format, rows))
+
+
+def _tq_rows(times, values, first_q: int):
+    """``(t, q, value)`` per cell of a time-by-level table, level
+    ``first_q`` in column 0; one time step is converted at a time."""
+    for t, row in zip(times.tolist(), values):
+        for q, value in enumerate(row.tolist(), first_q):
+            yield t, q, value
 
 
 def hjb_residual(w, p: ModelParams, t: float, q: int,

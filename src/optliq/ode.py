@@ -37,15 +37,14 @@ are 0 and the grid is one block walk of plain doubles from w(T).
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError
-from .model import (FIELD_TO_CONFIG_KEY, ModelParams, QuoteSurface, _write_tq_csv,
-                    derive_coefficients, terminal_quote)
+from .model import (ModelParams, QuoteSurface, _tq_rows, _write_csv, derive_coefficients,
+                    terminal_quote)
 
 __all__ = [
     "WGrid",
@@ -312,19 +311,14 @@ class WGrid:
         assert np.all(self.values > 0), "w must be strictly positive"
 
     def to_csv(self, path) -> None:
-        _write_tq_csv(path, self.times, self.doubles(), first_q=0)
+        _write_csv(path, ("t", "q", "value"), _tq_rows(self.times, self.doubles(), first_q=0))
 
     def to_json_dict(self) -> dict:
         return {
-            "params": {FIELD_TO_CONFIG_KEY[f.name]: getattr(self.params, f.name)
-                       for f in fields(self.params)},
+            "params": self.params.to_config_dict(),
             "times": self.times.tolist(),
             "w": self.doubles().tolist(),
         }
-
-    def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ simulated with the same seed sees the same draws (common random numbers).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -42,7 +41,7 @@ import numpy as np
 
 from .closed_forms import TradingCurve
 from .errors import ParameterError
-from .model import ModelParams, QuoteSurface
+from .model import ModelParams, QuoteSurface, _write_csv
 
 __all__ = [
     "FixedQuote",
@@ -155,10 +154,7 @@ class SimPath:
     market_order_count: int
 
     def to_events_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("t,price,event\n")
-            for t, px in self.fills:
-                fh.write(f"{t:.17g},{px:.17g},fill\n")
+        _write_csv(path, ("t", "price", "event"), ((t, px, "fill") for t, px in self.fills))
 
 
 @dataclass(frozen=True)
@@ -177,12 +173,9 @@ class SimSummary:
     price_terminal_stderr: float
 
     def curve_to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("t,mean_q,stderr\n")
-            for t, v, se in zip(self.trading_curve.times,
-                                self.trading_curve.expected_inventory,
-                                self.mc_stderr_curve):
-                fh.write(f"{t:.17g},{v:.17g},{se:.17g}\n")
+        curve = self.trading_curve
+        _write_csv(path, ("t", "mean_q", "stderr"),
+                   zip(curve.times, curve.expected_inventory, self.mc_stderr_curve))
 
     def stats_json_dict(self) -> dict:
         return {
@@ -197,10 +190,6 @@ class SimSummary:
             "price_terminal_mean": self.price_terminal_mean,
             "price_terminal_stderr": self.price_terminal_stderr,
         }
-
-    def stats_to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.stats_json_dict(), fh, indent=2, sort_keys=True)
 
 
 # ------------------------------------------------------------ random streams
@@ -311,10 +300,9 @@ def _simulate(cfg: SimConfig, table: _HazardTable, paths, on_fill=None) -> dict:
     """Exact events of the given paths; returns their finals.
 
     Fill round j moves every live path, all at level q0 - j, to its next
-    event.  ``on_fill(j, rows, tau, s_at, price, market)`` is called with
-    the units sold in round j: the rows into ``paths``, the event times, the
-    reference prices there, the settlement prices and the market-order
-    flags.
+    event.  ``on_fill(j, tau, s_at, price)`` is called with the units sold
+    in round j: their event times, the reference prices there and the
+    settlement prices.
     """
     p = cfg.params
     horizon = p.horizon
@@ -363,7 +351,7 @@ def _simulate(cfg: SimConfig, table: _HazardTable, paths, on_fill=None) -> dict:
         market_orders[rows] += market
         node = np.where(forced, forced_at, k)
         if on_fill is not None:
-            on_fill(j, rows, t, s_live[sold], price, market)
+            on_fill(j, t, s_live[sold], price)
 
     # every unit sold before T: carry the price on to T
     gap = horizon - t
@@ -396,7 +384,7 @@ def simulate_path(cfg: SimConfig, path_index: int = 0) -> SimPath:
     table = _HazardTable(cfg.policy, cfg.params, cfg.q0)
     events = []   # (time, reference price, settlement price) per unit sold
 
-    def record(j, rows, tau, s_at, price, market):
+    def record(j, tau, s_at, price):
         events.extend(zip(tau.tolist(), s_at.tolist(), price.tolist()))
 
     res = _simulate(cfg, table, [path_index], on_fill=record)
@@ -461,7 +449,7 @@ def simulate_ensemble(cfg: SimConfig) -> SimSummary:
     fills = np.zeros(grid.size)
     fills_sq = np.zeros(grid.size)
 
-    def record(j, rows, tau, s_at, price, market):
+    def record(j, tau, s_at, price):
         count = np.bincount(np.searchsorted(grid, tau), minlength=grid.size)
         fills[:] += count
         # q^2 falls by 2q - 1 when level q sells a unit

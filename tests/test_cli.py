@@ -49,6 +49,18 @@ class TestQuotePipeline:
         assert float(first[0]) == 0.0 and first[1] == "0"
         assert float(first[2]) == 1.0
 
+    def test_solve_json_is_compact(self, config_path, tmp_path):
+        out = tmp_path / "w.json"
+        res = run_cli("solve", "--config", str(config_path), "--out", str(out),
+                      "--steps", "10", "--format", "json")
+        assert res.returncode == 0, res.stderr
+        text = out.read_text()
+        data = json.loads(text)
+        assert text == json.dumps(data)
+        assert set(data) == {"params", "times", "w"}
+        assert data["params"]["A"] == ModelParams().big_a
+        assert data["w"][10][0] == 1.0
+
     def test_quotes_reproduce_reference_values(self, config_path, tmp_path):
         out = tmp_path / "quotes.json"
         res = run_cli("quotes", "--config", str(config_path), "--out",
@@ -89,12 +101,17 @@ class TestQuotePipeline:
 
 
 class TestClosedFormCommand:
-    def test_asymptotic_to_stdout(self, config_path):
-        res = run_cli("closed-form", "--config", str(config_path),
-                      "--which", "asymptotic", "--q", "1")
+    def test_asymptotic_to_stdout(self, config_path, tmp_path):
+        args = ("closed-form", "--config", str(config_path), "--which", "asymptotic",
+                "--q", "1")
+        res = run_cli(*args)
         assert res.returncode == 0, res.stderr
         data = json.loads(res.stdout)
         assert data["values"]["1"] == pytest.approx(16.1469, abs=1e-3)
+        # indented with sorted keys; --out holds the same text
+        assert res.stdout == json.dumps(data, indent=2, sort_keys=True) + "\n"
+        assert run_cli(*args, "--out", str(tmp_path / "cf.json")).returncode == 0
+        assert (tmp_path / "cf.json").read_text() == res.stdout
 
     def test_regime_error_exit_code(self, config_path):
         res = run_cli("closed-form", "--config", str(config_path),
@@ -149,9 +166,14 @@ class TestCalibrateCommand:
         res = run_cli("calibrate", "--tape", str(tape_path), "--out", str(out),
                       "--gamma-target", "1.0")
         assert res.returncode == 0, res.stderr
-        data = json.loads(out.read_text())
+        text = out.read_text()
+        data = json.loads(text)
+        assert text == json.dumps(data, indent=2, sort_keys=True)
+        assert set(data) == {"sigma_hat", "gamma_hat", "buckets", "dropped"}
         assert data["sigma_hat"] > 0
         assert data["buckets"]
+        assert all(set(bucket) == {"A_hat", "k_hat", "n_obs"}
+                   for bucket in data["buckets"].values())
 
     def test_missing_tape_is_data_error(self, tmp_path):
         res = run_cli("calibrate", "--tape", str(tmp_path / "nope.csv"))
@@ -279,7 +301,7 @@ class TestUsageErrors:
         cfg.write_text("mu = 0\nwhatever = 3\n")
         res = run_cli("solve", "--config", str(cfg),
                       "--out", str(tmp_path / "w.csv"))
-        assert res.returncode == 2
+        assert res.returncode == 2 and "'whatever'" in res.stderr
 
     def test_malformed_config_line(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -4,7 +4,6 @@ closed forms; convergence orders, w beyond the double range and export
 schemas."""
 
 import csv
-import json
 import math
 
 import mpmath
@@ -532,14 +531,6 @@ class TestExports:
         assert w0[100] == 0.0 and w0[60] > 0.0
         assert np.array_equal(w0, grid.doubles(0))
         assert np.allclose(np.log(w0[1:60]), log_w(grid, 0)[1:60], rtol=1e-15, atol=0)
-
-    def test_wgrid_json(self, ref_params, tmp_path):
-        grid = solve_grid(ref_params, 10)
-        path = tmp_path / "w.json"
-        grid.to_json(path)
-        data = json.loads(path.read_text())
-        assert data["params"]["A"] == ref_params.big_a
-        assert data["w"][10][0] == 1.0
 
     def test_surface_csv_schema(self, ref_params, tmp_path):
         surface = quote_surface(solve_grid(ref_params, 20))

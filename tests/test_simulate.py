@@ -33,13 +33,18 @@ def run_paths(cfg, paths):
 
 
 def all_fills(cfg):
-    """(path, time, price, market order) arrays of every unit sold in an
-    ensemble."""
+    """(path, time, price) arrays of every unit sold in an ensemble, and the
+    ensemble's finals.  Fill round j sells, in path order, one unit of each
+    path that sells more than j units."""
     out = []
-    _simulate(cfg, _HazardTable(cfg.policy, cfg.params, cfg.q0),
-              np.arange(cfg.n_paths),
-              on_fill=lambda j, rows, tau, s, px, mo: out.append((rows, tau, px, mo)))
-    return tuple(np.concatenate(col) for col in zip(*out))
+    finals = _simulate(cfg, _HazardTable(cfg.policy, cfg.params, cfg.q0),
+                       np.arange(cfg.n_paths),
+                       on_fill=lambda j, tau, s, px: out.append((tau, px)))
+    sold = cfg.q0 - finals["q_final"]
+    path_ids = np.concatenate([np.flatnonzero(sold > j) for j in range(len(out))])
+    t_fills, price = (np.concatenate(col) for col in zip(*out))
+    assert path_ids.size == t_fills.size
+    return path_ids, t_fills, price, finals
 
 
 class TestConfigValidation:
@@ -354,10 +359,12 @@ class TestMarketOrderFallback:
         cfg = SimConfig(params=p, q0=6, dt=0.5, n_paths=2000, seed=21,
                         policy=MarketOrderFallback(surface, threshold=0.0),
                         s0=100.0)
-        _, _, price, market = all_fills(cfg)
+        path_ids, _, price, finals = all_fills(cfg)
+        market = finals["market_orders"]
         assert market.any()
-        assert np.all(price[market] == 100.0)
-        assert np.all(price[~market] >= 100.0)
+        assert np.all(price >= 100.0)
+        # each path has as many fills at exactly s0 as market orders
+        assert np.array_equal(np.bincount(path_ids[price == 100.0], minlength=2000), market)
 
     def test_fallback_accelerates_liquidation(self):
         p = ModelParams(sigma=3.0)
