@@ -1,6 +1,7 @@
 """Tape ingestion, the three calibrators, and the generate-then-recover
 round trip."""
 
+import json
 import re
 
 import numpy as np
@@ -313,3 +314,13 @@ class TestRoundTrip:
         assert abs(fit.a_hat - 0.1) <= 0.02
         assert abs(fit.k_hat - 0.3) <= 0.06
         assert result.gamma_hat is not None and result.gamma_hat > 0
+
+    def test_json_serialisation(self):
+        tape = synthetic_tape(36_000.0, sigma=0.3, big_a=0.1, k=0.3, seed=101)
+        result = calibrate_tape(tape, gamma_target=1.0)
+        data = json.loads(json.dumps(result.to_json_dict()))
+        assert set(data) == {"sigma_hat", "gamma_hat", "buckets", "dropped"}
+        assert data["sigma_hat"] == result.sigma_hat
+        assert data["gamma_hat"] == result.gamma_hat
+        bucket = next(iter(data["buckets"].values()))
+        assert set(bucket) == {"A_hat", "k_hat", "n_obs"}
