@@ -158,16 +158,16 @@ def _given(args, *names) -> dict:
     return {n: getattr(args, n) for n in names if getattr(args, n) is not None}
 
 
-def _write_json(path, payload, pretty: bool, end: str = "") -> None:
-    """Write ``payload`` as JSON to the file ``path``, followed by ``end``,
-    or print it when there is no ``path``: compact for the solver exports,
-    indented with sorted keys (``pretty``) for the reports."""
+def _write_json(path, payload, pretty: bool) -> None:
+    """Write ``payload`` as JSON to the file ``path``, or print it when there
+    is no ``path``; either way the text ends in a newline.  Compact for the
+    solver exports, indented with sorted keys (``pretty``) for the reports."""
     text = json.dumps(payload, indent=2, sort_keys=True) if pretty else json.dumps(payload)
     if not path:
         print(text)
         return
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + end)
+        fh.write(text + "\n")
 
 
 # -- subcommands -----------------------------------------------------------
@@ -239,7 +239,7 @@ def cmd_closed_form(args) -> int:
         else:  # binf-w
             values[q] = cf.binf_w(params, t, q)
     payload = {"which": which, "t": t, "values": {str(q): v for q, v in values.items()}}
-    _write_json(args.out, payload, pretty=True, end="\n")
+    _write_json(args.out, payload, pretty=True)
     return 0
 
 

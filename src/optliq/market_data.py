@@ -150,11 +150,12 @@ class TradeTape:
         return index
 
     def write_csv(self, path) -> None:
-        """Write back in the input format (prices restored to currency)."""
-        scale = self.tick_size
-        _write_csv(path, COLUMNS, ((t, price * scale, size, bid * scale, ask * scale)
-                                   for t, price, size, bid, ask in
-                                   zip(self.ts, self.price, self.size, self.bid, self.ask)))
+        """Write back in the input format (prices restored to currency),
+        converting 4096 rows at a time to Python floats."""
+        scale = np.array([1.0, self.tick_size, 1.0, self.tick_size, self.tick_size])
+        blocks = (np.column_stack([getattr(self, c)[lo:lo + 4096] for c in COLUMNS]) * scale
+                  for lo in range(0, len(self), 4096))
+        _write_csv(path, COLUMNS, (row for block in blocks for row in block.tolist()))
 
 
 def load_tape(path, tick_size: float = 1.0) -> TradeTape:
@@ -167,20 +168,23 @@ def load_tape(path, tick_size: float = 1.0) -> TradeTape:
     except OSError as exc:
         raise DataError(f"cannot read tape {path}: {exc}") from exc
     with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise DataError(f"{path}: empty file")
-        missing = [c for c in COLUMNS if c not in reader.fieldnames]
+        position = {name: i for i, name in enumerate(header)}
+        missing = [c for c in COLUMNS if c not in position]
         if missing:
             raise DataError(f"{path}: missing columns {missing}")
+        appends = [(position[c], cols[c].append) for c in COLUMNS]
         for row in reader:
-            line = reader.line_num
+            if not row:  # a blank line
+                continue
             try:
-                values = [float(row[c]) for c in COLUMNS]
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"{path}: malformed row at line {line}") from exc
-            for key, value in zip(cols, values):
-                cols[key].append(value)
+                for i, append in appends:
+                    append(float(row[i]))
+            except (IndexError, ValueError) as exc:
+                raise DataError(f"{path}: malformed row at line {reader.line_num}") from exc
     if not cols["ts"]:
         raise DataError(f"{path}: no data rows")
     scale = 1.0 / tick_size
@@ -332,7 +336,9 @@ def calibrate_gamma(big_a: float, k: float, sigma: float, mu: float, b: float,
     """Risk aversion that makes the time-0 premium at q = 1 hit the target.
 
     The premium is continuous and decreasing in gamma over the bracket
-    [1e-6, 100], so plain bisection to 1e-4 Ticks on the quote suffices.
+    [1e-6, 100], so plain bisection to 1e-4 Ticks on the quote suffices:
+    each step is one point quote at ``q_max = 1``, which
+    :meth:`optliq.ode.WSolution.quotes_at` takes in closed form.
     If the target falls outside the premiums attainable on the bracket,
     raises :class:`CalibrationError` reporting the attainable interval.
     Deterministic: no randomness anywhere in the evaluation.

@@ -33,6 +33,12 @@ of grid steps; the exponents change only where the kept ones cannot reach
 a block, and a step too long even for fresh ones is crossed as a walk of
 two half steps.  Where w stays well inside the double range the exponents
 are 0 and the grid is one block walk of plain doubles from w(T).
+
+Level one couples only to ``w_0 = 1``: ``w_1(T - tau) = e^(-x - k b) +
+eta tau phi1(-x)``, ``x = lambda_1 tau``, ``phi1(y) = expm1(y) / y``.  A
+point at ``q_max = 1`` (the backtester's last unit, each step of the gamma
+calibration) takes it, split into a mantissa and an exponent as w(T) is;
+grids, and points at ``q_max >= 2``, take the walk.
 """
 
 from __future__ import annotations
@@ -77,17 +83,34 @@ _LOG_TINY = math.log(_TINY)
 _LN2_PIECES = (0.6931471801362932, 4.2365213637554633e-10, 2.0538208177030216e-19)
 
 
-def _terminal_state(p: ModelParams) -> tuple:
-    """w(T) = exp(-k q b) as (mantissas, exponents): the double itself with
-    exponent 0 where it is normal, else reduced by a multiple of ``ln 2``
-    first (Cody & Waite)."""
-    x = -p.k * p.b * np.arange(p.q_max + 1, dtype=float)
-    if x[-1] >= _LOG_TINY:  # the top level, the smallest, is normal
+def _split_exp(x: np.ndarray) -> tuple:
+    """exp(x) as (mantissas, exponents): the double itself with exponent 0
+    where ``|x| <= -ln(tiny)``, so that it is normal, else reduced by a
+    multiple of ``ln 2`` first (Cody & Waite)."""
+    outside = np.abs(x) > -_LOG_TINY
+    if not outside.any():
         return np.exp(x), np.zeros(x.size, dtype=np.int64)
-    e = np.where(x < _LOG_TINY, np.floor(x / math.log(2.0)) + 1.0, 0.0)
+    e = np.where(outside, np.floor(x / math.log(2.0)) + 1.0, 0.0)
     for piece in _LN2_PIECES:
         x = x - e * piece
     return np.exp(x), e.astype(np.int64)
+
+
+def _terminal_state(p: ModelParams) -> tuple:
+    """w(T) = exp(-k q b) as (mantissas, exponents)."""
+    return _split_exp(-p.k * p.b * np.arange(p.q_max + 1, dtype=float))
+
+
+def _level_one_state(p: ModelParams, tau: float) -> tuple:
+    """w(T - tau) at q_max = 1 in closed form, summed in logs, with
+    ``ln phi1(y) = max(y, 0) + ln(-expm1(-|y|)) - ln|y|``: the logs take
+    positive numbers formed without a cancellation."""
+    c = derive_coefficients(p)
+    y = (c.beta - c.alpha) * tau
+    log_phi = max(y, 0.0) + math.log(-math.expm1(-abs(y))) - math.log(abs(y)) if y else 0.0
+    # eta may round to 0; tau = 0 is w(T)
+    log_feed = math.log(c.eta) + math.log(tau) + log_phi if c.eta > 0 and tau > 0 else -math.inf
+    return _split_exp(np.array([0.0, np.logaddexp(y - p.k * p.b, log_feed)]))
 
 
 def _propagator(lam: np.ndarray, eta: float, tau: float, e: np.ndarray) -> np.ndarray:
@@ -328,10 +351,12 @@ class WSolution:
     params: ModelParams
 
     def _state_at(self, t: float) -> tuple:
-        """w(t) as (mantissas, exponents), by a walk of one step."""
+        """w(t) as (mantissas, exponents): level one in closed form, else a walk of one step."""
         p = self.params
         if not 0.0 <= t <= p.horizon:
             raise ParameterError(f"t={t} outside [0, {p.horizon}]")
+        if p.q_max == 1:
+            return _level_one_state(p, p.horizon - t)
         v, e = _terminal_state(p)
         return (v, e) if t == p.horizon else _Walk(p).run(v, e, p.horizon - t, 1, _advance)
 

@@ -12,6 +12,7 @@ from optliq import (BacktestConfig, CalibrationError, ParameterError,
                     TradeTape, round_quote, run_backtest, summarize)
 from optliq.backtest import BacktestLedger
 from optliq.market_data import synthetic_tape
+from optliq.ode import WSolution, _advance, _quotes, _terminal_state, _Walk
 from tests.oracles import calibrate_intensity_recount
 
 
@@ -262,6 +263,46 @@ class TestIndexedIntensityFit:
             assert a.raw_delta == pytest.approx(b.raw_delta, rel=0, abs=1e-12)
             assert a.a_hat == pytest.approx(b.a_hat, rel=1e-12, abs=0)
             assert a.k_hat == pytest.approx(b.k_hat, rel=1e-12, abs=0)
+
+
+def walk_quotes_at(self, t):
+    """:meth:`WSolution.quotes_at` by the walk at every ``q_max``, level
+    one included."""
+    p = self.params
+    v, e = _terminal_state(p)
+    if t < p.horizon:
+        v, e = _Walk(p).run(v, e, p.horizon - t, 1, _advance)
+    return _quotes(v, e, p, np.empty(p.q_max))
+
+
+class TestLevelOneQuotes:
+    """Ledgers quoted through the closed form of level one against the walk."""
+
+    @pytest.mark.parametrize("case", ["fixed", "quote_target", "two_buckets"])
+    def test_ledger_matches_walk(self, case, bullish_tape, bullish_cfg, monkeypatch):
+        tape, cfg = bullish_tape, bullish_cfg
+        if case == "quote_target":
+            cfg = dataclasses.replace(bullish_cfg, gamma_mode="quote_target",
+                                      gamma_value=1.0, rounding="randomized")
+        elif case == "two_buckets":
+            # a tape replay episode: the spread alternates 1 and 2 Ticks
+            # every minute, re-quotes every 5 s from q0 = 10
+            schedule = [(60.0 * i, 1.0 + i % 2) for i in range(60)]
+            tape = synthetic_tape(3600.0, sigma=0.3, big_a=0.2, k=0.3, mid0=1000.0,
+                                  spread_schedule=schedule, seed=1)
+            cfg = BacktestConfig(q0=10, delta_t=5.0, warmup=1800.0, horizon=1800.0,
+                                 recalib_window=1800.0, gamma_mode="quote_target",
+                                 gamma_value=1.0)
+        got = run_backtest(tape, cfg)
+        monkeypatch.setattr(WSolution, "quotes_at", walk_quotes_at)
+        want = run_backtest(tape, cfg)
+        assert any(o.q_before == 1 for o in got.orders)
+        assert got.fills == want.fills
+        assert got.gamma_used == want.gamma_used
+        assert len(got.orders) == len(want.orders)
+        for a, b in zip(got.orders, want.orders):
+            assert dataclasses.replace(a, raw_delta=0.0) == dataclasses.replace(b, raw_delta=0.0)
+            assert a.raw_delta == pytest.approx(b.raw_delta, rel=0, abs=1e-12)
 
 
 class TestEdgesAndErrors:

@@ -56,7 +56,8 @@ class TestQuotePipeline:
         assert res.returncode == 0, res.stderr
         text = out.read_text()
         data = json.loads(text)
-        assert text == json.dumps(data)
+        # what print() would write: --out is required for solve
+        assert text == json.dumps(data) + "\n"
         assert set(data) == {"params", "times", "w"}
         assert data["params"]["A"] == ModelParams().big_a
         assert data["w"][10][0] == 1.0
@@ -168,7 +169,11 @@ class TestCalibrateCommand:
         assert res.returncode == 0, res.stderr
         text = out.read_text()
         data = json.loads(text)
-        assert text == json.dumps(data, indent=2, sort_keys=True)
+        # indented with sorted keys; the file holds what the command prints
+        assert text == json.dumps(data, indent=2, sort_keys=True) + "\n"
+        printed = run_cli("calibrate", "--tape", str(tape_path), "--gamma-target", "1.0")
+        assert printed.returncode == 0, printed.stderr
+        assert printed.stdout == text
         assert set(data) == {"sigma_hat", "gamma_hat", "buckets", "dropped"}
         assert data["sigma_hat"] > 0
         assert data["buckets"]

@@ -52,9 +52,12 @@ class TestLoadTape:
             load_tape(empty)
 
     def test_malformed_row_names_line(self, tmp_path):
-        rows = GOOD_ROWS[:1] + ["2.5,abc,80,99.6,100.6\n"] + GOOD_ROWS[2:]
-        with pytest.raises(DataError, match="line 3"):
-            load_tape(write_tape(tmp_path, rows))
+        # a bad value, and a short row after a blank line, which is
+        # skipped but counted
+        for bad, line in (("2.5,abc,80,99.6,100.6\n", 3), ("\n2.5,100.7,80,99.6\n", 4)):
+            rows = GOOD_ROWS[:1] + [bad] + GOOD_ROWS[2:]
+            with pytest.raises(DataError, match=f"line {line}"):
+                load_tape(write_tape(tmp_path, rows))
 
     def test_crossed_quote_names_record(self, tmp_path):
         rows = GOOD_ROWS[:2] + ["4.0,99.4,100,100.4,99.4\n"]

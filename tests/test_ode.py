@@ -82,6 +82,25 @@ def expm_log_w(p, t):
     return w
 
 
+# q_max = 1 parameter sets: with b = 3000 and k = 0.4, w_1(T) = e^-1200 is
+# below the double range, and with mu > 0, w_1(0) grows above it
+LEVEL_ONE_CASES = [
+    {},
+    {"gamma": 1e-6},
+    {"gamma": 100.0},
+    {"mu": 0.05, "k": 0.4, "horizon": 86400.0, "b": 3000.0},
+    {"mu": 0.2, "k": 0.4, "horizon": 86400.0, "b": 3000.0},
+    {"mu": 0.2, "k": 0.4, "horizon": 86400.0, "b": 3000.0, "gamma": 1e-6},
+    {"mu": -0.05, "k": 0.4, "horizon": 86400.0, "b": 3000.0, "gamma": 100.0},
+]
+
+
+def level_one_gap(got, exact):
+    """|got - exact| in units of 1e-14 Ticks, relative for quotes beyond one
+    Tick, whose doubles are spaced wider than that."""
+    return np.max(np.abs(np.subtract(got, exact)) / np.maximum(1.0, np.abs(exact))) / 1e-14
+
+
 def closed_form_grid(p, times):
     values = np.empty((times.size, p.q_max + 1))
     for q in range(p.q_max + 1):
@@ -201,6 +220,15 @@ class TestSolveSpectral:
         grid = dec.to_wgrid(1000)
         for i in (0, 1, 31, 32, 33, 500, 999, 1000):
             assert max_rel(grid.doubles(i), dec.evaluate_at(float(grid.times[i]))) < 1e-12
+
+    @pytest.mark.parametrize("changes", LEVEL_ONE_CASES)
+    def test_level_one_matches_walk_at_grid_nodes(self, changes):
+        # point quotes take level one in closed form, grids walk it
+        p = ModelParams(q_max=1, **changes)
+        dec = solve_w(p)
+        surface = quote_surface(dec.to_wgrid(100))
+        got = [dec.quotes_at(float(t))[0] for t in surface.times]
+        assert level_one_gap(got, surface.values[:, 0]) <= 1.0
 
     def test_point_evaluation_survives_propagator_overflow(self):
         # w_36(0) ~ 9.35e303 is a double, but an entry of the whole
@@ -468,6 +496,21 @@ class TestExtremeLiquidationCost:
         assert np.max(np.abs(solve_w(p).quotes_at(0.0) - surface.values[0])) < 1e-12
         with pytest.raises(ParameterError, match="quotes_at"):
             quote_from_w(*solve_w(p).evaluate_at(0.0)[[100, 99]], p)
+
+    @pytest.mark.parametrize("changes", LEVEL_ONE_CASES)
+    def test_level_one_matches_mpmath(self, changes):
+        p = ModelParams(q_max=1, **changes)
+        dec = solve_w(p)
+        with mpmath.workdps(60):
+            spread = mpmath.log1p(mpmath.mpf(p.gamma) / p.k) / p.gamma
+        horizon = p.horizon
+        for t in (0.0, 0.5 * horizon, horizon - 1.0, horizon - 1e-6,
+                  math.nextafter(horizon, 0.0), horizon):
+            # the expansion cancels e^(-k b) = e^-1200 out of terms of order
+            # one near T: 600 digits keep it
+            ref = mp_log_w(p, t, dps=600)
+            exact = float((ref[1] - ref[0]) / p.k + spread)
+            assert level_one_gap(dec.quotes_at(t)[0], exact) <= 1.0, t
 
     def test_relaxation_far_below_terminal_matches_mpmath(self):
         # w_200 falls from 1 at T to about 2^-2690 within a second, far

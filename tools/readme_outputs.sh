@@ -60,3 +60,18 @@ optliq closed-form --config reference.cfg --set sigma=0 --which nodrift --t 100 
     --out nodrift.json
 optliq closed-form --config reference.cfg --set sigma=0 --which binf-curve --q0 4 \
     --points 11 --out binf_curve.csv
+
+# a tape shaped like the replay benchmark's: the spread alternates 1 and 2
+# Ticks every minute, so two spread buckets are fitted, and the backtest
+# re-quotes every 5 s from q0 = 10, at q >= 2 and at q = 1
+python3 - <<'PY'
+from optliq import synthetic_tape
+schedule = [(60.0 * i, 1.0 + i % 2) for i in range(120)]
+synthetic_tape(7200.0, sigma=0.3, big_a=0.2, k=0.3, mid0=1000.0,
+               spread_schedule=schedule, seed=1).write_csv("tape_replay.csv")
+PY
+optliq calibrate --tape tape_replay.csv --gamma-target 1.0 --horizon 1800 \
+    --out calib_replay.json
+optliq backtest --tape tape_replay.csv --q0 10 --delta-t 5 --warmup 2700 \
+    --horizon 1800 --recalib-window 1800 --gamma-mode quote_target --gamma-value 1.0 \
+    --out bt_replay/
