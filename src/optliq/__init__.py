@@ -11,9 +11,8 @@ discrete re-quoting protocol.
 
 from .backtest import (BacktestConfig, BacktestLedger, BacktestReport,
                        round_quote, run_backtest, summarize)
-from .closed_forms import (TradingCurve, asymptotic_quote, asymptotic_w,
-                           binf_quote, binf_trading_curve, binf_w,
-                           nodrift_novol_quote, nodrift_novol_w,
+from .closed_forms import (TradingCurve, asymptotic_quote, binf_quote,
+                           binf_trading_curve, binf_w, nodrift_novol_quote,
                            risk_neutral_quote)
 from .errors import (CalibrationError, DataError, NoAsymptoteError,
                      OptliqError, ParameterError, RegimeError, UsageError)

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import CalibrationError, DataError, ParameterError
 from .market_data import (DEFAULT_DISTANCE_GRID, TradeTape, calibrate_gamma,
                           calibrate_intensity, calibrate_sigma)
-from .model import ModelParams, _write_csv
+from .model import ModelParams, _require_finite, _require_int, _write_csv
 from .ode import solve_w
 
 __all__ = [
@@ -50,6 +50,8 @@ def round_quote(raw: float, mode: str = "nearest", rng=None) -> int:
     ``randomized`` picks floor with probability (ceil - raw) and ceil with
     probability (raw - floor), so the expectation equals the raw premium.
     """
+    if not math.isfinite(raw):
+        raise ParameterError(f"cannot round the premium {raw} to a Tick")
     if mode == "nearest":
         return int(math.floor(raw + 0.5)) if raw >= 0 else int(math.ceil(raw - 0.5))
     if mode == "randomized":
@@ -91,6 +93,10 @@ class BacktestConfig:
     n_min: int = 50
 
     def __post_init__(self):
+        _require_int(q0=self.q0, n_min=self.n_min)
+        _require_finite(warmup=self.warmup, horizon=self.horizon,
+                        recalib_window=self.recalib_window, gamma_value=self.gamma_value,
+                        b=self.b, sampling_dt=self.sampling_dt)
         if self.q0 < 1:
             raise ParameterError(f"q0 must be >= 1, got {self.q0}")
         if not self.delta_t > 0:
@@ -104,6 +110,10 @@ class BacktestConfig:
                                  f"{self.reference!r}")
         if self.b < 0:
             raise ParameterError(f"b must be >= 0, got {self.b}")
+        if self.horizon is not None and not self.horizon > 0:
+            raise ParameterError(f"horizon must be > 0, got {self.horizon}")
+        if self.market_order_threshold is not None and math.isnan(self.market_order_threshold):
+            raise ParameterError("market_order_threshold must not be NaN")
 
 
 @dataclass(frozen=True)
@@ -177,8 +187,6 @@ def run_backtest(tape: TradeTape, cfg: BacktestConfig) -> BacktestLedger:
             f"warm-up of {warmup}s consumes the whole tape (span {tape.span}s)"
         )
     horizon = cfg.horizon if cfg.horizon is not None else float(tape.ts[-1]) - start
-    if horizon <= 0:
-        raise ParameterError(f"horizon must be > 0, got {horizon}")
     end_cap = min(start + horizon, float(tape.ts[-1]))
 
     try:

@@ -4,8 +4,9 @@ Four regimes admit explicit expressions:
 
 * long horizon (T -> infinity): constant quote per inventory level, valid
   when ``mu < gamma sigma^2 / 2``;
-* no drift and no volatility (mu = sigma = 0): polynomial-in-(T-t) w values
-  and an explicit premium bounded below by the terminal quote;
+* no drift and no volatility (mu = sigma = 0): an explicit premium, from
+  the ratio of two polynomials in (T-t), bounded below by the terminal
+  quote;
 * risk-neutral limit (gamma -> 0) of the no-drift case: same shape with
   eta replaced by big_a/e and the spread term by 1/k, unbounded in T;
 * forced complete liquidation (terminal discount b -> infinity, sigma = 0):
@@ -25,13 +26,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NoAsymptoteError, ParameterError, RegimeError
-from .model import DerivedCoefficients, ModelParams, _write_csv, derive_coefficients
+from .model import ModelParams, _write_csv, derive_coefficients
 
 __all__ = [
     "TradingCurve",
     "asymptotic_quote",
-    "asymptotic_w",
-    "nodrift_novol_w",
     "nodrift_novol_quote",
     "risk_neutral_quote",
     "binf_w",
@@ -67,32 +66,6 @@ def asymptotic_quote(p: ModelParams, q: int) -> float:
     return math.log(p.big_a / (p.k + p.gamma) / denom) / p.k
 
 
-def asymptotic_w(p: ModelParams, q: int,
-                 coeffs: DerivedCoefficients | None = None) -> float:
-    """Long-horizon limit of w_q(0): ``eta^q / q! * prod_j 1/(alpha j - beta)``."""
-    if coeffs is None:
-        coeffs = derive_coefficients(p)
-    if not 0 <= q <= p.q_max:
-        raise ParameterError(f"q must be in 0..{p.q_max}, got {q}")
-    if q == 0:
-        return 1.0
-    if not coeffs.alpha > coeffs.beta:
-        raise NoAsymptoteError(
-            f"no long-horizon w limit: need alpha > beta "
-            f"({coeffs.alpha} <= {coeffs.beta})"
-        )
-    out = 1.0
-    for j in range(1, q + 1):
-        out *= coeffs.eta / (j * (coeffs.alpha * j - coeffs.beta))
-    return out
-
-
-def _require_nodrift_novol(p: ModelParams, name: str):
-    _require(p.sigma == 0.0 and p.mu == 0.0,
-             f"{name} requires sigma = 0 and mu = 0, got "
-             f"sigma={p.sigma}, mu={p.mu}")
-
-
 def _log_poly_w_terms(scale: float, kb: float, q: int, remaining: float) -> np.ndarray:
     """ln of the terms ``scale^j / j! * exp(-kb (q-j)) * remaining^j`` for
     j = 0..q, finite wherever the term is positive."""
@@ -121,18 +94,6 @@ def _poly_quote(scale: float, p: ModelParams, t: float, q: int) -> float:
     return -p.b + float(np.logaddexp(0.0, logs[q] - _log_sum(logs[:q]))) / p.k
 
 
-def nodrift_novol_w(p: ModelParams, t: float, q: int) -> float:
-    """w_q(t) in the mu = sigma = 0 regime:
-    ``sum_j eta^j/j! exp(-k b (q-j)) (T-t)^j``."""
-    _require_nodrift_novol(p, "nodrift_novol_w")
-    if q < 0:
-        raise ParameterError(f"q must be >= 0, got {q}")
-    if not 0.0 <= t <= p.horizon:
-        raise ParameterError(f"t={t} outside [0, {p.horizon}]")
-    eta = derive_coefficients(p).eta
-    return float(np.exp(_log_sum(_log_poly_w_terms(eta, p.k * p.b, q, p.horizon - t))))
-
-
 def nodrift_novol_quote(p: ModelParams, t: float, q: int) -> float:
     """Premium in the mu = sigma = 0 regime.
 
@@ -141,7 +102,9 @@ def nodrift_novol_quote(p: ModelParams, t: float, q: int) -> float:
     summed in logs so the quote is finite wherever w is positive.
     Strictly above the terminal quote for t < T.
     """
-    _require_nodrift_novol(p, "nodrift_novol_quote")
+    _require(p.sigma == 0.0 and p.mu == 0.0,
+             f"nodrift_novol_quote requires sigma = 0 and mu = 0, got "
+             f"sigma={p.sigma}, mu={p.mu}")
     p.require_risk_averse("nodrift_novol_quote")
     eta = derive_coefficients(p).eta
     return _poly_quote(eta, p, t, q) + math.log1p(p.gamma / p.k) / p.gamma
@@ -215,7 +178,6 @@ class TradingCurve:
 
     times: np.ndarray
     expected_inventory: np.ndarray
-    q0: int
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -224,13 +186,6 @@ class TradingCurve:
             raise ParameterError("trading curve shape mismatch")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "expected_inventory", inv)
-
-    def check_invariants(self) -> None:
-        if self.times[0] == 0.0:
-            assert abs(self.expected_inventory[0] - self.q0) <= 1e-12 * self.q0
-        assert np.all(np.diff(self.expected_inventory) <= 1e-12), (
-            "expected inventory must be non-increasing"
-        )
 
     def to_csv(self, path) -> None:
         _write_csv(path, ("t", "V"), zip(self.times, self.expected_inventory))
@@ -259,4 +214,4 @@ def binf_trading_curve(p: ModelParams, q0: int,
     else:
         base = np.expm1(-beta * (p.horizon - t)) / math.expm1(-beta * p.horizon)
     v = q0 * np.clip(base, 0.0, None) ** power
-    return TradingCurve(times=t, expected_inventory=v, q0=q0)
+    return TradingCurve(times=t, expected_inventory=v)

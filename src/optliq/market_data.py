@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import CalibrationError, DataError, ParameterError
-from .model import ModelParams, _write_csv
+from .model import ModelParams, _require_int, _write_csv
 from .ode import solve_w
 
 __all__ = [
@@ -114,7 +114,6 @@ class TradeTape:
         if np.any(self.size <= 0):
             i = int(np.argmax(self.size <= 0))
             raise DataError(f"non-positive size at record {i}")
-        self.ats = float(np.mean(self.size))
 
     def __len__(self) -> int:
         return int(self.ts.size)
@@ -137,7 +136,6 @@ class TradeTape:
         lo, hi = _row_range(self.ts, start, end)
         part = copy.copy(self)
         part.__dict__.update({name: getattr(self, name)[lo:hi] for name in COLUMNS})
-        part.ats = float(np.mean(part.size))
         # the copied cache would hold indexes over this tape's rows
         part._intensity_indexes = {}
         return part
@@ -319,6 +317,7 @@ def calibrate_intensity(tape: TradeTape,
     Returns ``(fits, dropped)``: a dict bucket -> :class:`IntensityFit` and
     a dict bucket -> reason for the unusable ones, both in bucket order.
     """
+    _require_int(n_min=n_min)
     grid = np.asarray(distance_grid, dtype=float)
     if grid.size < 3:
         raise ParameterError(f"distance_grid needs >= 3 offsets, got {grid.size}")

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from typing import Mapping, TextIO
 
@@ -56,6 +57,20 @@ CONFIG_KEY_TO_FIELD = {
     "q_max": "q_max",
 }
 FIELD_TO_CONFIG_KEY = {v: k for k, v in CONFIG_KEY_TO_FIELD.items()}
+
+
+def _require_finite(**values) -> None:
+    """Refuse, by name, the first of ``values`` that is set but not finite."""
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}")
+
+
+def _require_int(**values) -> None:
+    """Refuse, by name, the first of ``values`` that is not an integer."""
+    for name, value in values.items():
+        if not isinstance(value, numbers.Integral):
+            raise ParameterError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -146,13 +161,6 @@ class ModelParams:
             except ValueError as exc:
                 raise ParameterError(f"bad value for {key!r}: {raw!r}") from exc
         return cls(**kwargs)
-
-    @classmethod
-    def from_config_file(cls, path) -> "ModelParams":
-        """Model keys of a config file; its sections are ignored."""
-        with open(path, "r", encoding="utf-8") as fh:
-            model_items, _ = parse_config(fh)
-        return cls.from_mapping(model_items)
 
 
 def parse_config(fh: TextIO) -> tuple:
@@ -266,30 +274,6 @@ class QuoteSurface:
         if not 1 <= q <= self.q_max:
             raise ParameterError(f"q must be in 1..{self.q_max}, got {q}")
         return float(self.values[time_index, q - 1])
-
-    def at_time(self, t: float, q: int) -> float:
-        """Quote at the nearest grid time not after t (controls are decided
-        on information available at t).  A t a few ulps below a node, as
-        ``i * dt`` can be, counts as that node."""
-        i = int(np.searchsorted(self.times, t * (1 + 1e-15) + 1e-300, side="right")) - 1
-        if i < 0:
-            raise ParameterError(f"t={t} precedes the surface grid")
-        return self.quote(i, q)
-
-    def check_invariants(self) -> None:
-        """Raise AssertionError unless terminal pinning (to 1e-10) and
-        monotonicity in q hold.  Intended for tests and post-solve sanity
-        checks."""
-        target = terminal_quote(self.params)
-        deviation = np.max(np.abs(self.values[-1] - target))
-        assert deviation < 1e-10, (
-            f"terminal quotes deviate from {target} by {deviation}")
-        if self.q_max > 1:
-            # strictly decreasing in inventory before the deadline; at T all
-            # levels meet at the common terminal value
-            assert np.all(np.diff(self.values[:-1], axis=1) < 0), (
-                "quotes must be strictly decreasing in inventory for t < T"
-            )
 
     # -- exports ----------------------------------------------------------
 

@@ -325,14 +325,6 @@ class WGrid:
         with np.errstate(over="ignore"):
             return np.ldexp(self.values[rows], self.exponents[segment].astype(np.int32))
 
-    def check_invariants(self) -> None:
-        assert np.all(self.values[:, 0] == 1.0) and np.all(self.exponents[:, 0] == 0), \
-            "w_0 must be identically 1"
-        v_term, e_term = _terminal_state(self.params)
-        got = np.ldexp(self.values[-1], (self.exponents[-1] - e_term).astype(np.int32))
-        assert np.array_equal(got, v_term), f"terminal row deviates: {got} vs {v_term}"
-        assert np.all(self.values > 0), "w must be strictly positive"
-
     def to_csv(self, path) -> None:
         _write_csv(path, ("t", "q", "value"), _tq_rows(self.times, self.doubles(), first_q=0))
 

@@ -41,7 +41,8 @@ import numpy as np
 
 from .closed_forms import TradingCurve
 from .errors import ParameterError
-from .model import ModelParams, QuoteSurface, _write_csv
+from .model import (ModelParams, QuoteSurface, _require_finite, _require_int,
+                    _write_csv)
 
 __all__ = [
     "FixedQuote",
@@ -106,6 +107,8 @@ class SimConfig:
 
     def __post_init__(self):
         p = self.params
+        _require_int(q0=self.q0, n_paths=self.n_paths)
+        _require_finite(s0=self.s0)
         if not 1 <= self.q0 <= p.q_max:
             raise ParameterError(f"q0 must be in 1..{p.q_max}, got {self.q0}")
         if not self.dt > 0:
@@ -425,8 +428,7 @@ def _summary_from_finals(cfg: SimConfig, fills, fills_sq,
     hist_counts = np.bincount(q_fin, minlength=cfg.q0 + 1)
     return SimSummary(
         config=cfg,
-        trading_curve=TradingCurve(times=cfg.grid, expected_inventory=mean_curve,
-                                   q0=cfg.q0),
+        trading_curve=TradingCurve(times=cfg.grid, expected_inventory=mean_curve),
         mc_stderr_curve=stderr_curve,
         pnl_mean=float(np.mean(wealth)),
         pnl_std=float(np.std(wealth)),

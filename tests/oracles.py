@@ -1,6 +1,7 @@
-"""Reference implementations kept as oracles: three solvers of the w
-system for the exact propagator in :mod:`optliq.ode`, and a recount of the
-intensity fit for the prefix-count index in :mod:`optliq.market_data`.
+"""Reference implementations kept as oracles, and the invariants the
+solved tables must meet, as asserts.
+
+Oracles of the w system, for the exact propagator in :mod:`optliq.ode`:
 
 * :func:`solve_rk`          classical fixed-step 4th-order Runge-Kutta,
 * :func:`solve_quadrature`  variation-of-constants form, with the
@@ -9,14 +10,24 @@ intensity fit for the prefix-count index in :mod:`optliq.market_data`.
 * :func:`mp_log_w`          the eigen-expansion in 60-digit ``mpmath``
                             arithmetic, for spectra without repeated
                             eigenvalues, with no range limit;
-* :func:`calibrate_intensity_recount`  slices the window out of the tape,
-                            recounts every print against every offset and
-                            fits with ``np.polyfit``.
+* :func:`nodrift_novol_w`   the polynomial closed form at mu = sigma = 0;
+* :func:`asymptotic_w`      the long-horizon limit of w(0).
 
 For very large k*q*b the terminal values round to zero (below ~1e-300);
-both then integrate the correctly rounded terminal data, which coincides
-with the forced-complete-liquidation limit, and relax the positivity check
-on the terminal row.
+the two integrators then integrate the correctly rounded terminal data,
+which coincides with the forced-complete-liquidation limit, and relax the
+positivity check on the terminal row.
+
+:func:`calibrate_intensity_recount` slices the window out of the tape,
+recounts every print against every offset and fits with ``np.polyfit``:
+the oracle of the prefix-count index in :mod:`optliq.market_data`.
+
+Invariants, each raising ``AssertionError``:
+
+* :func:`assert_w_grid`       w_0 = 1, w > 0 and the terminal row exact;
+* :func:`assert_quote_surface`  terminal quotes pinned, strictly
+                            decreasing in q before T;
+* :func:`assert_trading_curve`  V(0) = q0 and V non-increasing.
 """
 
 import math
@@ -24,11 +35,12 @@ import math
 import mpmath
 import numpy as np
 
-from optliq import ModelParams, ParameterError, WGrid
+from optliq import (ModelParams, NoAsymptoteError, ParameterError,
+                    RegimeError, WGrid, terminal_quote)
 from optliq.market_data import (DEFAULT_DISTANCE_GRID, IntensityFit,
                                 _spread_bucket)
 from optliq.model import DerivedCoefficients, derive_coefficients
-from optliq.ode import DEFAULT_N_STEPS
+from optliq.ode import DEFAULT_N_STEPS, _terminal_state
 
 # terminal values exp(-k*q*b) below this are treated as exact zeros
 _UNDERFLOW_FLOOR = 1e-300
@@ -182,6 +194,77 @@ def mp_log_w(p: ModelParams, t: float, dps: int = 60) -> list:
         decay = [mpmath.exp(-lam[j] * tau) for j in range(n)]
         return [mpmath.log(mpmath.fsum(coef[j] * x[j][i] * decay[j] for j in range(i + 1)))
                 for i in range(n)]
+
+
+def nodrift_novol_w(p: ModelParams, t: float, q: int) -> float:
+    """w_q(t) in the mu = sigma = 0 regime,
+    ``sum_j eta^j / j! exp(-k b (q-j)) (T-t)^j``.
+
+    Each term is formed from its logarithm and the terms are summed with
+    ``math.fsum`` relative to the largest, so terms below the double range
+    drop out without spoiling the sum.
+    """
+    if not (p.sigma == 0.0 and p.mu == 0.0):
+        raise RegimeError(f"nodrift_novol_w requires sigma = 0 and mu = 0, got "
+                          f"sigma={p.sigma}, mu={p.mu}")
+    if q < 0:
+        raise ParameterError(f"q must be >= 0, got {q}")
+    if not 0.0 <= t <= p.horizon:
+        raise ParameterError(f"t={t} outside [0, {p.horizon}]")
+    tau = p.horizon - t
+    if tau == 0.0:
+        return math.exp(-p.k * p.b * q)
+    log_rate = math.log(derive_coefficients(p).eta * tau)
+    logs = [j * log_rate - math.lgamma(j + 1) - p.k * p.b * (q - j)
+            for j in range(q + 1)]
+    top = max(logs)
+    return math.exp(top) * math.fsum(math.exp(x - top) for x in logs)
+
+
+def asymptotic_w(p: ModelParams, q: int) -> float:
+    """Long-horizon limit of w_q(0): ``eta^q / q! * prod_j 1/(alpha j - beta)``."""
+    c = derive_coefficients(p)
+    if not 0 <= q <= p.q_max:
+        raise ParameterError(f"q must be in 0..{p.q_max}, got {q}")
+    if q == 0:
+        return 1.0
+    if not c.alpha > c.beta:
+        raise NoAsymptoteError(f"no long-horizon w limit: need alpha > beta "
+                               f"({c.alpha} <= {c.beta})")
+    out = 1.0
+    for j in range(1, q + 1):
+        out *= c.eta / (j * (c.alpha * j - c.beta))
+    return out
+
+
+def assert_w_grid(grid: WGrid) -> None:
+    """w_0 is identically 1, the terminal row is the exact w(T) to the last
+    bit and every mantissa is positive."""
+    assert np.all(grid.values[:, 0] == 1.0) and np.all(grid.exponents[:, 0] == 0), \
+        "w_0 must be identically 1"
+    v_term, e_term = _terminal_state(grid.params)
+    got = np.ldexp(grid.values[-1], (grid.exponents[-1] - e_term).astype(np.int32))
+    assert np.array_equal(got, v_term), f"terminal row deviates: {got} vs {v_term}"
+    assert np.all(grid.values > 0), "w must be strictly positive"
+
+
+def assert_quote_surface(surface) -> None:
+    """The terminal quotes are pinned to 1e-10 and, before T, the quotes
+    decrease strictly in inventory; at T all levels meet at one value."""
+    target = terminal_quote(surface.params)
+    deviation = np.max(np.abs(surface.values[-1] - target))
+    assert deviation < 1e-10, f"terminal quotes deviate from {target} by {deviation}"
+    assert np.all(np.diff(surface.values[:-1], axis=1) < 0), \
+        "quotes must be strictly decreasing in inventory for t < T"
+
+
+def assert_trading_curve(curve, q0: int) -> None:
+    """The expected inventory starts at q0 (when the curve starts at t = 0)
+    and never increases."""
+    if curve.times[0] == 0.0:
+        assert abs(curve.expected_inventory[0] - q0) <= 1e-12 * q0
+    assert np.all(np.diff(curve.expected_inventory) <= 1e-12), \
+        "expected inventory must be non-increasing"
 
 
 def calibrate_intensity_recount(tape, distance_grid=DEFAULT_DISTANCE_GRID,

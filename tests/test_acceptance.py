@@ -14,13 +14,12 @@ from optliq import (FixedQuote, ModelParams, OptimalSurface, SimConfig,
                     simulate_policies, solve_grid, solve_w, terminal_quote)
 from optliq.backtest import BacktestConfig, run_backtest
 from optliq.closed_forms import (asymptotic_quote, binf_trading_curve,
-                                 nodrift_novol_quote, nodrift_novol_w,
-                                 risk_neutral_quote)
+                                 nodrift_novol_quote, risk_neutral_quote)
 from optliq.market_data import calibrate_intensity, calibrate_sigma, synthetic_tape
 from optliq.model import derive_coefficients
 from tests.conftest import (HIGH_VOL_K_SWEEP, REFERENCE_QUOTES_T0,
                             SWEEP_QUOTES_T0, TABLE_TOL, q1_asymptote_gap)
-from tests.oracles import solve_quadrature, solve_rk
+from tests.oracles import nodrift_novol_w, solve_quadrature, solve_rk
 
 REF = ModelParams()
 

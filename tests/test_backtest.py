@@ -16,6 +16,9 @@ from optliq.ode import WSolution, _advance, _quotes, _terminal_state, _Walk
 from tests.oracles import calibrate_intensity_recount
 
 
+NAN, INF = float("nan"), float("inf")
+
+
 def rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
 
@@ -44,6 +47,9 @@ class TestRoundQuote:
             round_quote(1.5, "randomized")
         with pytest.raises(ParameterError):
             round_quote(1.5, "banker")
+        for raw in (NAN, INF):
+            with pytest.raises(ParameterError, match=f"premium {raw}"):
+                round_quote(raw, "nearest")
 
     @given(raw=st.floats(-1000, 1000))
     @settings(max_examples=300, deadline=None)
@@ -350,6 +356,22 @@ class TestEdgesAndErrors:
                     dict(b=-1.0)):
             with pytest.raises(ParameterError):
                 BacktestConfig(**bad)
+
+    @pytest.mark.parametrize("field,value,match", [
+        ("warmup", NAN, "warmup must be finite"),
+        ("horizon", NAN, "horizon must be finite"),
+        ("horizon", 0.0, "horizon must be > 0"),
+        ("recalib_window", INF, "recalib_window must be finite"),
+        ("gamma_value", NAN, "gamma_value must be finite"),
+        ("b", NAN, "b must be finite"),
+        ("sampling_dt", NAN, "sampling_dt must be finite"),
+        ("market_order_threshold", NAN, "market_order_threshold must not be NaN"),
+        ("q0", 2.5, "q0 must be an integer"),
+        ("n_min", NAN, "n_min must be an integer"),
+    ])
+    def test_refuses_setting_naming_it(self, field, value, match):
+        with pytest.raises(ParameterError, match=match):
+            BacktestConfig(**{field: value})
 
 
 class TestSummarizeAndExports:

@@ -218,6 +218,13 @@ class TestBacktestCommand:
         summary = json.loads((outdir / "summary.json").read_text())
         assert summary["fill_count"] + summary["q_end"] == 1
 
+    def test_nan_warmup_refused_before_any_output(self, tape_path, tmp_path):
+        outdir = tmp_path / "bt"
+        res = run_cli("backtest", "--tape", str(tape_path), "--out", str(outdir),
+                      "--warmup", "nan")
+        assert res.returncode == 3 and "warmup must be finite" in res.stderr
+        assert not outdir.exists()
+
     def test_bad_tape_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("ts,price,size,bid,ask\n1.0,100.0,10,101.0,100.0\n")

@@ -2,6 +2,7 @@
 agreement with the numerical solvers in each regime."""
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -9,11 +10,11 @@ import pytest
 
 from optliq import (ModelParams, NoAsymptoteError, ParameterError, RegimeError,
                     quote_from_w, quote_surface, solve_grid, terminal_quote)
-from optliq.closed_forms import (asymptotic_quote, asymptotic_w,
-                                 binf_quote, binf_trading_curve, binf_w,
-                                 nodrift_novol_quote, nodrift_novol_w,
-                                 risk_neutral_quote)
+from optliq.closed_forms import (asymptotic_quote, binf_quote,
+                                 binf_trading_curve, binf_w,
+                                 nodrift_novol_quote, risk_neutral_quote)
 from optliq.model import derive_coefficients
+from tests.oracles import assert_trading_curve, asymptotic_w, nodrift_novol_w
 
 
 class TestAsymptoticQuote:
@@ -96,6 +97,28 @@ class TestNoDriftNoVol:
         for q in range(7):
             assert nodrift_novol_w(p, p.horizon, q) == pytest.approx(
                 math.exp(-p.k * p.b * q), rel=1e-12)
+
+    def test_w_oracle_matches_40_digit_sum(self, nodrift_params):
+        # at q_max = 124 and b = 37 the low terms of the high levels are
+        # below the double range (exp(-k b q) = 0 from q = 68); only the
+        # levels whose w is a normal double are compared
+        deep = ModelParams(mu=0.0, sigma=0.0, b=37.0, horizon=7.0, q_max=124)
+        for p in (nodrift_params, deep):
+            eta, compared = derive_coefficients(p).eta, []
+            for t in (0.0, 0.5 * p.horizon, p.horizon):
+                with mpmath.workdps(40):
+                    tau, kb = mpmath.mpf(p.horizon) - t, mpmath.mpf(p.k * p.b)
+                    terms = [(mpmath.mpf(eta) * tau) ** j / mpmath.factorial(j)
+                             for j in range(p.q_max + 1)]
+                    for q in range(p.q_max + 1):
+                        exact = mpmath.fsum(terms[j] * mpmath.exp(-kb * (q - j))
+                                            for j in range(q + 1))
+                        if exact > sys.float_info.min:
+                            compared.append(q)
+                            assert nodrift_novol_w(p, t, q) == pytest.approx(
+                                float(exact), rel=1e-12)
+            assert len(compared) > p.q_max
+        assert math.exp(-deep.k * deep.b * max(compared)) == 0.0
 
     def test_quote_terminal_and_lower_bound(self, nodrift_params):
         p = nodrift_params
@@ -235,7 +258,7 @@ class TestForcedLiquidationCurve:
         curve = binf_trading_curve(nodrift_params, 6, [0.0, 150.0, 300.0])
         assert curve.expected_inventory[0] == 6.0
         assert curve.expected_inventory[-1] == 0.0
-        curve.check_invariants()
+        assert_trading_curve(curve, 6)
 
     def test_halfway_value(self, nodrift_params):
         curve = binf_trading_curve(nodrift_params, 6, [150.0])

@@ -1,4 +1,5 @@
-"""Exact bytes of every CSV table the package writes.
+"""Exact bytes of every CSV table the package writes, and the names the
+benchmark imports.
 
 All tables share one format: a header row, ``\\n`` line ends, text cells as
 they are and numbers to 17 significant digits, so that a read-back gives
@@ -6,7 +7,10 @@ the same doubles.  The inputs are tiny and fixed, so each expected text is
 the whole file.
 """
 
+import ast
 import dataclasses
+import importlib
+from pathlib import Path
 
 import pytest
 
@@ -58,7 +62,7 @@ def test_wgrid_csv_from_level_zero_with_rounded_levels(tmp_path):
 
 
 def test_trading_curve_csv(tmp_path):
-    curve = TradingCurve([0.0, 0.1, 0.3], [2.0, 1.2, 0.1 + 0.2], q0=2)
+    curve = TradingCurve([0.0, 0.1, 0.3], [2.0, 1.2, 0.1 + 0.2])
     assert written(tmp_path, curve.to_csv) == (
         "t,V\n"
         "0,2\n"
@@ -71,7 +75,7 @@ def test_simulation_curve_and_events_csv(tmp_path):
                     policy=FixedQuote(1.0))
     summary = SimSummary(
         config=cfg,
-        trading_curve=TradingCurve(TIMES, [2.0, 1.25, 0.5], q0=2),
+        trading_curve=TradingCurve(TIMES, [2.0, 1.25, 0.5]),
         mc_stderr_curve=[0.0, 0.1, 1 / 3], pnl_mean=0.0, pnl_std=0.0,
         utility_mean=-1.0, utility_stderr=0.0, terminal_inventory_hist={0: 4},
         price_terminal_mean=0.0, price_terminal_stderr=0.0)
@@ -134,3 +138,19 @@ def test_tape_csv_restores_currency(tmp_path):
         "0,100.12299999999999,1,100.11500000000001,100.125\n"
         "0.5,100.13,2.5,100.125,100.13500000000001\n"
         "2,100.117,3,100.11,100.12\n")
+
+
+def test_benchmark_imports_exist():
+    """Every name ``bench/*.py`` imports from ``optliq`` exists, and so does
+    the ``WGrid.terminal_underflow`` it reads: a deletion that would break a
+    benchmark run fails here first."""
+    imported = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "optliq":
+                imported += [(path.name, node.module, alias.name) for alias in node.names]
+    assert imported
+    missing = [f"{name}: {module}.{attr}" for name, module, attr in imported
+               if not hasattr(importlib.import_module(module), attr)]
+    assert not missing
+    assert isinstance(WGrid.terminal_underflow, property)

@@ -33,7 +33,7 @@ class TestLoadTape:
     def test_three_row_fixture(self, tmp_path):
         tape = load_tape(write_tape(tmp_path, GOOD_ROWS))
         assert len(tape) == 3
-        assert tape.ats == pytest.approx ((120 + 80 + 100) / 3)
+        assert tape.size.tolist() == [120, 80, 100]
         assert tape.price[1] == 100.7
         assert tape.ask[2] == 100.4
 
@@ -188,6 +188,8 @@ class TestCalibrateIntensity:
             calibrate_intensity(tape, distance_grid=[0.5, 1.0])
         with pytest.raises(ParameterError):
             calibrate_intensity(tape, distance_grid=[-1.0, 0.5, 1.0])
+        with pytest.raises(ParameterError, match="n_min must be an integer"):
+            calibrate_tape(tape, n_min=float("nan"))
 
 
 def three_bucket_tape(tied: bool) -> TradeTape:

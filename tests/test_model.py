@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from optliq import (ModelParams, ParameterError, WGrid, derive_coefficients,
                     hjb_residual, quote_from_w, solve_grid, terminal_quote)
-from optliq.closed_forms import nodrift_novol_w
 from optliq.model import DerivedCoefficients, parse_config
+from tests.oracles import nodrift_novol_w
 
 
 class TestModelParams:
@@ -41,7 +41,9 @@ class TestModelParams:
     def test_config_round_trip(self, tmp_path, ref_params):
         path = tmp_path / "model.cfg"
         ref_params.to_config_file(path)
-        assert ModelParams.from_config_file(path) == ref_params
+        with open(path, encoding="utf-8") as fh:
+            items, sections = parse_config(fh)
+        assert sections == {} and ModelParams.from_mapping(items) == ref_params
 
     def test_config_sections_and_header_rule(self, tmp_path, ref_params):
         path = tmp_path / "model.cfg"
@@ -51,7 +53,6 @@ class TestModelParams:
             items, sections = parse_config(fh)
         assert sections == {"sim": {"q0": "6"}, "backtest": {"b": "2"}}
         assert ModelParams.from_mapping(items) == ref_params
-        assert ModelParams.from_config_file(path) == ref_params
         # a header is "[name]" on its own line; anything else is malformed
         with pytest.raises(ParameterError, match="malformed"):
             parse_config(iter(["mu = 0\n", "[sim\n"]))

@@ -15,14 +15,14 @@ from scipy.linalg import expm
 
 from optliq import (ModelParams, ParameterError, hjb_residual, quote_from_w,
                     quote_surface, solve_grid, solve_w, terminal_quote)
-from optliq.closed_forms import (asymptotic_quote, binf_w, nodrift_novol_quote,
-                                 nodrift_novol_w)
+from optliq.closed_forms import asymptotic_quote, binf_w, nodrift_novol_quote
 from optliq.model import DerivedCoefficients, derive_coefficients
 from optliq.ode import _BLOCK, _Walk, _propagator
 from tests.conftest import (HIGH_VOL_K_SWEEP, REFERENCE_QUOTES_T0,
                             SWEEP_QUOTES_T0, TABLE_TOL, q1_asymptote_gap)
-from tests.oracles import (OracleFailure, mp_log_w, solve_quadrature, solve_rk,
-                          system_matrix)
+from tests.oracles import (OracleFailure, assert_quote_surface, assert_w_grid,
+                           mp_log_w, nodrift_novol_w, solve_quadrature, solve_rk,
+                           system_matrix)
 
 N = 10_000
 
@@ -133,7 +133,7 @@ class TestSolveRK:
             solve_rk(ref_params, 0)
 
     def test_invariants_hold(self, ref_params):
-        solve_rk(ref_params, 2000).check_invariants()
+        assert_w_grid(solve_rk(ref_params, 2000))
 
 
 class TestSolveSpectral:
@@ -253,7 +253,7 @@ class TestSolveSpectral:
         p = ModelParams(mu=mu, sigma=sigma, b=b, horizon=horizon, q_max=q_max)
         grid = solve_grid(p, 50)
         # w_0 = 1, w > 0 and the terminal row exact to the last bit
-        grid.check_invariants()
+        assert_w_grid(grid)
         assert np.max(np.abs(log_w(grid, 0) - expm_log_w(p, 0.0))) < 1e-10
         assert np.all(quote_surface(grid).values[-1] == terminal_quote(p))
 
@@ -333,20 +333,13 @@ class TestQuoteSurface:
         surface = quote_surface(solve_grid(ref_params, 2000))
         target = terminal_quote(ref_params)
         assert np.max(np.abs(surface.values[-1] - target)) < 1e-10
-        surface.check_invariants()
+        assert_quote_surface(surface)
 
     def test_monotone_decreasing_in_inventory(self, ref_params):
         for p in (ref_params, ModelParams(sigma=3.0), ModelParams(mu=0.01),
                   ModelParams(gamma=0.5)):
             surface = quote_surface(solve_grid(p, 2000))
             assert np.all(np.diff(surface.values[:-1], axis=1) < 0)
-
-    def test_nearest_earlier_lookup(self, ref_params):
-        surface = quote_surface(solve_grid(ref_params, 100))
-        grid_dt = ref_params.horizon / 100
-        assert surface.at_time(0.0, 1) == surface.quote(0, 1)
-        assert surface.at_time(grid_dt * 2.5, 1) == surface.quote(2, 1)
-        assert surface.at_time(ref_params.horizon, 1) == surface.quote(100, 1)
 
 
     @given(q_max=st.integers(1, 200), horizon=st.floats(1.0, 86_400.0),
@@ -439,7 +432,7 @@ class TestExtremeLiquidationCost:
         assert max_rel(rk.values[sub], oracle) < 1e-6
         assert max_rel(quad.values[sub], oracle) < 1e-6
         assert max_rel(exact.doubles()[sub], oracle) < 1e-12
-        exact.check_invariants()
+        assert_w_grid(exact)
 
     def test_terminal_quotes_pin_when_terminal_underflows(self):
         p = ModelParams(mu=0.0, sigma=0.0, b=2600.0)
@@ -465,14 +458,14 @@ class TestExtremeLiquidationCost:
                      for xq, eq in zip(x, grid.exponents[-1])]
         assert np.all(np.abs(grid.values[-1] / exact - 1) < 4 * np.finfo(float).eps)
         assert np.max(np.abs(log_w(grid, 0) - expm_log_w(p, 0.0))) < 1e-10
-        grid.check_invariants()
+        assert_w_grid(grid)
 
     def test_node_is_kept_out_of_a_profile_that_rounds_it(self):
         # the feed is so weak that the walk renormalises before its first
         # segment, in a profile that would round w_1..3(T) to zero
         p = ModelParams(mu=0.0, sigma=0.0, big_a=1e-14, k=1.0, b=3000.0,
                         horizon=1e-3, q_max=3)
-        solve_grid(p, 1000).check_invariants()
+        assert_w_grid(solve_grid(p, 1000))
 
     def test_subnormal_terminal_quotes_pin_exactly(self):
         # exp(-k q b) is subnormal for q >= 89 and zero from q = 94

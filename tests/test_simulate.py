@@ -58,6 +58,18 @@ class TestConfigValidation:
             with pytest.raises(ParameterError):
                 SimConfig(**{**good, **bad})
 
+    @pytest.mark.parametrize("field,value,match", [
+        ("s0", float("inf"), "s0 must be finite"),
+        ("s0", float("nan"), "s0 must be finite"),
+        ("q0", 2.5, "q0 must be an integer"),
+        ("n_paths", 10.5, "n_paths must be an integer"),
+    ])
+    def test_refuses_setting_naming_it(self, field, value, match):
+        good = dict(params=ModelParams(), q0=6, dt=1.0, n_paths=10, seed=0,
+                    policy=FixedQuote(1.0))
+        with pytest.raises(ParameterError, match=match):
+            SimConfig(**{**good, field: value})
+
     def test_rejects_nan_policy_values(self, ref_surface):
         with pytest.raises(ParameterError, match="NaN"):
             FixedQuote(float("nan"))
