@@ -26,8 +26,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import CalibrationError, DataError, ParameterError
-from .market_data import (DEFAULT_DISTANCE_GRID, TradeTape, calibrate_gamma,
-                          calibrate_intensity, calibrate_sigma)
+from .market_data import (DEFAULT_DISTANCE_GRID, IntensityFit, TradeTape,
+                          _checked_grid, _prefix_sigma, _window_fit,
+                          calibrate_gamma, calibrate_intensity)
 from .model import ModelParams, _require_finite, _require_int, _write_csv
 from .ode import solve_w
 
@@ -93,12 +94,19 @@ class BacktestConfig:
     n_min: int = 50
 
     def __post_init__(self):
-        _require_int(q0=self.q0, n_min=self.n_min)
+        _require_int(q0=self.q0, n_min=self.n_min, seed=self.seed)
         _require_finite(warmup=self.warmup, horizon=self.horizon,
                         recalib_window=self.recalib_window, gamma_value=self.gamma_value,
                         b=self.b, sampling_dt=self.sampling_dt)
         if self.q0 < 1:
             raise ParameterError(f"q0 must be >= 1, got {self.q0}")
+        if self.warmup is not None and self.warmup < 0:
+            raise ParameterError(f"warmup must be >= 0, got {self.warmup}")
+        if not self.recalib_window > 0:
+            raise ParameterError(f"recalib_window must be > 0, got {self.recalib_window}")
+        if not self.sampling_dt > 0:
+            raise ParameterError(f"sampling_dt must be > 0, got {self.sampling_dt}")
+        _checked_grid(self.distance_grid)
         if not self.delta_t > 0:
             raise ParameterError(f"delta_t must be > 0, got {self.delta_t}")
         if self.rounding not in ("nearest", "randomized"):
@@ -177,7 +185,14 @@ def _mid(tape: TradeTape, row: int) -> float:
 
 def run_backtest(tape: TradeTape, cfg: BacktestConfig) -> BacktestLedger:
     """Replay the protocol on a tape.  See the module docstring for the
-    event loop; calibration failure anywhere aborts with a diagnostic."""
+    event loop; calibration failure anywhere aborts with a diagnostic.
+
+    sigma is the :func:`~optliq.market_data.calibrate_sigma` of the tape up
+    to the warm-up end, read from the increments the tape caches.  Each
+    re-quote fits only the prevailing spread bucket, from the tape's
+    intensity index for the configured grid; all buckets are fitted only
+    to word the error when that one has no usable fit.
+    """
     if len(tape) < 2:
         raise DataError("tape too short to backtest")
     warmup = cfg.warmup if cfg.warmup is not None else cfg.recalib_window
@@ -189,14 +204,14 @@ def run_backtest(tape: TradeTape, cfg: BacktestConfig) -> BacktestLedger:
     horizon = cfg.horizon if cfg.horizon is not None else float(tape.ts[-1]) - start
     end_cap = min(start + horizon, float(tape.ts[-1]))
 
+    i_state = int(np.searchsorted(tape.ts, start, side="right")) - 1
     try:
-        sigma_hat = calibrate_sigma(tape.slice_time(tape.ts[0], start),
-                                    cfg.sampling_dt)
-    except (CalibrationError, DataError) as exc:
+        sigma_hat = _prefix_sigma(tape, cfg.sampling_dt, i_state)
+    except CalibrationError as exc:
         raise CalibrationError(f"warm-up sigma calibration failed: {exc}") from exc
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
-    i_state = int(np.searchsorted(tape.ts, start, side="right")) - 1
+    index = tape._intensity_index(np.asarray(cfg.distance_grid, dtype=float))
     mid_start = _mid(tape, i_state)
     ledger = BacktestLedger(config=cfg, start_time=start, end_time=end_cap,
                             horizon=horizon, mid_start=mid_start,
@@ -214,19 +229,19 @@ def run_backtest(tape: TradeTape, cfg: BacktestConfig) -> BacktestLedger:
         mid = 0.5 * (bid + ask)
         bucket = int(math.floor(ask - bid + 0.5))
         try:
-            fits, dropped = calibrate_intensity(
-                tape, cfg.distance_grid, window=cfg.recalib_window,
-                end_time=t_now, n_min=cfg.n_min)
-        except (DataError, ParameterError) as exc:
+            fit = _window_fit(tape, index, bucket, cfg.recalib_window, t_now,
+                              cfg.n_min)
+        except DataError as exc:
             raise CalibrationError(
                 f"intensity calibration failed at t={t_now:.6g}: {exc}") from exc
-        if bucket not in fits:
-            reason = dropped.get(bucket, "no prints in bucket")
+        if not isinstance(fit, IntensityFit):
+            fits, _ = calibrate_intensity(tape, cfg.distance_grid,
+                                          window=cfg.recalib_window,
+                                          end_time=t_now, n_min=cfg.n_min)
             raise CalibrationError(
                 f"no usable fit for spread bucket {bucket} at t={t_now:.6g} "
-                f"({reason}); usable buckets: {sorted(fits)}"
+                f"({fit or 'no prints in bucket'}); usable buckets: {sorted(fits)}"
             )
-        fit = fits[bucket]
         if gamma is None:
             if cfg.gamma_mode == "fixed":
                 gamma = cfg.gamma_value

@@ -8,7 +8,11 @@ calibration is a pure function of the loaded tape.
 
 Estimators:
 
-* sigma: realised volatility of the mid price sampled on a fixed clock,
+* sigma: realised volatility of the mid price sampled on a fixed clock
+  anchored at the tape's first print.  The tape keeps the squared
+  increments of that sampled mid, built on the first estimate with a
+  given sampling step.  A prefix of the tape samples the same clock, so
+  the estimate over the tape up to any print sums a leading run of them.
 * (big_a, k) per spread bucket: count trades printing at or above
   mid + offset for a grid of offsets, divide by the time spent in the
   bucket, and fit ``log rate = log A - k * offset`` by centred least
@@ -17,10 +21,11 @@ Estimators:
   Per bucket it holds the bucket's sorted row positions, prefix sums of
   those rows' gaps to the next print, and one sorted key
   ``j * (n + 1) + row`` per print at or above the ``j``-th offset.  A
-  window fit is then a few ``searchsorted`` calls: its print count is a
-  difference of row positions, its time a difference of gap sums plus
-  the tail to the window end, and every offset count a difference of
-  key positions.
+  window fit of one bucket is then a few ``searchsorted`` calls: its
+  print count is a difference of row positions, its time a difference of
+  gap sums plus the tail to the window end, and every offset count a
+  difference of key positions.  The index answers one bucket at a time,
+  so a caller that quotes in one bucket fits only that one.
 * gamma: bisection so the solved time-0 premium at q = 1 hits a target
   (one Tick by default).
 """
@@ -36,7 +41,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import CalibrationError, DataError, ParameterError
-from .model import ModelParams, _require_int, _write_csv
+from .model import ModelParams, _require_finite, _require_int, _write_csv
 from .ode import solve_w
 
 __all__ = [
@@ -80,8 +85,10 @@ class TradeTape:
 
     A tape is immutable: its five columns are read-only views (of the
     arrays passed in, when they are float arrays; those must not change
-    either).  The intensity fit caches a prefix-count index per offset grid
-    on the tape, and an edit in place would leave it counting old prints.
+    either).  Two estimators cache on the tape what they read of it: the
+    intensity fit a prefix-count index per offset grid, and the sigma
+    estimate the squared increments of the sampled mid per sampling step.
+    An edit in place would leave both reading old prints.
     """
 
     def __init__(self, ts, price, size, bid, ask, tick_size: float = 1.0):
@@ -92,6 +99,7 @@ class TradeTape:
         self.ask = _frozen(ask)
         self.tick_size = float(tick_size)
         self._intensity_indexes = {}  # offset grid tuple -> _IntensityIndex
+        self._mid_increments = {}  # sampling step -> squared mid increments
         n = self.ts.size
         if n == 0:
             raise DataError("empty tape: no trade records")
@@ -136,8 +144,9 @@ class TradeTape:
         lo, hi = _row_range(self.ts, start, end)
         part = copy.copy(self)
         part.__dict__.update({name: getattr(self, name)[lo:hi] for name in COLUMNS})
-        # the copied cache would hold indexes over this tape's rows
+        # the copied caches would read this tape's rows
         part._intensity_indexes = {}
+        part._mid_increments = {}
         return part
 
     def _intensity_index(self, grid: np.ndarray) -> "_IntensityIndex":
@@ -146,6 +155,18 @@ class TradeTape:
         if index is None:
             index = self._intensity_indexes[key] = _IntensityIndex(self, key)
         return index
+
+    def _squared_increments(self, sampling_dt: float) -> np.ndarray:
+        """``dS^2`` of the latest-known mid sampled every ``sampling_dt``
+        seconds from the first print, over the whole tape."""
+        sq = self._mid_increments.get(sampling_dt)
+        if sq is None:
+            n = int(self.span / sampling_dt)
+            sample_t = self.ts[0] + sampling_dt * np.arange(n + 1)
+            idx = np.searchsorted(self.ts, sample_t, side="right") - 1
+            ds = np.diff(0.5 * (self.bid[idx] + self.ask[idx]))
+            sq = self._mid_increments[sampling_dt] = ds * ds
+        return sq
 
     def write_csv(self, path) -> None:
         """Write back in the input format (prices restored to currency),
@@ -204,20 +225,26 @@ def calibrate_sigma(tape: TradeTape, sampling_dt: float) -> float:
 
     Samples the latest-known mid every ``sampling_dt`` seconds and returns
     ``sqrt(sum(dS^2) / (n * sampling_dt))``.  Requires the tape to span at
-    least 100 sampling intervals.
+    least 100 sampling intervals.  The increments are cached on the tape
+    (see the module docstring).
     """
+    return _prefix_sigma(tape, sampling_dt, len(tape) - 1)
+
+
+def _prefix_sigma(tape: TradeTape, sampling_dt: float, last: int) -> float:
+    """:func:`calibrate_sigma` of the tape's rows up to ``last``, bit for
+    bit: that prefix samples the same clock, so its ``n`` increments lead
+    the whole tape's."""
     if not sampling_dt > 0:
         raise ParameterError(f"sampling_dt must be > 0, got {sampling_dt}")
-    if tape.span < 100 * sampling_dt:
+    span = float(tape.ts[last] - tape.ts[0])
+    if span < 100 * sampling_dt:
         raise CalibrationError(
-            f"tape spans {tape.span:.6g}s < 100 * sampling_dt = {100 * sampling_dt:.6g}s"
+            f"tape spans {span:.6g}s < 100 * sampling_dt = {100 * sampling_dt:.6g}s"
         )
-    n = int(tape.span / sampling_dt)
-    sample_t = tape.ts[0] + sampling_dt * np.arange(n + 1)
-    idx = np.searchsorted(tape.ts, sample_t, side="right") - 1
-    mids = 0.5 * (tape.bid[idx] + tape.ask[idx])
-    ds = np.diff(mids)
-    return float(math.sqrt(np.sum(ds * ds) / (n * sampling_dt)))
+    n = int(span / sampling_dt)
+    return float(math.sqrt(np.sum(tape._squared_increments(sampling_dt)[:n])
+                           / (n * sampling_dt)))
 
 
 @dataclass(frozen=True)
@@ -236,7 +263,7 @@ def _spread_bucket(spread: np.ndarray) -> np.ndarray:
 
 class _IntensityIndex:
     """Prefix counts of one tape against one offset grid (see the module
-    docstring); :meth:`fit` answers one window of rows."""
+    docstring); :meth:`fit_bucket` answers one bucket on a window of rows."""
 
     def __init__(self, tape: TradeTape, grid: tuple):
         self.grid = np.array(grid, dtype=float)
@@ -249,54 +276,99 @@ class _IntensityIndex:
         # difference; extended precision (where the platform has it) keeps
         # the rounding of the long sums out of that difference
         gaps = np.append(np.diff(tape.ts), 0.0).astype(np.longdouble)
-        self.buckets = []
+        self.buckets = {}  # bucket -> (rows, gap_sums, keys), in bucket order
         for bucket in np.unique(buckets):
             rows = np.flatnonzero(buckets == bucket)
             gap_sums = np.concatenate(([0.0], np.cumsum(gaps[rows])))
             keys = np.concatenate([base + rows[levels[rows] > j]
                                    for j, base in enumerate(self.bases[:, 0])])
-            self.buckets.append((int(bucket), rows, gap_sums, keys))
+            self.buckets[int(bucket)] = (rows, gap_sums, keys)
+
+    def fit_bucket(self, key: int, lo: int, hi: int, tail: float, n_min: int):
+        """Bucket ``key`` on rows ``[lo, hi)``, whose last print holds its
+        bucket for ``tail`` seconds up to the window end: an
+        :class:`IntensityFit`, the reason the bucket is dropped, or None
+        when it has no prints there."""
+        if key not in self.buckets:
+            return None
+        rows, gap_sums, keys = self.buckets[key]
+        i_lo, i_last, i_hi = rows.searchsorted((lo, hi - 1, hi))
+        n_obs = int(i_hi - i_lo)
+        if n_obs == 0:
+            return None
+        if n_obs < n_min:
+            return f"only {n_obs} prints < n_min = {n_min}"
+        # each print holds its bucket up to the next print, the
+        # window's last one up to the window end instead
+        total_time = float(gap_sums[i_last] - gap_sums[i_lo])
+        if i_hi > i_last:
+            total_time += tail
+        if total_time <= 0:
+            return "no time attributed to bucket"
+        ends = keys.searchsorted(self.bases + (lo, hi))
+        counts = ends[:, 1] - ends[:, 0]
+        usable = counts > 0
+        n_usable = int(np.count_nonzero(usable))
+        if n_usable < 3:
+            return f"only {n_usable} offsets with prints"
+        x = self.grid[usable]
+        log_rates = np.log(counts[usable] / total_time)
+        x_mean = float(x.sum()) / n_usable
+        dx = x - x_mean
+        # measured from the first point, a flat profile decays by exactly 0
+        k_hat = float(dx @ (log_rates[0] - log_rates)) / float(dx @ dx)
+        if k_hat <= 1e-12:  # flat or inverted rate profile
+            return f"non-positive decay estimate ({k_hat:.3g})"
+        log_a = float(log_rates.sum()) / n_usable + k_hat * x_mean
+        return IntensityFit(a_hat=math.exp(log_a), k_hat=k_hat, n_obs=n_obs)
 
     def fit(self, lo: int, hi: int, tail: float, n_min: int):
-        """:func:`calibrate_intensity` on rows ``[lo, hi)``, whose last
-        print holds its bucket for ``tail`` seconds up to the window end."""
+        """:func:`calibrate_intensity` on rows ``[lo, hi)``: every bucket
+        through :meth:`fit_bucket`."""
         fits, dropped = {}, {}
-        for key, rows, gap_sums, keys in self.buckets:
-            i_lo, i_last, i_hi = rows.searchsorted((lo, hi - 1, hi))
-            n_obs = int(i_hi - i_lo)
-            if n_obs == 0:
-                continue
-            if n_obs < n_min:
-                dropped[key] = f"only {n_obs} prints < n_min = {n_min}"
-                continue
-            # each print holds its bucket up to the next print, the
-            # window's last one up to the window end instead
-            total_time = float(gap_sums[i_last] - gap_sums[i_lo])
-            if i_hi > i_last:
-                total_time += tail
-            if total_time <= 0:
-                dropped[key] = "no time attributed to bucket"
-                continue
-            ends = keys.searchsorted(self.bases + (lo, hi))
-            counts = ends[:, 1] - ends[:, 0]
-            usable = counts > 0
-            n_usable = int(np.count_nonzero(usable))
-            if n_usable < 3:
-                dropped[key] = f"only {n_usable} offsets with prints"
-                continue
-            x = self.grid[usable]
-            log_rates = np.log(counts[usable] / total_time)
-            x_mean = float(x.sum()) / n_usable
-            dx = x - x_mean
-            # measured from the first point, a flat profile decays by exactly 0
-            k_hat = float(dx @ (log_rates[0] - log_rates)) / float(dx @ dx)
-            if k_hat <= 1e-12:  # flat or inverted rate profile
-                dropped[key] = f"non-positive decay estimate ({k_hat:.3g})"
-                continue
-            log_a = float(log_rates.sum()) / n_usable + k_hat * x_mean
-            fits[key] = IntensityFit(a_hat=math.exp(log_a), k_hat=k_hat,
-                                     n_obs=n_obs)
+        for key in self.buckets:
+            fit = self.fit_bucket(key, lo, hi, tail, n_min)
+            if isinstance(fit, IntensityFit):
+                fits[key] = fit
+            elif fit is not None:
+                dropped[key] = fit
         return fits, dropped
+
+
+def _checked_grid(distance_grid: Sequence[float]) -> np.ndarray:
+    """The offset grid as a float array; at least 3 offsets, positive and
+    increasing."""
+    grid = np.asarray(distance_grid, dtype=float)
+    if grid.size < 3:
+        raise ParameterError(f"distance_grid needs >= 3 offsets, got {grid.size}")
+    if not (grid[0] > 0 and np.all(np.diff(grid) > 0)):
+        raise ParameterError("distance_grid must be positive and increasing")
+    return grid
+
+
+def _window_rows(tape: TradeTape, window: Optional[float],
+                 end_time: Optional[float]) -> tuple:
+    """Rows ``[lo, hi)`` of the fit window of ``window`` seconds up to
+    ``end_time`` (by default the whole tape), and the tail its last print
+    holds up to the window end."""
+    _require_finite(end_time=end_time)
+    end = float(tape.ts[-1]) if end_time is None else float(end_time)
+    if window is None:
+        start = float(tape.ts[0])
+    elif not window > 0:
+        raise ParameterError(f"window must be > 0, got {window}")
+    else:
+        start = end - float(window)
+    lo, hi = _row_range(tape.ts, start, end)
+    return lo, hi, max(end - float(tape.ts[hi - 1]), 0.0)
+
+
+def _window_fit(tape: TradeTape, index: _IntensityIndex, bucket: int,
+                window: float, end_time: float, n_min: int):
+    """Bucket ``bucket`` on the window of ``window`` seconds up to
+    ``end_time``, as :meth:`_IntensityIndex.fit_bucket` returns it; each
+    re-quote of :func:`optliq.backtest.run_backtest` reads its fit here."""
+    return index.fit_bucket(bucket, *_window_rows(tape, window, end_time), n_min)
 
 
 def calibrate_intensity(tape: TradeTape,
@@ -312,21 +384,15 @@ def calibrate_intensity(tape: TradeTape,
     the offset.  Buckets with fewer than ``n_min`` prints, fewer than 3
     nonzero-count offsets, or a non-positive decay estimate are dropped.
     The counts come from the tape's prefix-count index for this grid,
-    built on the first call (see the module docstring).
+    built on the first call (see the module docstring).  ``window``, when
+    given, must be > 0 seconds and ``end_time`` finite.
 
     Returns ``(fits, dropped)``: a dict bucket -> :class:`IntensityFit` and
     a dict bucket -> reason for the unusable ones, both in bucket order.
     """
     _require_int(n_min=n_min)
-    grid = np.asarray(distance_grid, dtype=float)
-    if grid.size < 3:
-        raise ParameterError(f"distance_grid needs >= 3 offsets, got {grid.size}")
-    if np.any(np.diff(grid) <= 0) or grid[0] <= 0:
-        raise ParameterError("distance_grid must be positive and increasing")
-    end = float(tape.ts[-1]) if end_time is None else float(end_time)
-    start = float(tape.ts[0]) if window is None else end - float(window)
-    lo, hi = _row_range(tape.ts, start, end)
-    tail = max(end - float(tape.ts[hi - 1]), 0.0)
+    grid = _checked_grid(distance_grid)
+    lo, hi, tail = _window_rows(tape, window, end_time)
     return tape._intensity_index(grid).fit(lo, hi, tail, n_min)
 
 

@@ -107,7 +107,7 @@ class SimConfig:
 
     def __post_init__(self):
         p = self.params
-        _require_int(q0=self.q0, n_paths=self.n_paths)
+        _require_int(q0=self.q0, n_paths=self.n_paths, seed=self.seed)
         _require_finite(s0=self.s0)
         if not 1 <= self.q0 <= p.q_max:
             raise ParameterError(f"q0 must be in 1..{p.q_max}, got {self.q0}")

@@ -313,3 +313,13 @@ def calibrate_intensity_recount(tape, distance_grid=DEFAULT_DISTANCE_GRID,
         fits[key] = IntensityFit(a_hat=float(math.exp(intercept)),
                                  k_hat=k_hat, n_obs=n_obs)
     return fits, dropped
+
+
+def calibrate_sigma_resample(tape, sampling_dt):
+    """:func:`optliq.calibrate_sigma` by sampling the tape's mid afresh,
+    without the increments the tape caches."""
+    n = int(tape.span / sampling_dt)
+    sample_t = tape.ts[0] + sampling_dt * np.arange(n + 1)
+    idx = np.searchsorted(tape.ts, sample_t, side="right") - 1
+    ds = np.diff(0.5 * (tape.bid[idx] + tape.ask[idx]))
+    return math.sqrt(np.sum(ds * ds) / (n * sampling_dt))

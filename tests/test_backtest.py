@@ -2,6 +2,7 @@
 fill-at-or-above rule on constructed tapes."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -9,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optliq import (BacktestConfig, CalibrationError, ParameterError,
-                    TradeTape, round_quote, run_backtest, summarize)
+                    TradeTape, calibrate_intensity, calibrate_sigma,
+                    round_quote, run_backtest, summarize)
 from optliq.backtest import BacktestLedger
 from optliq.market_data import synthetic_tape
 from optliq.ode import WSolution, _advance, _quotes, _terminal_state, _Walk
-from tests.oracles import calibrate_intensity_recount
+from tests.oracles import calibrate_intensity_recount, calibrate_sigma_resample
 
 
 NAN, INF = float("nan"), float("inf")
@@ -234,11 +236,23 @@ class TestMarketOrderFallback:
         assert cfg.q0 == len(ledger.fills) + ledger.q_end
 
 
+def two_bucket_episode():
+    """A tape replay episode: the spread alternates 1 and 2 Ticks every
+    minute, re-quotes every 5 s from q0 = 10."""
+    schedule = [(60.0 * i, 1.0 + i % 2) for i in range(60)]
+    tape = synthetic_tape(3600.0, sigma=0.3, big_a=0.2, k=0.3, mid0=1000.0,
+                          spread_schedule=schedule, seed=1)
+    cfg = BacktestConfig(q0=10, delta_t=5.0, warmup=1800.0, horizon=1800.0,
+                         recalib_window=1800.0, gamma_mode="quote_target",
+                         gamma_value=1.0)
+    return tape, cfg
+
+
 class TestIndexedIntensityFit:
     """Ledgers from the prefix-count index against the slicing recount."""
 
     @pytest.mark.parametrize("case", ["fixed", "quote_target", "no_fill",
-                                      "fallback"])
+                                      "fallback", "two_buckets"])
     def test_ledger_matches_recount(self, case, bullish_tape, bullish_cfg,
                                     monkeypatch):
         if case == "fixed":
@@ -253,12 +267,25 @@ class TestIndexedIntensityFit:
             cfg = BacktestConfig(q0=3, delta_t=30.0, warmup=600.0,
                                  recalib_window=1800.0, gamma_mode="fixed",
                                  gamma_value=0.05, b=3.0, n_min=20)
-        else:
+        elif case == "fallback":
             tape, cfg = violent_warmup_tape(), FALLBACK_CFG
+        else:
+            tape, cfg = two_bucket_episode()
         got = run_backtest(tape, cfg)
-        monkeypatch.setattr("optliq.backtest.calibrate_intensity",
-                            calibrate_intensity_recount)
+        recounts = []
+
+        def recount_fit(tape, index, bucket, window, end_time, n_min):
+            recounts.append(end_time)
+            fits, dropped = calibrate_intensity_recount(
+                tape, cfg.distance_grid, window=window, end_time=end_time,
+                n_min=n_min)
+            return fits.get(bucket, dropped.get(bucket))
+
+        monkeypatch.setattr("optliq.backtest._window_fit", recount_fit)
         want = run_backtest(tape, cfg)
+        # every re-quote, a market order included, took its fit from the recount
+        assert recounts == sorted([o.t_insert for o in want.orders]
+                                  + [f.t for f in want.fills if f.order_index is None])
         assert got.fills or got.orders
         assert got.fills == want.fills
         assert got.gamma_used == want.gamma_used
@@ -269,6 +296,45 @@ class TestIndexedIntensityFit:
             assert a.raw_delta == pytest.approx(b.raw_delta, rel=0, abs=1e-12)
             assert a.a_hat == pytest.approx(b.a_hat, rel=1e-12, abs=0)
             assert a.k_hat == pytest.approx(b.k_hat, rel=1e-12, abs=0)
+
+
+class TestWarmupSigma:
+    """The replay's sigma against :func:`calibrate_sigma` of the warm-up."""
+
+    @staticmethod
+    def zero_start(tape):
+        # the first print at 0 puts each warm-up end exactly where it is set
+        return TradeTape(ts=tape.ts - tape.ts[0], price=tape.price,
+                         size=tape.size, bid=tape.bid, ask=tape.ask)
+
+    @pytest.mark.parametrize("sampling_dt", [1.0, 0.7])
+    def test_matches_warmup_slice(self, bullish_tape, sampling_dt):
+        tape = self.zero_start(bullish_tape)
+        k = int(np.searchsorted(tape.ts, 900.0))
+        on_print, between = float(tape.ts[k]), 0.5 * float(tape.ts[k] + tape.ts[k + 1])
+        assert on_print in tape.ts and between not in tape.ts
+        for warmup in (600.0, on_print, between, 1234.5, 1800.0):
+            cfg = BacktestConfig(q0=1, warmup=warmup, horizon=60.0,
+                                 recalib_window=600.0, gamma_mode="fixed",
+                                 gamma_value=0.05, n_min=30,
+                                 sampling_dt=sampling_dt)
+            ledger = run_backtest(tape, cfg)
+            part = tape.slice_time(tape.ts[0], ledger.start_time)
+            want = calibrate_sigma(part, sampling_dt)
+            assert ledger.sigma_hat == want > 0
+            assert want == calibrate_sigma_resample(part, sampling_dt)
+        assert calibrate_sigma(tape, sampling_dt) == calibrate_sigma_resample(
+            tape, sampling_dt)
+
+    @pytest.mark.parametrize("sampling_dt,warmup", [(1.0, 50.0), (0.7, 69.0)])
+    def test_short_warmup_refused(self, bullish_tape, sampling_dt, warmup):
+        tape = self.zero_start(bullish_tape)
+        span = float(tape.ts[np.searchsorted(tape.ts, warmup, side="right") - 1])
+        cfg = BacktestConfig(warmup=warmup, sampling_dt=sampling_dt)
+        message = (f"warm-up sigma calibration failed: tape spans {span:.6g}s "
+                   f"< 100 * sampling_dt = {100 * sampling_dt:.6g}s")
+        with pytest.raises(CalibrationError, match=f"^{re.escape(message)}$"):
+            run_backtest(tape, cfg)
 
 
 def walk_quotes_at(self, t):
@@ -291,14 +357,7 @@ class TestLevelOneQuotes:
             cfg = dataclasses.replace(bullish_cfg, gamma_mode="quote_target",
                                       gamma_value=1.0, rounding="randomized")
         elif case == "two_buckets":
-            # a tape replay episode: the spread alternates 1 and 2 Ticks
-            # every minute, re-quotes every 5 s from q0 = 10
-            schedule = [(60.0 * i, 1.0 + i % 2) for i in range(60)]
-            tape = synthetic_tape(3600.0, sigma=0.3, big_a=0.2, k=0.3, mid0=1000.0,
-                                  spread_schedule=schedule, seed=1)
-            cfg = BacktestConfig(q0=10, delta_t=5.0, warmup=1800.0, horizon=1800.0,
-                                 recalib_window=1800.0, gamma_mode="quote_target",
-                                 gamma_value=1.0)
+            tape, cfg = two_bucket_episode()
         got = run_backtest(tape, cfg)
         monkeypatch.setattr(WSolution, "quotes_at", walk_quotes_at)
         want = run_backtest(tape, cfg)
@@ -350,6 +409,25 @@ class TestEdgesAndErrors:
         with pytest.raises(CalibrationError, match="bucket"):
             run_backtest(tape, cfg)
 
+    def test_dropped_bucket_names_reason_and_usable_buckets(self):
+        # the spread widens to 2 Ticks 10 s before the warm-up ends: at the
+        # first re-quote bucket 2 has too few prints, bucket 1 fits
+        tape = synthetic_tape(1500.0, sigma=0.05, big_a=0.4, k=0.4, mid0=100.0,
+                              spread_schedule=[(0.0, 1.0), (1190.0, 2.0)], seed=3)
+        cfg = BacktestConfig(q0=1, warmup=1200.0, recalib_window=1200.0,
+                             gamma_mode="fixed", gamma_value=0.05, n_min=20)
+        start = float(tape.ts[0]) + 1200.0
+        fits, dropped = calibrate_intensity_recount(tape, window=1200.0,
+                                                    end_time=start, n_min=20)
+        assert list(fits) == [1] and re.fullmatch(
+            r"only \d+ prints < n_min = 20", dropped[2])
+        assert calibrate_intensity(tape, window=1200.0, end_time=start,
+                                   n_min=20)[1] == dropped
+        message = (f"no usable fit for spread bucket 2 at t={start:.6g} "
+                   f"({dropped[2]}); usable buckets: [1]")
+        with pytest.raises(CalibrationError, match=f"^{re.escape(message)}$"):
+            run_backtest(tape, cfg)
+
     def test_config_validation(self):
         for bad in (dict(q0=0), dict(delta_t=0.0), dict(rounding="x"),
                     dict(gamma_mode="x"), dict(reference="mark"),
@@ -368,6 +446,16 @@ class TestEdgesAndErrors:
         ("market_order_threshold", NAN, "market_order_threshold must not be NaN"),
         ("q0", 2.5, "q0 must be an integer"),
         ("n_min", NAN, "n_min must be an integer"),
+        ("seed", 1.5, "seed must be an integer"),
+        ("warmup", -1.0, "warmup must be >= 0"),
+        ("recalib_window", 0.0, "recalib_window must be > 0"),
+        ("recalib_window", -60.0, "recalib_window must be > 0"),
+        ("sampling_dt", 0.0, "sampling_dt must be > 0"),
+        ("sampling_dt", -1.0, "sampling_dt must be > 0"),
+        ("distance_grid", (0.5, 1.0), "distance_grid needs >= 3 offsets"),
+        ("distance_grid", (0.0, 0.5, 1.0), "distance_grid must be positive and increasing"),
+        ("distance_grid", (0.5, 1.5, 1.0), "distance_grid must be positive and increasing"),
+        ("distance_grid", (0.5, NAN, 1.5), "distance_grid must be positive and increasing"),
     ])
     def test_refuses_setting_naming_it(self, field, value, match):
         with pytest.raises(ParameterError, match=match):

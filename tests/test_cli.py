@@ -184,6 +184,11 @@ class TestCalibrateCommand:
         res = run_cli("calibrate", "--tape", str(tmp_path / "nope.csv"))
         assert res.returncode == 4
 
+    def test_nan_window_is_parameter_error(self, tape_path):
+        res = run_cli("calibrate", "--tape", str(tape_path), "--window", "nan")
+        assert res.returncode == 3, res.stderr
+        assert "window must be > 0, got nan" in res.stderr
+
     @pytest.mark.parametrize("spec", ["0.5:5:0", "0.5:5:-0.5", "5:0.5:0.5",
                                       "0.5:inf:0.5", "nan:5:0.5", "0.5:5",
                                       "a:b:c"])

@@ -190,6 +190,23 @@ class TestCalibrateIntensity:
             calibrate_intensity(tape, distance_grid=[-1.0, 0.5, 1.0])
         with pytest.raises(ParameterError, match="n_min must be an integer"):
             calibrate_tape(tape, n_min=float("nan"))
+        with pytest.raises(ParameterError, match="distance_grid must be positive"):
+            calibrate_intensity(tape, distance_grid=[0.5, float("nan"), 1.5])
+
+    @pytest.mark.parametrize("kwargs,match", [
+        (dict(window=float("nan")), "window must be > 0, got nan"),
+        (dict(window=0.0), "window must be > 0, got 0.0"),
+        (dict(window=-600.0), "window must be > 0, got -600.0"),
+        (dict(end_time=float("inf")), "end_time must be finite, got inf"),
+        (dict(end_time=float("nan"), window=600.0), "end_time must be finite, got nan"),
+    ])
+    def test_refuses_window_naming_it(self, kwargs, match):
+        tape = synthetic_tape(1000.0, sigma=0.1, big_a=0.2, k=0.3, seed=2)
+        with pytest.raises(ParameterError, match=match):
+            calibrate_intensity(tape, **kwargs)
+        if "end_time" not in kwargs:
+            with pytest.raises(ParameterError, match=match):
+                calibrate_tape(tape, **kwargs)
 
 
 def three_bucket_tape(tied: bool) -> TradeTape:

@@ -63,6 +63,7 @@ class TestConfigValidation:
         ("s0", float("nan"), "s0 must be finite"),
         ("q0", 2.5, "q0 must be an integer"),
         ("n_paths", 10.5, "n_paths must be an integer"),
+        ("seed", 1.5, "seed must be an integer"),
     ])
     def test_refuses_setting_naming_it(self, field, value, match):
         good = dict(params=ModelParams(), q0=6, dt=1.0, n_paths=10, seed=0,
