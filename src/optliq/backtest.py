@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import CalibrationError, DataError, ParameterError
 from .market_data import (DEFAULT_DISTANCE_GRID, IntensityFit, TradeTape,
-                          _checked_grid, _prefix_sigma, _window_fit,
-                          calibrate_gamma, calibrate_intensity)
+                          _checked_grid, _prefix_sigma, _spread_bucket,
+                          _window_fit, calibrate_gamma, calibrate_intensity)
 from .model import ModelParams, _require_finite, _require_int, _write_csv
 from .ode import solve_w
 
@@ -227,7 +227,7 @@ def run_backtest(tape: TradeTape, cfg: BacktestConfig) -> BacktestLedger:
         bid = float(tape.bid[i_state])
         ask = float(tape.ask[i_state])
         mid = 0.5 * (bid + ask)
-        bucket = int(math.floor(ask - bid + 0.5))
+        bucket = int(_spread_bucket(ask - bid))
         try:
             fit = _window_fit(tape, index, bucket, cfg.recalib_window, t_now,
                               cfg.n_min)

@@ -5,9 +5,13 @@ backtest.  Config files carry model parameters as flat key=value lines
 (keys mu, sigma, A, k, gamma, b, T, q_max) with optional [sim] and
 [backtest] sections (keys in :data:`SECTIONS`; others are refused);
 ``--set key=value`` / ``--set section.key=value`` override file values,
-and explicit flags override both.  Only what the user set reaches the
-library, which owns the defaults.  Relative ``--config`` paths fall back
+and explicit flags override both.  Relative ``--config`` paths fall back
 to $OPTLIQ_CONFIG_DIR when not found locally.
+
+Each flag that sets a library value is a key of one :class:`Setting`
+table per target, spelled with ``-`` for ``_``.  Only what the user set
+reaches the library, which owns the defaults and checks every value: an
+out-of-domain value exits 3 from a flag, --set or a file alike.
 
 Exit codes: 0 success, 2 usage, 3 domain or regime error, 4 data error.
 """
@@ -37,47 +41,74 @@ SWEEPABLE = ("mu", "sigma", "A", "k", "gamma", "b")
 
 
 class Setting(NamedTuple):
-    """A [sim] or [backtest] key: its flag, the cast of a file or --set
-    value, the config field it sets and, only for a SimConfig field that
-    has none, its default."""
+    """One library setting: the cast of its flag, file or --set value, the
+    field or keyword it sets and, only for a SimConfig field that has
+    none, its default.  Its flag is its key with ``_`` spelled ``-``; the
+    library checks the cast value."""
 
-    flag: str
     cast: Callable
     field: str
     default: object = None
-    choices: Optional[tuple] = None
     help: Optional[str] = None
 
 
 #: [sim] key -> :class:`optliq.simulate.SimConfig` field; q0 defaults to q_max
 SIM_SETTINGS = {
-    "q0": Setting("--q0", int, "q0"),
-    "dt": Setting("--dt", float, "dt", 0.05,
+    "q0": Setting(int, "q0"),
+    "dt": Setting(float, "dt", 0.05,
                   help="reporting grid step (s) of curve.csv; fill times are exact"),
-    "paths": Setting("--paths", int, "n_paths", 1000),
-    "seed": Setting("--seed", int, "seed", 0),
-    "s0": Setting("--s0", float, "s0"),
-    "policy": Setting("--policy", str, "policy", "optimal",
+    "paths": Setting(int, "n_paths", 1000),
+    "seed": Setting(int, "seed", 0),
+    "s0": Setting(float, "s0"),
+    "policy": Setting(str, "policy", "optimal",
                       help="optimal | fixed:<delta> | fallback:<threshold>"),
 }
 
 #: [backtest] key -> :class:`optliq.backtest.BacktestConfig` field
 BACKTEST_SETTINGS = {
-    "q0": Setting("--q0", int, "q0"),
-    "delta_t": Setting("--delta-t", float, "delta_t"),
-    "rounding": Setting("--rounding", str, "rounding", choices=("nearest", "randomized")),
-    "seed": Setting("--seed", int, "seed"),
-    "recalib_window": Setting("--recalib-window", float, "recalib_window"),
-    "warmup": Setting("--warmup", float, "warmup"),
-    "gamma_mode": Setting("--gamma-mode", str, "gamma_mode",
-                          choices=("fixed", "quote_target")),
-    "gamma_value": Setting("--gamma-value", float, "gamma_value"),
-    "fallback_threshold": Setting("--fallback-threshold", float, "market_order_threshold"),
-    "b": Setting("--b", float, "b"),
-    "horizon": Setting("--horizon", float, "horizon"),
-    "reference": Setting("--reference", str, "reference", choices=("mid", "bid")),
-    "sampling_dt": Setting("--sampling-dt", float, "sampling_dt"),
-    "n_min": Setting("--n-min", int, "n_min"),
+    "q0": Setting(int, "q0"),
+    "delta_t": Setting(float, "delta_t"),
+    "rounding": Setting(str, "rounding", help="nearest | randomized"),
+    "seed": Setting(int, "seed"),
+    "recalib_window": Setting(float, "recalib_window"),
+    "warmup": Setting(float, "warmup"),
+    "gamma_mode": Setting(str, "gamma_mode", help="fixed | quote_target"),
+    "gamma_value": Setting(float, "gamma_value"),
+    "fallback_threshold": Setting(float, "market_order_threshold"),
+    "b": Setting(float, "b"),
+    "horizon": Setting(float, "horizon"),
+    "reference": Setting(str, "reference", help="mid | bid"),
+    "sampling_dt": Setting(float, "sampling_dt"),
+    "n_min": Setting(int, "n_min"),
+}
+
+
+def _parse_offsets(spec: str):
+    try:
+        start, stop, step = (float(x) for x in spec.split(":"))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"expects start:stop:step, got {spec!r}") from exc
+    if not (np.isfinite([start, stop, step]).all() and step > 0 and start <= stop):
+        raise argparse.ArgumentTypeError(
+            f"{spec!r} must be finite with step > 0 and start <= stop")
+    return tuple(np.arange(start, stop + 1e-12, step))
+
+
+#: ``--tick-size`` -> :func:`optliq.market_data.load_tape`
+TAPE_SETTINGS = {"tick_size": Setting(float, "tick_size", help="currency per Tick")}
+
+#: calibrate flags -> :func:`optliq.market_data.calibrate_tape` keywords
+CALIBRATE_SETTINGS = {
+    "sampling_dt": Setting(float, "sampling_dt"),
+    "offsets": Setting(_parse_offsets, "distance_grid",
+                       help="premium offsets (Ticks) of the intensity fit, "
+                            "as start:stop:step"),
+    "window": Setting(float, "window"),
+    "n_min": Setting(int, "n_min"),
+    "gamma_target": Setting(float, "gamma_target"),
+    "b": Setting(float, "b"),
+    "horizon": Setting(float, "horizon"),
 }
 
 SECTIONS = {"sim": SIM_SETTINGS, "backtest": BACKTEST_SETTINGS}
@@ -134,28 +165,27 @@ def _load_params(args) -> tuple:
     return params, sections
 
 
+def _flags(args, table: dict) -> dict:
+    """Fields of ``table`` that the user set by flag."""
+    return {setting.field: getattr(args, key) for key, setting in table.items()
+            if getattr(args, key) is not None}
+
+
 def _settings(args, sections: dict, name: str) -> dict:
     """Config fields of section ``name`` that the user set, from the file
     and --set, then from the flags, which win; plus the table defaults."""
+    table = SECTIONS[name]
     values = {}
     for key, raw in sections.get(name, {}).items():
-        setting = SECTIONS[name][key]
         try:
-            values[setting.field] = setting.cast(raw)
+            values[table[key].field] = table[key].cast(raw)
         except ValueError as exc:
             raise UsageError(f"bad [{name}] value {key}={raw!r}") from exc
-    for key, setting in SECTIONS[name].items():
-        flag = getattr(args, key)
-        if flag is not None:
-            values[setting.field] = flag
-        elif setting.default is not None:
+    values.update(_flags(args, table))
+    for setting in table.values():
+        if setting.default is not None:
             values.setdefault(setting.field, setting.default)
     return values
-
-
-def _given(args, *names) -> dict:
-    """The named flags the user set, as keyword arguments."""
-    return {n: getattr(args, n) for n in names if getattr(args, n) is not None}
 
 
 def _write_json(path, payload, pretty: bool) -> None:
@@ -280,24 +310,10 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _parse_offsets(spec: str):
-    try:
-        start, stop, step = (float(x) for x in spec.split(":"))
-    except ValueError as exc:
-        raise UsageError(f"--offsets expects start:stop:step, got {spec!r}") from exc
-    if not (np.isfinite([start, stop, step]).all() and step > 0 and start <= stop):
-        raise UsageError(f"--offsets {spec!r} must be finite with step > 0 and "
-                         f"start <= stop")
-    return tuple(np.arange(start, stop + 1e-12, step))
-
-
 def cmd_calibrate(args) -> int:
-    tape = load_tape(args.tape, **_given(args, "tick_size"))
-    kwargs = _given(args, "sampling_dt", "window", "n_min", "gamma_target",
-                    "b", "horizon")
-    if args.offsets is not None:
-        kwargs["distance_grid"] = _parse_offsets(args.offsets)
-    _write_json(args.out, calibrate_tape(tape, **kwargs).to_json_dict(), pretty=True)
+    tape = load_tape(args.tape, **_flags(args, TAPE_SETTINGS))
+    result = calibrate_tape(tape, **_flags(args, CALIBRATE_SETTINGS))
+    _write_json(args.out, result.to_json_dict(), pretty=True)
     return 0
 
 
@@ -308,7 +324,7 @@ def backtest_config(args) -> BacktestConfig:
 
 
 def cmd_backtest(args) -> int:
-    tape = load_tape(args.tape, **_given(args, "tick_size"))
+    tape = load_tape(args.tape, **_flags(args, TAPE_SETTINGS))
     ledger = run_backtest(tape, backtest_config(args))
     os.makedirs(args.out, exist_ok=True)
     ledger.write_csvs(args.out)
@@ -335,8 +351,8 @@ def _add_model_flags(sp):
 
 def _add_settings_flags(sp, table: dict):
     for key, setting in table.items():
-        sp.add_argument(setting.flag, dest=key, type=setting.cast,
-                        choices=setting.choices, help=setting.help)
+        sp.add_argument("--" + key.replace("_", "-"), dest=key, type=setting.cast,
+                        help=setting.help)
 
 
 def _add_solver_flags(sp):
@@ -351,19 +367,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "closed forms, Monte Carlo, calibration and backtests.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("solve", help="solve the w grid and export it")
-    _add_model_flags(sp)
-    _add_solver_flags(sp)
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--format", default="csv", choices=("csv", "json"))
-    sp.set_defaults(func=cmd_solve)
-
-    sp = sub.add_parser("quotes", help="solve and export the premium surface")
-    _add_model_flags(sp)
-    _add_solver_flags(sp)
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--format", default="csv", choices=("csv", "json"))
-    sp.set_defaults(func=cmd_solve)
+    for name, help_text in (("solve", "solve the w grid and export it"),
+                            ("quotes", "solve and export the premium surface")):
+        sp = sub.add_parser(name, help=help_text)
+        _add_model_flags(sp)
+        _add_solver_flags(sp)
+        sp.add_argument("--out", required=True)
+        sp.add_argument("--format", default="csv", choices=("csv", "json"))
+        sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("sweep", help="time-0 premiums across one parameter")
     _add_model_flags(sp)
@@ -397,22 +408,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("calibrate", help="estimate sigma, (A, k) and gamma "
                         "from a tape")
     sp.add_argument("--tape", required=True)
-    sp.add_argument("--tick-size", type=float, help="currency per Tick")
-    sp.add_argument("--sampling-dt", type=float)
-    sp.add_argument("--offsets", metavar="START:STOP:STEP",
-                    help="premium offsets (Ticks) of the intensity fit")
-    sp.add_argument("--window", type=float)
-    sp.add_argument("--n-min", type=int)
-    sp.add_argument("--gamma-target", type=float)
-    sp.add_argument("--b", type=float)
-    sp.add_argument("--horizon", type=float)
+    _add_settings_flags(sp, TAPE_SETTINGS)
+    _add_settings_flags(sp, CALIBRATE_SETTINGS)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_calibrate)
 
     sp = sub.add_parser("backtest", help="replay the quoting protocol on a tape")
     _add_model_flags(sp)
     sp.add_argument("--tape", required=True)
-    sp.add_argument("--tick-size", type=float, help="currency per Tick")
+    _add_settings_flags(sp, TAPE_SETTINGS)
     sp.add_argument("--out", required=True, help="output directory")
     _add_settings_flags(sp, BACKTEST_SETTINGS)
     sp.set_defaults(func=cmd_backtest)

@@ -32,7 +32,6 @@ Estimators:
 
 from __future__ import annotations
 
-import copy
 import csv
 import math
 from dataclasses import dataclass, field
@@ -137,17 +136,6 @@ class TradeTape:
     @property
     def span(self) -> float:
         return float(self.ts[-1] - self.ts[0])
-
-    def slice_time(self, start: float, end: float) -> "TradeTape":
-        """The records in [start, end]; a part of a valid tape is valid, so
-        it is not checked again."""
-        lo, hi = _row_range(self.ts, start, end)
-        part = copy.copy(self)
-        part.__dict__.update({name: getattr(self, name)[lo:hi] for name in COLUMNS})
-        # the copied caches would read this tape's rows
-        part._intensity_indexes = {}
-        part._mid_increments = {}
-        return part
 
     def _intensity_index(self, grid: np.ndarray) -> "_IntensityIndex":
         key = tuple(grid.tolist())
@@ -256,9 +244,11 @@ class IntensityFit:
     n_obs: int
 
 
-def _spread_bucket(spread: np.ndarray) -> np.ndarray:
-    # integer Ticks, half rounded up
-    return np.floor(spread + 0.5).astype(np.int64)
+def _spread_bucket(spread):
+    """The bucket of a spread in Ticks: the whole Ticks, half rounded up.
+    Floor division serves a column of spreads and, with no NumPy call, a
+    single float spread alike."""
+    return (spread + 0.5) // 1
 
 
 class _IntensityIndex:

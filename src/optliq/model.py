@@ -270,11 +270,6 @@ class QuoteSurface:
     def q_max(self) -> int:
         return self.params.q_max
 
-    def quote(self, time_index: int, q: int) -> float:
-        if not 1 <= q <= self.q_max:
-            raise ParameterError(f"q must be in 1..{self.q_max}, got {q}")
-        return float(self.values[time_index, q - 1])
-
     # -- exports ----------------------------------------------------------
 
     def to_csv(self, path) -> None:

@@ -1,11 +1,12 @@
-"""Shared fixtures: the reference parameter set and its known premiums."""
+"""Shared fixtures: the reference parameter set and its known premiums,
+and a two-spread-bucket replay episode."""
 
 import math
 
 import numpy as np
 import pytest
 
-from optliq import ModelParams
+from optliq import BacktestConfig, ModelParams, synthetic_tape
 from optliq.model import derive_coefficients
 
 # Reference fixture: T = 300 s, mu = 0, sigma = 0.3, A = 0.1, k = 0.3,
@@ -64,3 +65,15 @@ def ref_params() -> ModelParams:
 @pytest.fixture
 def nodrift_params() -> ModelParams:
     return ModelParams(mu=0.0, sigma=0.0)
+
+
+def two_bucket_episode():
+    """A tape replay episode: the spread alternates 1 and 2 Ticks every
+    minute, re-quotes every 5 s from q0 = 10."""
+    schedule = [(60.0 * i, 1.0 + i % 2) for i in range(60)]
+    tape = synthetic_tape(3600.0, sigma=0.3, big_a=0.2, k=0.3, mid0=1000.0,
+                          spread_schedule=schedule, seed=1)
+    cfg = BacktestConfig(q0=10, delta_t=5.0, warmup=1800.0, horizon=1800.0,
+                         recalib_window=1800.0, gamma_mode="quote_target",
+                         gamma_value=1.0)
+    return tape, cfg

@@ -18,9 +18,10 @@ the two integrators then integrate the correctly rounded terminal data,
 which coincides with the forced-complete-liquidation limit, and relax the
 positivity check on the terminal row.
 
-:func:`calibrate_intensity_recount` slices the window out of the tape,
-recounts every print against every offset and fits with ``np.polyfit``:
-the oracle of the prefix-count index in :mod:`optliq.market_data`.
+:func:`calibrate_intensity_recount` slices the window out of the tape
+(:func:`slice_time`), recounts every print against every offset and fits
+with ``np.polyfit``: the oracle of the prefix-count index in
+:mod:`optliq.market_data`.
 
 Invariants, each raising ``AssertionError``:
 
@@ -36,9 +37,9 @@ import mpmath
 import numpy as np
 
 from optliq import (ModelParams, NoAsymptoteError, ParameterError,
-                    RegimeError, WGrid, terminal_quote)
-from optliq.market_data import (DEFAULT_DISTANCE_GRID, IntensityFit,
-                                _spread_bucket)
+                    RegimeError, TradeTape, WGrid, terminal_quote)
+from optliq.market_data import (COLUMNS, DEFAULT_DISTANCE_GRID, IntensityFit,
+                                _row_range, _spread_bucket)
 from optliq.model import DerivedCoefficients, derive_coefficients
 from optliq.ode import DEFAULT_N_STEPS, _terminal_state
 
@@ -267,6 +268,14 @@ def assert_trading_curve(curve, q0: int) -> None:
         "expected inventory must be non-increasing"
 
 
+def slice_time(tape, start: float, end: float) -> TradeTape:
+    """The records of ``tape`` in [start, end] as a new tape, whose columns
+    are read-only views and whose caches start empty."""
+    lo, hi = _row_range(tape.ts, start, end)
+    return TradeTape(*(getattr(tape, name)[lo:hi] for name in COLUMNS),
+                     tick_size=tape.tick_size)
+
+
 def calibrate_intensity_recount(tape, distance_grid=DEFAULT_DISTANCE_GRID,
                                 window=None, end_time=None, n_min=50):
     """:func:`optliq.calibrate_intensity` by slicing the window out of the
@@ -279,7 +288,7 @@ def calibrate_intensity_recount(tape, distance_grid=DEFAULT_DISTANCE_GRID,
         raise ParameterError("distance_grid must be positive and increasing")
     end = float(tape.ts[-1]) if end_time is None else float(end_time)
     start = float(tape.ts[0]) if window is None else end - float(window)
-    sliced = tape.slice_time(start, end)
+    sliced = slice_time(tape, start, end)
 
     buckets = _spread_bucket(sliced.spread)
     offsets = sliced.price - sliced.mid

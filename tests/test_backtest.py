@@ -15,7 +15,9 @@ from optliq import (BacktestConfig, CalibrationError, ParameterError,
 from optliq.backtest import BacktestLedger
 from optliq.market_data import synthetic_tape
 from optliq.ode import WSolution, _advance, _quotes, _terminal_state, _Walk
-from tests.oracles import calibrate_intensity_recount, calibrate_sigma_resample
+from tests.conftest import two_bucket_episode
+from tests.oracles import (calibrate_intensity_recount, calibrate_sigma_resample,
+                           slice_time)
 
 
 NAN, INF = float("nan"), float("inf")
@@ -236,18 +238,6 @@ class TestMarketOrderFallback:
         assert cfg.q0 == len(ledger.fills) + ledger.q_end
 
 
-def two_bucket_episode():
-    """A tape replay episode: the spread alternates 1 and 2 Ticks every
-    minute, re-quotes every 5 s from q0 = 10."""
-    schedule = [(60.0 * i, 1.0 + i % 2) for i in range(60)]
-    tape = synthetic_tape(3600.0, sigma=0.3, big_a=0.2, k=0.3, mid0=1000.0,
-                          spread_schedule=schedule, seed=1)
-    cfg = BacktestConfig(q0=10, delta_t=5.0, warmup=1800.0, horizon=1800.0,
-                         recalib_window=1800.0, gamma_mode="quote_target",
-                         gamma_value=1.0)
-    return tape, cfg
-
-
 class TestIndexedIntensityFit:
     """Ledgers from the prefix-count index against the slicing recount."""
 
@@ -319,7 +309,7 @@ class TestWarmupSigma:
                                  gamma_value=0.05, n_min=30,
                                  sampling_dt=sampling_dt)
             ledger = run_backtest(tape, cfg)
-            part = tape.slice_time(tape.ts[0], ledger.start_time)
+            part = slice_time(tape, tape.ts[0], ledger.start_time)
             want = calibrate_sigma(part, sampling_dt)
             assert ledger.sigma_hat == want > 0
             assert want == calibrate_sigma_resample(part, sampling_dt)
@@ -368,6 +358,19 @@ class TestLevelOneQuotes:
         for a, b in zip(got.orders, want.orders):
             assert dataclasses.replace(a, raw_delta=0.0) == dataclasses.replace(b, raw_delta=0.0)
             assert a.raw_delta == pytest.approx(b.raw_delta, rel=0, abs=1e-12)
+
+
+class TestBidReference:
+    def test_orders_priced_off_the_bid_at_insert(self):
+        tape, cfg = two_bucket_episode()
+        ledger = run_backtest(tape, dataclasses.replace(cfg, reference="bid"))
+        assert ledger.orders
+        for o in ledger.orders:
+            row = int(np.searchsorted(tape.ts, o.t_insert, side="right")) - 1
+            assert o.reference_price == tape.bid[row]
+            assert o.order_price == o.reference_price + o.quote_ticks
+        # orders were placed in both spread buckets, half a spread below the mid
+        assert {round(2.0 * (o.mid - o.reference_price)) for o in ledger.orders} == {1, 2}
 
 
 class TestEdgesAndErrors:

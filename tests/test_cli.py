@@ -1,7 +1,9 @@
 """End-to-end command-line runs: golden output schemas, reference values,
 determinism, and exit codes."""
 
+import argparse
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
@@ -9,10 +11,10 @@ import sys
 import numpy as np
 import pytest
 
-from optliq import BacktestConfig, ModelParams
+from optliq import BacktestConfig, ModelParams, load_tape, run_backtest
 from optliq.cli import backtest_config, build_parser
 from optliq.market_data import synthetic_tape
-from tests.conftest import REFERENCE_QUOTES_T0, TABLE_TOL
+from tests.conftest import REFERENCE_QUOTES_T0, TABLE_TOL, two_bucket_episode
 
 
 def run_cli(*args, env=None):
@@ -230,6 +232,22 @@ class TestBacktestCommand:
         assert res.returncode == 3 and "warmup must be finite" in res.stderr
         assert not outdir.exists()
 
+    def test_bid_reference_matches_library(self, tmp_path):
+        tape, cfg = two_bucket_episode()
+        path = tmp_path / "tape.csv"
+        tape.write_csv(path)
+        res = run_cli("backtest", "--tape", str(path), "--out", str(tmp_path / "cli"),
+                      "--reference", "bid", "--q0", "10", "--delta-t", "5",
+                      "--warmup", "1800", "--horizon", "1800",
+                      "--recalib-window", "1800", "--gamma-mode", "quote_target",
+                      "--gamma-value", "1")
+        assert res.returncode == 0, res.stderr
+        ledger = run_backtest(load_tape(path), dataclasses.replace(cfg, reference="bid"))
+        ledger.write_csvs(tmp_path / "lib")
+        assert ledger.orders
+        assert ((tmp_path / "cli" / "orders.csv").read_bytes()
+                == (tmp_path / "lib" / "orders.csv").read_bytes())
+
     def test_bad_tape_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("ts,price,size,bid,ask\n1.0,100.0,10,101.0,100.0\n")
@@ -300,11 +318,59 @@ class TestSettings:
             assert f"[{section}]" in res.stderr and repr(key) in res.stderr, res.stderr
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key,message", [
+        ("rounding", "unknown rounding mode 'foo'"),
+        ("gamma_mode", "unknown gamma_mode 'foo'"),
+        ("reference", "reference must be 'mid' or 'bid', got 'foo'"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "set", "file"])
+    def test_library_refuses_bad_value_from_any_source(self, tape_path, tmp_path,
+                                                        source, key, message):
+        cfg = tmp_path / "bt.cfg"
+        cfg.write_text(f"[backtest]\n{key} = foo\n")
+        given = {"flag": ["--" + key.replace("_", "-"), "foo"],
+                 "set": ["--set", f"backtest.{key}=foo"],
+                 "file": ["--config", str(cfg)]}[source]
+        out = tmp_path / "o"
+        res = run_cli("backtest", "--tape", str(tape_path), "--out", str(out), *given)
+        assert res.returncode == 3, res.stderr
+        assert f"error: {message}" in res.stderr
+        assert not out.exists()
+
     def test_bad_section_value_names_section(self, config_path, tmp_path):
         res = run_cli("simulate", "--config", str(config_path), "--set",
                       "sim.paths=abc", "--out", str(tmp_path / "o"))
         assert res.returncode == 2
         assert "bad [sim] value paths='abc'" in res.stderr
+
+
+#: every subcommand's option strings, in the parser's order
+OPTION_STRINGS = {
+    "solve": ["-h", "--help", "--config", "--set", "--steps", "--out", "--format"],
+    "quotes": ["-h", "--help", "--config", "--set", "--steps", "--out", "--format"],
+    "sweep": ["-h", "--help", "--config", "--set", "--steps", "--sweep", "--out",
+              "--format"],
+    "closed-form": ["-h", "--help", "--config", "--set", "--which", "--q", "--t",
+                    "--q0", "--points", "--out"],
+    "simulate": ["-h", "--help", "--config", "--set", "--steps", "--out", "--q0",
+                 "--dt", "--paths", "--seed", "--s0", "--policy", "--events"],
+    "calibrate": ["-h", "--help", "--tape", "--tick-size", "--sampling-dt",
+                  "--offsets", "--window", "--n-min", "--gamma-target", "--b",
+                  "--horizon", "--out"],
+    "backtest": ["-h", "--help", "--config", "--set", "--tape", "--tick-size",
+                 "--out", "--q0", "--delta-t", "--rounding", "--seed",
+                 "--recalib-window", "--warmup", "--gamma-mode", "--gamma-value",
+                 "--fallback-threshold", "--b", "--horizon", "--reference",
+                 "--sampling-dt", "--n-min"],
+}
+
+
+def test_option_strings_are_pinned():
+    """Flags derived from the settings tables keep every name."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert {name: [s for a in sp._actions for s in a.option_strings]
+            for name, sp in sub.choices.items()} == OPTION_STRINGS
 
 
 class TestUsageErrors:

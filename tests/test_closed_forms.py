@@ -136,7 +136,7 @@ class TestNoDriftNoVol:
         for i in (0, 2500, 5000, 7500):
             t = float(grid.times[i])
             for q in range(1, 7):
-                assert surface.quote(i, q) == pytest.approx(
+                assert surface.values[i, q - 1] == pytest.approx(
                     nodrift_novol_quote(nodrift_params, t, q), abs=1e-8)
 
     def test_quote_decreasing_in_liquidation_cost(self, nodrift_params):

@@ -122,7 +122,7 @@ class TestSolveRK:
     def test_reference_first_quote(self, ref_params):
         grid = solve_rk(ref_params, N)
         surface = quote_surface(grid)
-        assert surface.quote(0, 1) == pytest.approx(10.6095, abs=TABLE_TOL)
+        assert surface.values[0, 0] == pytest.approx(10.6095, abs=TABLE_TOL)
 
     def test_coarse_step_raises_naming_location(self):
         with pytest.raises(OracleFailure, match=r"t=.*q="):
