@@ -29,6 +29,9 @@ the price to T when the round has no fill, and round q0's normal carries it
 to T after the last unit.  So a path is bit-identical whether simulated
 alone, inside an ensemble or under any split into batches, and every policy
 simulated with the same seed sees the same draws (common random numbers).
+Ensembles run in blocks of paths; a block computes each round's draws once,
+for all its paths, the first time a policy reaches that round, and every
+policy of a :func:`simulate_policies` call reads them from there.
 """
 
 from __future__ import annotations
@@ -56,8 +59,11 @@ __all__ = [
     "simulate_policies",
 ]
 
-# paths per vectorised pass of simulate_ensemble; bounds its memory only,
-# the results do not depend on it
+# paths per block of simulate_ensemble and simulate_policies: a block holds
+# the draws of each fill round its paths reach (16 bytes per path and
+# round), computed once per call and read by every policy.  simulate_ensemble
+# keeps one block at a time, simulate_policies every block until its last
+# policy; the results do not depend on it
 _CHUNK = 1 << 16
 
 
@@ -243,6 +249,41 @@ def _normals(keys: np.ndarray, draw) -> np.ndarray:
     return radius * np.cos(2.0 * math.pi * _uniforms(keys, draw + np.uint64(1)))
 
 
+class _Draws:
+    """The event draws of one block of paths, each fill round's computed for
+    every path of the block on first use and then kept: round j's unit
+    exponentials (draw 3j) and standard normals (draws 3j+1 and 3j+2)."""
+
+    def __init__(self, seed: int, paths):
+        self.keys = _path_keys(seed, paths)
+        self._exponentials = {}
+        self._normals = {}
+
+    def exponential(self, j: int) -> np.ndarray:
+        if j not in self._exponentials:
+            self._exponentials[j] = _exponentials(self.keys, 3 * j)
+        return self._exponentials[j]
+
+    def normal(self, j: int) -> np.ndarray:
+        if j not in self._normals:
+            self._normals[j] = _normals(self.keys, 3 * j + 1)
+        return self._normals[j]
+
+
+def _grid_index(grid: np.ndarray, dt: float, tau: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(grid, tau)`` on the grid ``arange(n + 1) * dt`` for
+    times ``0 <= tau``, by arithmetic, except that a time past the last node
+    (below T when dt falls short of T / n) maps to the last node.
+
+    ``ceil(tau / dt)`` is off by at most one node, which one comparison on
+    each side corrects."""
+    last = grid.size - 1
+    m = np.minimum(np.ceil(tau / dt), last).astype(np.int64)
+    m -= (m > 0) & (grid[m - 1] >= tau)
+    m += (m < last) & (grid[m] < tau)
+    return m
+
+
 # ------------------------------------------------------------ hazard tables
 
 class _HazardTable:
@@ -299,8 +340,9 @@ class _HazardTable:
 
 # ------------------------------------------------------------------- engine
 
-def _simulate(cfg: SimConfig, table: _HazardTable, paths, on_fill=None) -> dict:
-    """Exact events of the given paths; returns their finals.
+def _simulate(cfg: SimConfig, table: _HazardTable, draws: _Draws,
+              on_fill=None) -> dict:
+    """Exact events of the paths of ``draws``; returns their finals.
 
     Fill round j moves every live path, all at level q0 - j, to its next
     event.  ``on_fill(j, tau, s_at, price)`` is called with the units sold
@@ -309,8 +351,7 @@ def _simulate(cfg: SimConfig, table: _HazardTable, paths, on_fill=None) -> dict:
     """
     p = cfg.params
     horizon = p.horizon
-    keys = _path_keys(cfg.seed, paths)
-    n = keys.size
+    n = draws.keys.size
     edges = table.edges
     n_int = edges.size - 1
     q = np.full(n, cfg.q0, dtype=np.int64)
@@ -325,9 +366,8 @@ def _simulate(cfg: SimConfig, table: _HazardTable, paths, on_fill=None) -> dict:
         if rows.size == 0:
             break
         level = cfg.q0 - 1 - j
-        live = keys[rows]
         cum, rate = table.cum[level], table.rate[level]
-        target = cum[node] + rate[node] * (t - edges[node]) + _exponentials(live, 3 * j)
+        target = cum[node] + rate[node] * (t - edges[node]) + draws.exponential(j)[rows]
         k = np.minimum(np.searchsorted(cum, target, side="right") - 1, n_int - 1)
         with np.errstate(divide="ignore", invalid="ignore"):
             tau = edges[k] + (target - cum[k]) / rate[k]
@@ -339,7 +379,7 @@ def _simulate(cfg: SimConfig, table: _HazardTable, paths, on_fill=None) -> dict:
         event = np.minimum(tau, t_forced)
 
         gap = np.minimum(event, horizon) - t
-        s_live = s[rows] + (p.mu * gap + p.sigma * np.sqrt(gap) * _normals(live, 3 * j + 1))
+        s_live = s[rows] + (p.mu * gap + p.sigma * np.sqrt(gap) * draws.normal(j)[rows])
         s[rows] = s_live
 
         sold = event < horizon
@@ -356,9 +396,10 @@ def _simulate(cfg: SimConfig, table: _HazardTable, paths, on_fill=None) -> dict:
         if on_fill is not None:
             on_fill(j, t, s_live[sold], price)
 
-    # every unit sold before T: carry the price on to T
-    gap = horizon - t
-    s[rows] += p.mu * gap + p.sigma * np.sqrt(gap) * _normals(keys[rows], 3 * cfg.q0 + 1)
+    if rows.size:
+        # every unit sold before T: carry the price on to T
+        gap = horizon - t
+        s[rows] += p.mu * gap + p.sigma * np.sqrt(gap) * draws.normal(cfg.q0)[rows]
     return {"q_final": q, "x_final": x, "s_final": s,
             "market_orders": market_orders}
 
@@ -385,23 +426,24 @@ def simulate_path(cfg: SimConfig, path_index: int = 0) -> SimPath:
     """Simulate a single path (bit-identical to the same index inside an
     ensemble with the same config)."""
     table = _HazardTable(cfg.policy, cfg.params, cfg.q0)
+    draws = _Draws(cfg.seed, [path_index])
     events = []   # (time, reference price, settlement price) per unit sold
 
     def record(j, tau, s_at, price):
         events.extend(zip(tau.tolist(), s_at.tolist(), price.tolist()))
 
-    res = _simulate(cfg, table, [path_index], on_fill=record)
+    res = _simulate(cfg, table, draws, on_fill=record)
     fill_times = np.array([e[0] for e in events])
     fill_prices = np.array([e[2] for e in events])
     grid = cfg.grid
-    n_done = np.searchsorted(fill_times, grid, side="right")
+    n_done = np.cumsum(np.bincount(_grid_index(grid, cfg.dt, fill_times),
+                                   minlength=grid.size))
     # cumsum adds in order from 0.0, as the engine does
     cash = np.cumsum(np.concatenate([[0.0], fill_prices]))[n_done]
     ev_times = np.concatenate([[0.0], fill_times, [cfg.params.horizon]])
     ev_prices = np.concatenate([[float(cfg.s0)], [e[1] for e in events],
                                 res["s_final"]])
-    price = _bridge(_path_keys(cfg.seed, [path_index]), grid, ev_times,
-                    ev_prices, cfg.params.sigma)
+    price = _bridge(draws.keys, grid, ev_times, ev_prices, cfg.params.sigma)
     return SimPath(
         times=grid,
         price=price,
@@ -440,45 +482,65 @@ def _summary_from_finals(cfg: SimConfig, fills, fills_sq,
     )
 
 
+def _ensembles(cfgs: list) -> list:
+    """One :class:`SimSummary` per config, for configs that differ only in
+    their policy.  The paths run in blocks of ``_CHUNK``, and every policy
+    reads the draws of a block from one :class:`_Draws`, kept until the
+    last policy has read it.  Every policy is checked before any path is
+    simulated."""
+    tables = [_HazardTable(c.policy, c.params, c.q0) for c in cfgs]
+    n_paths, seed = cfgs[0].n_paths, cfgs[0].seed
+    grid = cfgs[0].grid
+    blocks = [None] * math.ceil(n_paths / _CHUNK)   # the _Draws of each block
+    summaries = []
+    for i, cfg in enumerate(cfgs):
+        table, tables[i] = tables[i], None   # freed once its policy is done
+        fills = np.zeros(grid.size)
+        fills_sq = np.zeros(grid.size)
+
+        def record(j, tau, s_at, price):
+            count = np.bincount(_grid_index(grid, cfg.dt, tau), minlength=grid.size)
+            fills[:] += count
+            # q^2 falls by 2q - 1 when level q sells a unit
+            fills_sq[:] += (2 * (cfg.q0 - j) - 1) * count
+
+        q_fin = np.empty(n_paths, dtype=np.int64)
+        x_fin = np.empty(n_paths)
+        s_fin = np.empty(n_paths)
+        for b, lo in enumerate(range(0, n_paths, _CHUNK)):
+            hi = min(lo + _CHUNK, n_paths)
+            draws = blocks[b]
+            if draws is None:
+                draws = _Draws(seed, np.arange(lo, hi))
+            blocks[b] = draws if i < len(cfgs) - 1 else None
+            res = _simulate(cfg, table, draws, on_fill=record)
+            q_fin[lo:hi] = res["q_final"]
+            x_fin[lo:hi] = res["x_final"]
+            s_fin[lo:hi] = res["s_final"]
+        summaries.append(_summary_from_finals(cfg, fills, fills_sq, q_fin, x_fin, s_fin))
+    return summaries
+
+
 def simulate_ensemble(cfg: SimConfig) -> SimSummary:
     """Aggregate cfg.n_paths independent paths.
 
     The trading curve at grid time t_m is q0 less the mean count of units
     sold at or before t_m.
     """
-    table = _HazardTable(cfg.policy, cfg.params, cfg.q0)
-    grid = cfg.grid
-    fills = np.zeros(grid.size)
-    fills_sq = np.zeros(grid.size)
-
-    def record(j, tau, s_at, price):
-        count = np.bincount(np.searchsorted(grid, tau), minlength=grid.size)
-        fills[:] += count
-        # q^2 falls by 2q - 1 when level q sells a unit
-        fills_sq[:] += (2 * (cfg.q0 - j) - 1) * count
-
-    q_fin = np.empty(cfg.n_paths, dtype=np.int64)
-    x_fin = np.empty(cfg.n_paths)
-    s_fin = np.empty(cfg.n_paths)
-    for lo in range(0, cfg.n_paths, _CHUNK):
-        hi = min(lo + _CHUNK, cfg.n_paths)
-        res = _simulate(cfg, table, np.arange(lo, hi), on_fill=record)
-        q_fin[lo:hi] = res["q_final"]
-        x_fin[lo:hi] = res["x_final"]
-        s_fin[lo:hi] = res["s_final"]
-    return _summary_from_finals(cfg, fills, fills_sq, q_fin, x_fin, s_fin)
+    return _ensembles([cfg])[0]
 
 
 def simulate_policies(params: ModelParams, policies, q0: int, dt: float,
                       n_paths: int, seed: int, s0: float = 0.0):
     """Run several policies over the same draws (common random numbers).
 
-    Returns one :class:`SimSummary` per policy, in order: one
-    :func:`simulate_ensemble` each, with the same seed, so path i of every
-    policy consumes the identical counter-based draws and cross-policy
-    comparisons are much tighter than independent runs.
+    Returns one :class:`SimSummary` per policy, in order, each equal to
+    :func:`simulate_ensemble` of that policy alone with the same seed.  Path
+    i of every policy consumes the identical counter-based draws, so
+    cross-policy comparisons are much tighter than independent runs; each
+    draw is computed once per call, for all policies.  Every policy is
+    checked before any path is simulated.
     """
-    return [simulate_ensemble(SimConfig(params=params, q0=q0, dt=dt,
-                                        n_paths=n_paths, seed=seed,
-                                        policy=pol, s0=s0))
-            for pol in policies]
+    cfgs = [SimConfig(params=params, q0=q0, dt=dt, n_paths=n_paths, seed=seed,
+                      policy=pol, s0=s0) for pol in policies]
+    return _ensembles(cfgs) if cfgs else []

@@ -3,13 +3,16 @@ optimality of the solved quote surface."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from optliq import (FixedQuote, MarketOrderFallback, ModelParams,
                     OptimalSurface, ParameterError, SimConfig,
                     binf_trading_curve, quote_surface, simulate_ensemble,
                     simulate_path, simulate_policies, solve_grid, solve_w)
-from optliq.simulate import (_HazardTable, _normals, _path_keys, _simulate,
-                             _uniforms)
+import optliq.simulate as sim_module
+from optliq.simulate import (_Draws, _grid_index, _HazardTable, _normals,
+                             _path_keys, _simulate, _uniforms)
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +32,8 @@ def dominance_runs(ref_surface):
 
 def run_paths(cfg, paths):
     """Finals of the given path indices, simulated together."""
-    return _simulate(cfg, _HazardTable(cfg.policy, cfg.params, cfg.q0), paths)
+    return _simulate(cfg, _HazardTable(cfg.policy, cfg.params, cfg.q0),
+                     _Draws(cfg.seed, paths))
 
 
 def all_fills(cfg):
@@ -38,7 +42,7 @@ def all_fills(cfg):
     path that sells more than j units."""
     out = []
     finals = _simulate(cfg, _HazardTable(cfg.policy, cfg.params, cfg.q0),
-                       np.arange(cfg.n_paths),
+                       _Draws(cfg.seed, np.arange(cfg.n_paths)),
                        on_fill=lambda j, tau, s, px: out.append((tau, px)))
     sold = cfg.q0 - finals["q_final"]
     path_ids = np.concatenate([np.flatnonzero(sold > j) for j in range(len(out))])
@@ -189,6 +193,99 @@ class TestEnsembleContract:
         curve = dominance_runs[0].trading_curve
         assert curve.expected_inventory[0] == 6.0
         assert np.all(np.diff(curve.expected_inventory) <= 1e-12)
+
+
+class TestSharedDraws:
+    """simulate_policies computes each draw once for all its policies."""
+
+    @staticmethod
+    def summary_fields(s):
+        return (s.trading_curve.times, s.trading_curve.expected_inventory,
+                s.mc_stderr_curve, s.pnl_mean, s.pnl_std, s.utility_mean,
+                s.utility_stderr, s.terminal_inventory_hist,
+                s.price_terminal_mean, s.price_terminal_stderr)
+
+    def test_each_policy_equals_its_ensemble_alone(self, monkeypatch):
+        p = ModelParams(sigma=3.0)
+        surface = quote_surface(solve_grid(p, 5000))
+        policies = [OptimalSurface(surface), FixedQuote(0.0),
+                    FixedQuote(float("inf")), MarketOrderFallback(surface, 0.0)]
+        alone = [simulate_ensemble(SimConfig(params=p, q0=6, dt=0.5,
+                                             n_paths=2500, seed=17, policy=pol))
+                 for pol in policies]
+        # three blocks of paths, each read by all four policies
+        monkeypatch.setattr(sim_module, "_CHUNK", 1000)
+        runs = simulate_policies(p, policies, q0=6, dt=0.5, n_paths=2500,
+                                 seed=17)
+        for run, single in zip(runs, alone):
+            assert run.config == single.config
+            for got, want in zip(self.summary_fields(run),
+                                 self.summary_fields(single)):
+                if isinstance(got, np.ndarray):
+                    assert np.array_equal(got, want)
+                else:
+                    assert got == want
+
+    @pytest.mark.parametrize("bad", ["small_surface", "unknown_policy"])
+    def test_bad_last_policy_refused_before_any_path(self, monkeypatch,
+                                                     ref_surface, bad):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return _simulate(*args, **kwargs)
+
+        monkeypatch.setattr(sim_module, "_simulate", counting)
+        last = (OptimalSurface(quote_surface(solve_grid(ModelParams(q_max=3), 1000)))
+                if bad == "small_surface" else "optimal")
+        policies = ([OptimalSurface(ref_surface)]
+                    + [FixedQuote(float(d)) for d in range(15)] + [last])
+        with pytest.raises(ParameterError):
+            simulate_policies(ModelParams(), policies, q0=6, dt=0.5,
+                              n_paths=100, seed=1)
+        assert calls == []
+
+
+class TestGridIndex:
+    @given(horizon=st.floats(1.0, 1e5), n=st.integers(100, 20_000),
+           shrink=st.floats(0.0, 1e-10),
+           extra=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
+    @example(horizon=300.0, n=281, shrink=0.0, extra=[])
+    @example(horizon=300.0, n=3000, shrink=1e-12, extra=[1 - 1e-13])
+    @settings(max_examples=200, deadline=None)
+    def test_matches_searchsorted(self, horizon, n, shrink, extra):
+        # dt may fall short of horizon / n by up to 1e-9 relative (SimConfig
+        # allows that), so the last node can lie below T; a time past it
+        # counts at the last node
+        dt = horizon / n * (1 - shrink)
+        grid = np.arange(n + 1) * dt
+        tau = np.concatenate([grid, np.nextafter(grid, -np.inf),
+                              np.nextafter(grid, np.inf),
+                              [0.0, np.nextafter(horizon, 0.0)],
+                              np.asarray(extra) * horizon])
+        tau = tau[(tau >= 0.0) & (tau < horizon)]
+        want = np.minimum(np.searchsorted(grid, tau), n)
+        assert np.array_equal(_grid_index(grid, dt, tau), want)
+
+    def test_fill_past_last_node_counts_there(self, monkeypatch):
+        # dt = 0.1 (1 - 1e-12) puts the last of its 3001 nodes 3e-10 below
+        # T; at rate A e^0 = 1 a fill lands at its exponential, so round 0
+        # sells every path's first unit between that node and T
+        p = ModelParams(big_a=1.0)
+        cfg = SimConfig(params=p, q0=6, dt=0.1 * (1 - 1e-12), n_paths=50,
+                        seed=1, policy=FixedQuote(0.0))
+        gap_time = p.horizon - 1e-10
+        assert cfg.grid[-1] < gap_time
+        monkeypatch.setattr(
+            _Draws, "exponential",
+            lambda self, j: np.full(self.keys.size, gap_time if j == 0 else 1e9))
+        summary = simulate_ensemble(cfg)
+        assert summary.terminal_inventory_hist[5] == 50
+        assert summary.trading_curve.expected_inventory[-1] == 5.0
+        assert summary.trading_curve.expected_inventory[-2] == 6.0
+        path = simulate_path(cfg, 3)
+        assert path.fills[0][0] == gap_time
+        assert path.inventory[-1] == 5
 
 
 class TestCounterStreams:

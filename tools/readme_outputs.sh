@@ -55,6 +55,19 @@ optliq solve --config reference.cfg --format json --out w.json
 optliq quotes --config reference.cfg --format json --out quotes_5min.json
 optliq sweep --config reference.cfg --sweep mu=-0.01,0,0.01 --format json --out dep_mu.json
 optliq simulate --config reference.cfg --paths 1 --seed 3 --events --out sim_one/
+# the multi-policy path: the optimal surface and the fixed quotes 0..3
+# over common draws, one stats entry per policy
+python3 - <<'PY'
+import json
+from optliq import (FixedQuote, ModelParams, OptimalSurface, quote_surface,
+                    simulate_policies, solve_grid)
+params = ModelParams()
+policies = [OptimalSurface(quote_surface(solve_grid(params)))]
+policies += [FixedQuote(float(d)) for d in range(4)]
+runs = simulate_policies(params, policies, q0=6, dt=0.05, n_paths=2048, seed=1)
+with open("sim_policies.json", "w") as f:
+    json.dump([run.stats_json_dict() for run in runs], f, indent=2)
+PY
 optliq calibrate --tape tape.csv --gamma-target 1.0 > calibrate.stdout
 optliq closed-form --config reference.cfg --set sigma=0 --which nodrift --t 100 \
     --out nodrift.json
