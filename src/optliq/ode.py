@@ -32,13 +32,18 @@ it feeds.  A segment that stops short of the walk's end spans whole blocks
 of grid steps; the exponents change only where the kept ones cannot reach
 a block, and a step too long even for fresh ones is crossed as a walk of
 two half steps.  Where w stays well inside the double range the exponents
-are 0 and the grid is one block walk of plain doubles from w(T).
+are 0 and the grid is one block walk of plain doubles from w(T).  The
+bound and the profile are computed in Python floats, one level at a time:
+they see q_max + 1 numbers, few enough that NumPy's cost per call would
+outweigh the arithmetic.
 
 Level one couples only to ``w_0 = 1``: ``w_1(T - tau) = e^(-x - k b) +
 eta tau phi1(-x)``, ``x = lambda_1 tau``, ``phi1(y) = expm1(y) / y``.  A
 point at ``q_max = 1`` (the backtester's last unit, each step of the gamma
-calibration) takes it, split into a mantissa and an exponent as w(T) is;
-grids, and points at ``q_max >= 2``, take the walk.
+calibration) takes it in logs: its quote is ``ln w_1 / k + ln(1 +
+gamma/k) / gamma`` straight from the log, and its w splits the same log
+into a mantissa and an exponent as w(T) is.  Grids, and points at
+``q_max >= 2``, take the walk.
 """
 
 from __future__ import annotations
@@ -79,6 +84,7 @@ _WINDOW = 500.0
 _LIFT = 64.0
 _TINY = np.finfo(float).tiny
 _LOG_TINY = math.log(_TINY)
+_LN2 = math.log(2.0)
 # ln 2 in pieces of 31 bits, so that n * piece is exact for |n| < 2^22
 _LN2_PIECES = (0.6931471801362932, 4.2365213637554633e-10, 2.0538208177030216e-19)
 
@@ -101,8 +107,8 @@ def _terminal_state(p: ModelParams) -> tuple:
     return _split_exp(-p.k * p.b * np.arange(p.q_max + 1, dtype=float))
 
 
-def _level_one_state(p: ModelParams, tau: float) -> tuple:
-    """w(T - tau) at q_max = 1 in closed form, summed in logs, with
+def _level_one_log(p: ModelParams, tau: float) -> float:
+    """ln w_1(T - tau) in closed form, summed in logs, with
     ``ln phi1(y) = max(y, 0) + ln(-expm1(-|y|)) - ln|y|``: the logs take
     positive numbers formed without a cancellation."""
     c = derive_coefficients(p)
@@ -110,7 +116,16 @@ def _level_one_state(p: ModelParams, tau: float) -> tuple:
     log_phi = max(y, 0.0) + math.log(-math.expm1(-abs(y))) - math.log(abs(y)) if y else 0.0
     # eta may round to 0; tau = 0 is w(T)
     log_feed = math.log(c.eta) + math.log(tau) + log_phi if c.eta > 0 and tau > 0 else -math.inf
-    return _split_exp(np.array([0.0, np.logaddexp(y - p.k * p.b, log_feed)]))
+    # ln(e^x + e^f), as np.logaddexp forms it
+    x = y - p.k * p.b
+    top = max(x, log_feed)
+    return top + math.log1p(math.exp(min(x, log_feed) - top))
+
+
+def _level_one_state(p: ModelParams, tau: float) -> tuple:
+    """w(T - tau) at q_max = 1 as (mantissas, exponents), split from
+    :func:`_level_one_log`."""
+    return _split_exp(np.array([0.0, _level_one_log(p, tau)]))
 
 
 def _propagator(lam: np.ndarray, eta: float, tau: float, e: np.ndarray) -> np.ndarray:
@@ -127,10 +142,11 @@ def _propagator(lam: np.ndarray, eta: float, tau: float, e: np.ndarray) -> np.nd
     """
     sub = np.ldexp(eta, (e[:-1] - e[1:]).astype(np.int32))
     n = lam.size
-    c = float(lam.max())
+    rates = lam.tolist()
+    c = max(rates)
     diag = c - lam
-    d_max = float(diag.max())
-    norm = tau * (d_max + float(np.max(sub)))
+    d_max = c - min(rates)  # max(diag): c - x rounds monotonically in x
+    norm = tau * (d_max + max(sub.tolist()))
     s = math.ceil(math.log2(norm / _THETA)) if norm > _THETA else 0
     h = tau / 2.0 ** s
     theta = h * d_max
@@ -181,44 +197,56 @@ class _Walk:
 
     def __init__(self, p: ModelParams):
         c = derive_coefficients(p)
-        q = np.arange(p.q_max + 1, dtype=float)
         # M has diagonal lam and subdiagonal -eta
-        self.lam, self.eta = c.alpha * q * q - c.beta * q, c.eta
+        self._lam = [c.alpha * q * q - c.beta * q for q in range(p.q_max + 1)]
+        self.lam, self.eta = np.array(self._lam), c.eta
         self._step = None  # (h, profile, propagator) last built
 
     @staticmethod
-    def _lift(lw: np.ndarray) -> tuple:
+    def _lift(lw: list) -> tuple:
         """log2 w with each level raised to at least 2^-_LIFT times the
         level below, and the mask of the levels left as they were."""
-        lift = _LIFT * np.arange(lw.size)
-        shifted = lw + lift
-        floor = np.maximum.accumulate(shifted)
-        own = shifted == floor
-        return np.where(own, lw, floor - lift), own
+        lifted, own, floor = [], [], -math.inf
+        for q, x in enumerate(lw):
+            shifted = x + _LIFT * q
+            own.append(shifted >= floor)
+            if own[-1]:
+                floor = shifted
+            lifted.append(x if own[-1] else floor - _LIFT * q)
+        return lifted, own
 
     def reach(self, v: np.ndarray, e: np.ndarray) -> float:
         """How long w = v 2^e can be walked back keeping every mantissa in
         the window: the lifted w bounds growth, the levels left as they
-        were bound decay."""
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            a = np.log2(v)
-            lw = a + e
-            lifted, own = self._lift(lw)
-            up = float((self.eta * np.exp2(lifted[:-1] - lifted[1:]) - self.lam[1:]).max())
-            fed = self.eta * np.exp2(lw[:-1] - lw[1:]) - self.lam[1:]
-        lo = float(fed[own[1:]].min(initial=0.0))
-        top, bottom = float((lifted - e).max()), float(a[own].min())
+        were bound decay.  A level 0 of zero, or any mantissa that is
+        negative, infinite or NaN, allows no step."""
+        v, e = v.tolist(), e.tolist()
+        if not (v[0] > 0.0 and all(0.0 <= x < math.inf for x in v)):
+            return 0.0
+        a = [math.log2(x) if x else -math.inf for x in v]
+        lw = [x + y for x, y in zip(a, e)]
+        lifted, own = self._lift(lw)
+        lam, eta = self._lam, self.eta
+        # each lifted level, and so each level left as it was, is at least
+        # 2^-_LIFT times the level below: no power here overflows
+        up = max(eta * 2.0 ** (lifted[q - 1] - lifted[q]) - lam[q] for q in range(1, len(v)))
+        lo = min((eta * 2.0 ** (lw[q - 1] - lw[q]) - lam[q] for q in range(1, len(v)) if own[q]),
+                 default=0.0)
+        top = max(x - y for x, y in zip(lifted, e))
+        bottom = min(x for x, mine in zip(a, own) if mine)
         if not -_WINDOW <= bottom <= top <= _WINDOW:
             return 0.0
-        growth = (_WINDOW - top) * math.log(2.0) / up if up > 0 else math.inf
-        return min(growth, (_WINDOW + bottom) * math.log(2.0) / -lo if lo < 0 else math.inf)
+        growth = (_WINDOW - top) * _LN2 / up if up > 0 else math.inf
+        return min(growth, (_WINDOW + bottom) * _LN2 / -lo if lo < 0 else math.inf)
 
     def profile(self, v: np.ndarray, e: np.ndarray) -> tuple:
         """w = v 2^e with each exponent moved to the nearest integer of the
-        level's lifted log2."""
-        with np.errstate(divide="ignore"):
-            e_new = np.rint(self._lift(np.log2(v) + e)[0]).astype(np.int64)
-        return np.ldexp(v, (e - e_new).astype(np.int32)), e_new
+        level's lifted log2 (v_0 > 0 and every mantissa finite)."""
+        v, e = v.tolist(), e.tolist()
+        lifted = self._lift([math.log2(x) + y if x else -math.inf for x, y in zip(v, e)])[0]
+        e_new = [round(x) for x in lifted]
+        return (np.array([math.ldexp(x, y - z) for x, y, z in zip(v, e, e_new)]),
+                np.array(e_new, dtype=np.int64))
 
     def step(self, h: float, e: np.ndarray) -> np.ndarray:
         """The propagator over h in the profile e.  The last one built, for
@@ -342,15 +370,20 @@ class WSolution:
 
     params: ModelParams
 
+    def _tau(self, t: float) -> float:
+        """T - t, for t in [0, T]."""
+        if not 0.0 <= t <= self.params.horizon:
+            raise ParameterError(f"t={t} outside [0, {self.params.horizon}]")
+        return self.params.horizon - t
+
     def _state_at(self, t: float) -> tuple:
         """w(t) as (mantissas, exponents): level one in closed form, else a walk of one step."""
         p = self.params
-        if not 0.0 <= t <= p.horizon:
-            raise ParameterError(f"t={t} outside [0, {p.horizon}]")
+        tau = self._tau(t)
         if p.q_max == 1:
-            return _level_one_state(p, p.horizon - t)
+            return _level_one_state(p, tau)
         v, e = _terminal_state(p)
-        return (v, e) if t == p.horizon else _Walk(p).run(v, e, p.horizon - t, 1, _advance)
+        return (v, e) if tau == 0.0 else _Walk(p).run(v, e, tau, 1, _advance)
 
     def evaluate_at(self, t: float) -> np.ndarray:
         """w(t), q = 0..q_max, as doubles (0 or inf beyond the double range)."""
@@ -361,9 +394,14 @@ class WSolution:
     def quotes_at(self, t: float) -> np.ndarray:
         """The premiums delta*(t, q) for q = 1..q_max, formed from the
         mantissas and exponents of w(t) as :func:`quote_surface` forms
-        them, so they keep their digits wherever w lies."""
-        self.params.require_risk_averse("quotes_at")
-        return _quotes(*self._state_at(t), self.params, np.empty(self.params.q_max))
+        them, so they keep their digits wherever w lies; at q_max = 1,
+        straight from ln w_1."""
+        p = self.params
+        p.require_risk_averse("quotes_at")
+        if p.q_max == 1:
+            return np.array([_level_one_log(p, self._tau(t)) / p.k
+                             + math.log1p(p.gamma / p.k) / p.gamma])
+        return _quotes(*self._state_at(t), p, np.empty(p.q_max))
 
     def to_wgrid(self, n_steps: int = DEFAULT_N_STEPS) -> WGrid:
         """w on the uniform grid of n_steps steps, exact at every node.
@@ -462,7 +500,7 @@ def _quotes(v: np.ndarray, e: np.ndarray, p: ModelParams, out: np.ndarray) -> np
     term, for q = 1..q_max along the last axis of v, written into out."""
     np.divide(v[..., 1:], v[..., :-1], out=out)
     np.log(out, out=out)
-    out += np.diff(e) * math.log(2.0)
+    out += (e[1:] - e[:-1]) * _LN2
     out /= p.k
     out += math.log1p(p.gamma / p.k) / p.gamma
     return out

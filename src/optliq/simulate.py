@@ -424,7 +424,11 @@ def _bridge(keys: np.ndarray, grid: np.ndarray, ev_times: np.ndarray,
 
 def simulate_path(cfg: SimConfig, path_index: int = 0) -> SimPath:
     """Simulate a single path (bit-identical to the same index inside an
-    ensemble with the same config)."""
+    ensemble with the same config); ``path_index`` is an integer in
+    [0, 2**64)."""
+    _require_int(path_index=path_index)
+    if not 0 <= path_index < 2 ** 64:
+        raise ParameterError(f"path_index must be in [0, 2**64), got {path_index}")
     table = _HazardTable(cfg.policy, cfg.params, cfg.q0)
     draws = _Draws(cfg.seed, [path_index])
     events = []   # (time, reference price, settlement price) per unit sold

@@ -18,6 +18,10 @@ the two integrators then integrate the correctly rounded terminal data,
 which coincides with the forced-complete-liquidation limit, and relax the
 positivity check on the terminal row.
 
+:func:`walk_reach`, :func:`walk_lift` and :func:`walk_profile` are the
+segment bound of the ``w`` walk in NumPy: the oracles of the float forms
+of ``_Walk.reach``, ``_Walk._lift`` and ``_Walk.profile``.
+
 :func:`calibrate_intensity_recount` slices the window out of the tape
 (:func:`slice_time`), recounts every print against every offset and fits
 with ``np.polyfit``: the oracle of the prefix-count index in
@@ -41,7 +45,7 @@ from optliq import (ModelParams, NoAsymptoteError, ParameterError,
 from optliq.market_data import (COLUMNS, DEFAULT_DISTANCE_GRID, IntensityFit,
                                 _row_range, _spread_bucket)
 from optliq.model import DerivedCoefficients, derive_coefficients
-from optliq.ode import DEFAULT_N_STEPS, _terminal_state
+from optliq.ode import _LIFT, _WINDOW, DEFAULT_N_STEPS, _terminal_state
 
 # terminal values exp(-k*q*b) below this are treated as exact zeros
 _UNDERFLOW_FLOOR = 1e-300
@@ -332,3 +336,40 @@ def calibrate_sigma_resample(tape, sampling_dt):
     idx = np.searchsorted(tape.ts, sample_t, side="right") - 1
     ds = np.diff(0.5 * (tape.bid[idx] + tape.ask[idx]))
     return math.sqrt(np.sum(ds * ds) / (n * sampling_dt))
+
+
+def walk_lift(lw: np.ndarray) -> tuple:
+    """log2 w with each level raised to at least 2^-_LIFT times the level
+    below, and the mask of the levels left as they were."""
+    lift = _LIFT * np.arange(lw.size)
+    shifted = lw + lift
+    floor = np.maximum.accumulate(shifted)
+    own = shifted == floor
+    return np.where(own, lw, floor - lift), own
+
+
+def walk_reach(lam: np.ndarray, eta: float, v: np.ndarray, e: np.ndarray,
+               log2=np.log2, exp2=np.exp2) -> float:
+    """How long w = v 2^e can be walked back keeping every mantissa in the
+    window: the lifted w bounds growth, the levels left as they were bound
+    decay.  ``log2`` and ``exp2`` act elementwise on arrays."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        a = log2(v)
+        lw = a + e
+        lifted, own = walk_lift(lw)
+        up = float((eta * exp2(lifted[:-1] - lifted[1:]) - lam[1:]).max())
+        fed = eta * exp2(lw[:-1] - lw[1:]) - lam[1:]
+    lo = float(fed[own[1:]].min(initial=0.0))
+    top, bottom = float((lifted - e).max()), float(a[own].min(initial=math.inf))
+    if not -_WINDOW <= bottom <= top <= _WINDOW:
+        return 0.0
+    growth = (_WINDOW - top) * math.log(2.0) / up if up > 0 else math.inf
+    return min(growth, (_WINDOW + bottom) * math.log(2.0) / -lo if lo < 0 else math.inf)
+
+
+def walk_profile(v: np.ndarray, e: np.ndarray) -> tuple:
+    """w = v 2^e with each exponent moved to the nearest integer of the
+    level's lifted log2."""
+    with np.errstate(divide="ignore"):
+        e_new = np.rint(walk_lift(np.log2(v) + e)[0]).astype(np.int64)
+    return np.ldexp(v, (e - e_new).astype(np.int32)), e_new

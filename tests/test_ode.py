@@ -14,15 +14,17 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from optliq import (ModelParams, ParameterError, hjb_residual, quote_from_w,
-                    quote_surface, solve_grid, solve_w, terminal_quote)
+                    quote_surface, run_backtest, solve_grid, solve_w, terminal_quote)
 from optliq.closed_forms import asymptotic_quote, binf_w, nodrift_novol_quote
 from optliq.model import DerivedCoefficients, derive_coefficients
-from optliq.ode import _BLOCK, _Walk, _propagator
+from optliq.ode import (_BLOCK, _LIFT, _Walk, _level_one_state, _propagator, _quotes,
+                        _terminal_state)
 from tests.conftest import (HIGH_VOL_K_SWEEP, REFERENCE_QUOTES_T0,
-                            SWEEP_QUOTES_T0, TABLE_TOL, q1_asymptote_gap)
+                            SWEEP_QUOTES_T0, TABLE_TOL, q1_asymptote_gap,
+                            two_bucket_episode)
 from tests.oracles import (OracleFailure, assert_quote_surface, assert_w_grid,
                            mp_log_w, nodrift_novol_w, solve_quadrature, solve_rk,
-                           system_matrix)
+                           system_matrix, walk_profile, walk_reach)
 
 N = 10_000
 
@@ -505,6 +507,18 @@ class TestExtremeLiquidationCost:
             exact = float((ref[1] - ref[0]) / p.k + spread)
             assert level_one_gap(dec.quotes_at(t)[0], exact) <= 1.0, t
 
+    @pytest.mark.parametrize("changes", LEVEL_ONE_CASES)
+    def test_level_one_quote_is_the_quote_of_its_state(self, changes):
+        # quotes_at takes ln w_1 straight; evaluate_at splits the same log.
+        # The two differ by at most an ulp of the quote: 3.6e-12 Ticks at
+        # the 17280-Tick quotes of mu = 0.2, b = 3000
+        p = ModelParams(q_max=1, **changes)
+        dec = solve_w(p)
+        for t in (0.0, 0.5 * p.horizon, p.horizon - 1.0, p.horizon - 1e-6,
+                  math.nextafter(p.horizon, 0.0), p.horizon):
+            state = _quotes(*_level_one_state(p, p.horizon - t), p, np.empty(1))
+            assert level_one_gap(dec.quotes_at(t), state) <= 100.0, t
+
     def test_relaxation_far_below_terminal_matches_mpmath(self):
         # w_200 falls from 1 at T to about 2^-2690 within a second, far
         # below what the terminal exponents can carry
@@ -539,6 +553,102 @@ class TestExtremeLiquidationCost:
             v_num = w0[q] / p.big_a ** q
             v_lim = binf_w(p, 0.0, q) / p.big_a ** q
             assert abs(v_num - v_lim) / v_lim < 0.01
+
+
+# mantissas of every kind the walk holds: normal across the window and
+# beyond it, subnormal, and zero
+MANTISSAS = st.one_of(
+    st.builds(math.ldexp, st.floats(0.5, 1.0), st.integers(-1021, 1023)),
+    st.builds(math.ldexp, st.floats(0.5, 1.0), st.integers(-3, 3)),
+    st.floats(5e-324, 2.2e-308),
+    st.just(0.0),
+)
+
+
+@st.composite
+def walk_states(draw):
+    """A walk and a state w = v 2^e: n from 2 to 101, exponents up to
+    +-1e4, and some levels 2^_LIFT or more below the level under them."""
+    n = draw(st.integers(2, 101))
+    p = ModelParams(q_max=n - 1, mu=draw(st.floats(-0.05, 0.05)),
+                    sigma=draw(st.floats(0.0, 3.0)), k=draw(st.floats(0.1, 1.0)),
+                    gamma=draw(st.floats(1e-3, 10.0)), big_a=draw(st.floats(0.01, 10.0)))
+    v = draw(st.lists(MANTISSAS, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        v[0] = 1.0
+    for q in draw(st.lists(st.integers(1, n - 1), max_size=3)):
+        v[q] = math.ldexp(v[q - 1], -draw(st.integers(int(_LIFT), 400)))
+    e = draw(st.one_of(st.just([0] * n),
+                       st.lists(st.integers(-10_000, 10_000), min_size=n, max_size=n)))
+    return _Walk(p), np.array(v), np.array(e, dtype=np.int64)
+
+
+def _py_exp2(x):
+    try:
+        return 2.0 ** x
+    except OverflowError:
+        return math.inf
+
+
+# Python's log2 and 2**x elementwise, with NumPy's values at 0, below 0 and NaN
+PY_LOG2 = np.vectorize(lambda x: math.log2(x) if x > 0 else -math.inf if x == 0 else math.nan,
+                       otypes=[float])
+PY_EXP2 = np.vectorize(_py_exp2, otypes=[float])
+
+
+class TestWalkBound:
+    """The walk's segment bound, in floats, against its NumPy form in
+    tests/oracles.py: the same profile to the bit, and the same reach to
+    the bit once the NumPy form takes Python's log2 and 2**x.  NumPy's own
+    log2 and exp2 may round an ulp apart from those, and where the growth
+    rate cancels (near a steady state, 3 of the 95 start states of
+    two_bucket_episode) that ulp moves reach far beyond any step: 1.6e-12
+    to 20% of reach, which is 1e6 s and more there."""
+
+    @staticmethod
+    def check(walk, v, e):
+        got = walk.reach(v, e)
+        want = walk_reach(walk.lam, walk.eta, v, e, log2=PY_LOG2, exp2=PY_EXP2)
+        assert got == want, (v, e, got, want)
+        if v[0] > 0 and np.all(np.isfinite(v)) and np.all(v >= 0):
+            (v1, e1), (v2, e2) = walk.profile(v, e), walk_profile(v, e)
+            assert v1.tobytes() == v2.tobytes() and e1.dtype == e2.dtype
+            assert np.array_equal(e1, e2)
+
+    @given(walk_states())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_numpy_form(self, state):
+        self.check(*state)
+
+    @given(walk_states(), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_nan_inf_and_negative_mantissas_allow_no_step(self, state, data):
+        walk, v, e = state
+        q = data.draw(st.integers(0, v.size - 1))
+        v[q] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -1e-310]))
+        assert walk.reach(v, e) == walk_reach(walk.lam, walk.eta, v, e) == 0.0
+        assert walk_reach(walk.lam, walk.eta, v, e, log2=PY_LOG2, exp2=PY_EXP2) == 0.0
+
+    def test_matches_numpy_form_on_replay_start_states(self, monkeypatch):
+        states = []
+        reach = _Walk.reach
+
+        def spy(walk, v, e):
+            states.append((walk, v.copy(), e.copy()))
+            return reach(walk, v, e)
+
+        monkeypatch.setattr(_Walk, "reach", spy)
+        run_backtest(*two_bucket_episode())
+        monkeypatch.undo()
+        assert len(states) > 50
+        for state in states:
+            self.check(*state)
+
+    def test_terminal_states(self):
+        for q_max in (1, 10, 101):
+            for b in (0.0, 3.0, 3000.0):
+                p = ModelParams(q_max=q_max, b=b)
+                self.check(_Walk(p), *_terminal_state(p))
 
 
 class TestExports:

@@ -152,6 +152,28 @@ class TestSinglePath:
         # increments of a Brownian motion at sigma = 0.3 over 0.5 s
         assert abs(np.std(increments) - 0.3 * np.sqrt(0.5)) < 0.05
 
+    @pytest.mark.parametrize("index,match", [
+        (1.5, "path_index must be an integer"),
+        (np.float64(2.0), "path_index must be an integer"),
+        ("3", "path_index must be an integer"),
+        (-1, r"path_index must be in \[0, 2\*\*64\), got -1"),
+        (2 ** 64, r"path_index must be in \[0, 2\*\*64\), got 18446744073709551616"),
+    ])
+    def test_refuses_bad_path_index_naming_it(self, index, match):
+        cfg = SimConfig(params=ModelParams(), q0=6, dt=1.0, n_paths=1, seed=0,
+                        policy=FixedQuote(2.0))
+        with pytest.raises(ParameterError, match=match):
+            simulate_path(cfg, index)
+
+    def test_last_path_index_simulates(self):
+        cfg = SimConfig(params=ModelParams(), q0=6, dt=1.0, n_paths=1, seed=0,
+                        policy=FixedQuote(2.0))
+        last = run_paths(cfg, [2 ** 64 - 1])
+        for index in (2 ** 64 - 1, np.uint64(2 ** 64 - 1)):
+            path = simulate_path(cfg, index)
+            assert path.inventory[-1] == last["q_final"][0]
+            assert path.cash[-1] == last["x_final"][0]
+
     def test_no_fills_after_inventory_exhausted(self):
         p = ModelParams(mu=0.0, sigma=0.0)
         cfg = SimConfig(params=p, q0=2, dt=1.0, n_paths=1, seed=4,
