@@ -1,5 +1,8 @@
 """Exception hierarchy shared across the package.  The w solver has no
-failure of its own: it solves every finite parameter set."""
+error of its own: it refuses no parameter set for how far w leaves the
+double range.  Some extreme finite sets are still open and fail outside
+this hierarchy: gamma = 1e300 raises RecursionError, k = 1e150
+OverflowError, and mu = 1e30 does not finish."""
 
 
 class OptliqError(Exception):

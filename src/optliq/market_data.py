@@ -61,6 +61,10 @@ COLUMNS = ("ts", "price", "size", "bid", "ask")
 # calibrate_gamma bisects over this gamma range until the quote is this close
 _GAMMA_BRACKET = (1e-6, 1e2)
 _QUOTE_TOL = 1e-4
+# synthetic_tape refuses an expected print count above this before it
+# allocates: a tape peaks at about 90 bytes per print while it is built,
+# so the cap holds one call under about 0.9 GB
+_MAX_SYNTHETIC_PRINTS = 10_000_000
 
 
 def _frozen(values) -> np.ndarray:
@@ -223,6 +227,7 @@ def _prefix_sigma(tape: TradeTape, sampling_dt: float, last: int) -> float:
     """:func:`calibrate_sigma` of the tape's rows up to ``last``, bit for
     bit: that prefix samples the same clock, so its ``n`` increments lead
     the whole tape's."""
+    _require_finite(sampling_dt=sampling_dt)
     if not sampling_dt > 0:
         raise ParameterError(f"sampling_dt must be > 0, got {sampling_dt}")
     span = float(tape.ts[last] - tape.ts[0])
@@ -476,11 +481,24 @@ def synthetic_tape(duration: float, sigma: float, big_a: float, k: float,
     ``sigma``.  ``spread_schedule`` is either a constant spread in Ticks or a
     list of ``(start_time, spread)`` pairs.  Prices are in Ticks; use
     :meth:`TradeTape.write_csv` to produce a loadable file in currency.
+    An expected print count ``2 big_a duration`` above
+    ``_MAX_SYNTHETIC_PRINTS`` is refused before anything is allocated.
     """
-    if duration <= 0:
-        raise ParameterError("duration must be > 0")
+    _require_finite(duration=duration, sigma=sigma, big_a=big_a, k=k,
+                    mid0=mid0, drift=drift, tick_size=tick_size)
+    for name, value in (("duration", duration), ("big_a", big_a), ("k", k),
+                        ("tick_size", tick_size)):
+        if not value > 0:
+            raise ParameterError(f"{name} must be > 0, got {value}")
+    if sigma < 0:
+        raise ParameterError(f"sigma must be >= 0, got {sigma}")
+    expected = 2.0 * big_a * duration
+    if expected > _MAX_SYNTHETIC_PRINTS:
+        raise ParameterError(
+            f"synthetic tape would hold about {expected:.3g} prints "
+            f"(2 big_a duration), above the limit of {_MAX_SYNTHETIC_PRINTS}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    n = rng.poisson(2.0 * big_a * duration)
+    n = rng.poisson(expected)
     if n < 2:
         raise DataError("synthetic tape came out empty; increase duration or big_a")
     ts = np.sort(rng.random(n) * duration)

@@ -14,6 +14,8 @@ one table lookup and one linear inversion per fill.  A
 :class:`MarketOrderFallback` sells at the first node at or after t whose
 premium is below the threshold, if that comes before the fill; a premium so
 negative that the intensity overflows fills at the start of its interval.
+The table holds one premium per level and interval, what a sale there adds
+to S (0 for a market order), read alike by a fill and a forced sale.
 The price is sampled only at those event times and at T, by exact Gaussian
 increments, and an execution settles at ``S(tau) + delta`` (a market order
 at ``S(tau)``).  ``SimConfig.dt`` only sets the grid on which the trading
@@ -73,8 +75,9 @@ class FixedQuote:
     delta: float
 
     def __post_init__(self):
-        if math.isnan(self.delta):
-            raise ParameterError("FixedQuote premium must not be NaN")
+        if math.isnan(self.delta) or self.delta == -math.inf:
+            raise ParameterError(
+                f"FixedQuote premium must not be NaN or -inf, got {self.delta}")
 
 
 @dataclass(frozen=True)
@@ -290,52 +293,45 @@ class _HazardTable:
     """Fill hazard of a policy per inventory level, rows q = 1..q0.
 
     edges       interval bounds 0 = e_0 < ... < e_n = T of the held quotes
-    delta       (q0, n) premium held on [e_i, e_{i+1})
-    rate        (q0, n) fill intensity there, 0 where a unit is forced
+    rate        (q0, n) fill intensity on [e_i, e_{i+1}), 0 where a unit is
+                forced
     cum         (q0, n+1) cumulative hazard H_q(e_i)
     next_forced (q0, n) first interval at or after i where the unit is
                 sold at once (n if none)
-    forced_premium, market  (q0, n+1) what such a sale adds to S (0 for a
-                market order), and whether it is a market order; column n
-                is a sentinel
+    premium, market  (q0, n) what a sale in the interval adds to S, and
+                whether it is a market order (premium 0); a fill and a
+                forced sale read the same entry
     """
 
     def __init__(self, policy: Policy, params: ModelParams, q0: int):
         horizon = params.horizon
-        threshold = None
         if isinstance(policy, FixedQuote):
             starts = np.zeros(1)
             delta = np.full((q0, 1), float(policy.delta))
         elif isinstance(policy, (OptimalSurface, MarketOrderFallback)):
             surface = policy.surface
-            # a node at T only sets the terminal quote, which is never held
-            keep = surface.times < horizon * (1 - 1e-12)
-            keep[0] = True
-            starts = surface.times[keep]
-            starts[0] = 0.0
-            delta = np.ascontiguousarray(surface.values[keep, :q0].T)
-            if isinstance(policy, MarketOrderFallback):
-                threshold = float(policy.threshold)
+            # the times increase, so the nodes before T are a prefix; a node
+            # at T only sets the terminal quote, which is never held
+            m = max(1, int(np.searchsorted(surface.times, horizon * (1 - 1e-12))))
+            starts = surface.times[:m]
+            delta = np.ascontiguousarray(surface.values[:m, :q0].T)
         else:
             raise ParameterError(f"unknown policy {policy!r}")
         n = starts.size
         self.edges = np.append(starts, horizon)
-        self.delta = delta
+        self.edges[0] = 0.0
         with np.errstate(over="ignore"):
             rate = params.big_a * np.exp(-params.k * delta)
-        market = (np.zeros_like(delta, dtype=bool) if threshold is None
-                  else delta < threshold)
-        forced = market | np.isinf(rate)
+        # only a MarketOrderFallback has a threshold
+        self.market = delta < float(getattr(policy, "threshold", -math.inf))
+        forced = self.market | np.isinf(rate)
         rate[forced] = 0.0
         self.rate = rate
         self.cum = np.zeros((q0, n + 1))
         np.cumsum(rate * np.diff(self.edges), axis=1, out=self.cum[:, 1:])
         first = np.where(forced, np.arange(n), n)
         self.next_forced = np.minimum.accumulate(first[:, ::-1], axis=1)[:, ::-1]
-        self.forced_premium = np.zeros((q0, n + 1))
-        self.forced_premium[:, :n] = np.where(market, 0.0, delta)
-        self.market = np.zeros((q0, n + 1), dtype=bool)
-        self.market[:, :n] = market
+        self.premium = np.where(self.market, 0.0, delta)
 
 
 # ------------------------------------------------------------------- engine
@@ -372,27 +368,24 @@ def _simulate(cfg: SimConfig, table: _HazardTable, draws: _Draws,
         with np.errstate(divide="ignore", invalid="ignore"):
             tau = edges[k] + (target - cum[k]) / rate[k]
         tau = np.where(target < cum[-1], np.maximum(tau, t), np.inf)
+        # with nothing forced before T, next_forced is n and edges[n] = T:
+        # the forced sale falls at T, which sells nothing
         forced_at = table.next_forced[level][node]
-        t_forced = np.where(forced_at < n_int,
-                            np.maximum(t, edges[forced_at]), np.inf)
+        t_forced = np.maximum(t, edges[forced_at])
         forced = t_forced <= tau
         event = np.minimum(tau, t_forced)
 
-        gap = np.minimum(event, horizon) - t
+        gap = event - t
         s_live = s[rows] + (p.mu * gap + p.sigma * np.sqrt(gap) * draws.normal(j)[rows])
         s[rows] = s_live
 
         sold = event < horizon
-        rows, t, forced = rows[sold], event[sold], forced[sold]
-        forced_at, k = forced_at[sold], k[sold]
-        premium = np.where(forced, table.forced_premium[level][forced_at],
-                           table.delta[level][k])
-        price = s_live[sold] + premium
-        market = forced & table.market[level][forced_at]
+        rows, t = rows[sold], event[sold]
+        node = np.where(forced, forced_at, k)[sold]   # the interval of the sale
+        price = s_live[sold] + table.premium[level][node]
         x[rows] += price
         q[rows] -= 1
-        market_orders[rows] += market
-        node = np.where(forced, forced_at, k)
+        market_orders[rows] += table.market[level][node]
         if on_fill is not None:
             on_fill(j, t, s_live[sold], price)
 

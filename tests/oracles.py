@@ -22,6 +22,10 @@ positivity check on the terminal row.
 segment bound of the ``w`` walk in NumPy: the oracles of the float forms
 of ``_Walk.reach``, ``_Walk._lift`` and ``_Walk.profile``.
 
+:func:`event_rule_path` runs the event rule of :mod:`optliq.simulate` for
+one path in a plain loop over the held intervals: the oracle of the
+vectorised hazard table and fill rounds.
+
 :func:`calibrate_intensity_recount` slices the window out of the tape
 (:func:`slice_time`), recounts every print against every offset and fits
 with ``np.polyfit``: the oracle of the prefix-count index in
@@ -40,7 +44,7 @@ import math
 import mpmath
 import numpy as np
 
-from optliq import (ModelParams, NoAsymptoteError, ParameterError,
+from optliq import (FixedQuote, ModelParams, NoAsymptoteError, ParameterError,
                     RegimeError, TradeTape, WGrid, terminal_quote)
 from optliq.market_data import (COLUMNS, DEFAULT_DISTANCE_GRID, IntensityFit,
                                 _row_range, _spread_bucket)
@@ -373,3 +377,75 @@ def walk_profile(v: np.ndarray, e: np.ndarray) -> tuple:
     with np.errstate(divide="ignore"):
         e_new = np.rint(walk_lift(np.log2(v) + e)[0]).astype(np.int64)
     return np.ldexp(v, (e - e_new).astype(np.int32)), e_new
+
+
+def event_rule_path(cfg, exponentials, normals) -> dict:
+    """One path of :func:`optliq.simulate_ensemble` under ``cfg``, from its
+    draws: ``exponentials[j]`` and ``normals[j]`` are fill round j's.
+
+    The policy holds premiums[i] on [edges[i], edges[i + 1]): a
+    :class:`FixedQuote` one interval, a surface one per node before T (a
+    node at T is never held), the first from 0.  An interval forces a sale
+    at its start (or at once, inside it) where its premium is below a
+    fallback threshold, a market order at the reference price, or where the
+    rate ``big_a exp(-k delta)`` overflows, a sale at that premium.  Each
+    round walks the intervals from the current time t: it sells at the
+    first forced interval, unless before that the level's cumulative
+    hazard from 0 (forced intervals add none) reaches its value at t plus
+    the round's exponential.  The price moves by exact Gaussian increments
+    to each sale and to T."""
+    p, q0 = cfg.params, cfg.q0
+    horizon = p.horizon
+    policy = cfg.policy
+    if isinstance(policy, FixedQuote):
+        edges, premiums = [0.0, horizon], [[float(policy.delta)] * q0]
+    else:
+        times, values = policy.surface.times.tolist(), policy.surface.values
+        held = [0] + [i for i in range(1, len(times))
+                      if times[i] < horizon * (1 - 1e-12)]
+        edges = [0.0] + [times[i] for i in held[1:]] + [horizon]
+        premiums = [values[i, :q0].tolist() for i in held]
+    threshold = getattr(policy, "threshold", -math.inf)
+
+    t, s, x, market_orders, i = 0.0, float(cfg.s0), 0.0, 0, 0
+    sales = []   # (time, settlement price)
+    for j in range(q0):
+        level = [row[q0 - 1 - j] for row in premiums]
+        forced = []   # per interval: what a forced sale adds to S, or None
+        rates, cum = [], [0.0]
+        for n, delta in enumerate(level):
+            try:
+                rate = p.big_a * math.exp(-p.k * delta)
+            except OverflowError:
+                rate = math.inf
+            if delta < threshold:
+                forced.append(0.0)
+            elif math.isinf(rate):
+                forced.append(delta)
+            else:
+                forced.append(None)
+            rates.append(rate if forced[-1] is None else 0.0)
+            cum.append(cum[-1] + rates[-1] * (edges[n + 1] - edges[n]))
+        target = cum[i] + rates[i] * (t - edges[i]) + exponentials[j]
+        sale = None   # (time, premium, market order)
+        for n in range(i, len(level)):
+            if forced[n] is not None:
+                sale = (max(t, edges[n]), forced[n], level[n] < threshold)
+            elif target < cum[n + 1]:
+                sale = (max(t, edges[n] + (target - cum[n]) / rates[n]), level[n], False)
+            if sale is not None:
+                i = n
+                break
+        event = horizon if sale is None else sale[0]
+        gap = event - t
+        s += p.mu * gap + p.sigma * math.sqrt(gap) * normals[j]
+        if sale is None:
+            break
+        t = event
+        x += s + sale[1]
+        market_orders += sale[2]
+        sales.append((t, s + sale[1]))
+    else:
+        s += p.mu * (horizon - t) + p.sigma * math.sqrt(horizon - t) * normals[q0]
+    return {"q_final": q0 - len(sales), "x_final": x, "s_final": s,
+            "market_orders": market_orders, "sales": sales}

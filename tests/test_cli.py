@@ -154,6 +154,13 @@ class TestSimulateCommand:
         # refused before the ensemble runs: nothing is written
         assert not (tmp_path / "x").exists()
 
+    def test_minus_inf_fixed_quote_is_parameter_error(self, config_path, tmp_path):
+        res = run_cli("simulate", "--config", str(config_path),
+                      "--policy", "fixed:-inf", "--out", str(tmp_path / "x"))
+        assert res.returncode == 3, res.stderr
+        assert "FixedQuote premium must not be NaN or -inf" in res.stderr
+        assert not (tmp_path / "x").exists()
+
     def test_set_without_config(self, tmp_path):
         outdir = tmp_path / "s"
         res = run_cli("simulate", "--set", "sim.paths=3", "--set", "sim.dt=1",

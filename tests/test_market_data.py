@@ -112,6 +112,33 @@ class TestLoadTape:
         assert np.array_equal(back.bid, tape.bid)
 
 
+class TestSyntheticTape:
+    @pytest.mark.parametrize("changes,match", [
+        (dict(duration=float("nan")), "duration must be finite, got nan"),
+        (dict(sigma=float("inf")), "sigma must be finite, got inf"),
+        (dict(big_a=float("nan")), "big_a must be finite, got nan"),
+        (dict(k=float("-inf")), "k must be finite, got -inf"),
+        (dict(mid0=float("nan")), "mid0 must be finite, got nan"),
+        (dict(drift=float("inf")), "drift must be finite, got inf"),
+        (dict(tick_size=float("nan")), "tick_size must be finite, got nan"),
+        (dict(duration=0.0), "duration must be > 0, got 0.0"),
+        (dict(big_a=0.0), "big_a must be > 0, got 0.0"),
+        (dict(big_a=-0.1), "big_a must be > 0, got -0.1"),
+        (dict(k=0.0), "k must be > 0, got 0.0"),
+        (dict(k=-0.3), "k must be > 0, got -0.3"),
+        (dict(tick_size=0.0), "tick_size must be > 0, got 0.0"),
+        (dict(sigma=-0.3), "sigma must be >= 0, got -0.3"),
+        # 1.2e12 prints would need about 100 TB: refused before allocating
+        (dict(big_a=1e9), r"about 1\.2e\+12 prints \(2 big_a duration\), "
+                          r"above the limit of 10000000"),
+        (dict(duration=1e300, big_a=1e300), r"about inf prints"),
+    ])
+    def test_refuses_argument_naming_it(self, changes, match):
+        args = dict(duration=600.0, sigma=0.3, big_a=0.1, k=0.3)
+        with pytest.raises(ParameterError, match=match):
+            synthetic_tape(**{**args, **changes})
+
+
 class TestCalibrateSigma:
     def test_constant_mid_gives_zero(self, tmp_path):
         rows = [f"{t},100.4,50,99.5,100.5\n" for t in range(0, 400, 2)]
@@ -134,6 +161,19 @@ class TestCalibrateSigma:
         tape = load_tape(write_tape(tmp_path, GOOD_ROWS))
         with pytest.raises(CalibrationError, match="span"):
             calibrate_sigma(tape, 1.0)
+
+    @pytest.mark.parametrize("sampling_dt,match", [
+        (float("nan"), "sampling_dt must be finite, got nan"),
+        (float("inf"), "sampling_dt must be finite, got inf"),
+        (float("-inf"), "sampling_dt must be finite, got -inf"),
+        (0.0, "sampling_dt must be > 0, got 0.0"),
+        (-1.0, "sampling_dt must be > 0, got -1.0"),
+    ])
+    def test_refuses_sampling_dt_naming_it(self, sampling_dt, match):
+        # a bad setting, not a fault of the data
+        tape = synthetic_tape(1000.0, sigma=0.1, big_a=0.2, k=0.3, seed=2)
+        with pytest.raises(ParameterError, match=match):
+            calibrate_sigma(tape, sampling_dt)
 
 
 class TestCalibrateIntensity:

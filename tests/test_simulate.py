@@ -1,6 +1,8 @@
 """Monte Carlo engine: reproducibility contract, analytic oracles, and the
 optimality of the solved quote surface."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,9 +12,11 @@ from optliq import (FixedQuote, MarketOrderFallback, ModelParams,
                     OptimalSurface, ParameterError, SimConfig,
                     binf_trading_curve, quote_surface, simulate_ensemble,
                     simulate_path, simulate_policies, solve_grid, solve_w)
+from optliq.model import QuoteSurface
 import optliq.simulate as sim_module
 from optliq.simulate import (_Draws, _grid_index, _HazardTable, _normals,
                              _path_keys, _simulate, _uniforms)
+from tests.oracles import event_rule_path
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +84,10 @@ class TestConfigValidation:
             FixedQuote(float("nan"))
         with pytest.raises(ParameterError, match="NaN"):
             MarketOrderFallback(ref_surface, threshold=float("nan"))
+        # -inf would sell every unit at once for -inf
+        with pytest.raises(ParameterError,
+                           match="FixedQuote premium must not be NaN or -inf, got -inf"):
+            FixedQuote(float("-inf"))
         # an infinite premium is valid and never fills
         cfg = SimConfig(params=ModelParams(), q0=6, dt=1.0, n_paths=100,
                         seed=0, policy=FixedQuote(float("inf")))
@@ -266,6 +274,99 @@ class TestSharedDraws:
             simulate_policies(ModelParams(), policies, q0=6, dt=0.5,
                               n_paths=100, seed=1)
         assert calls == []
+
+
+# premiums that overflow the rate (-1e4), never fill (1e6, inf) or sit in
+# between, for fixed quotes and surface entries alike
+_PREMIUMS = st.sampled_from([-1e4, -5.0, 0.0, 1.5, 4.0, 8.0, 1e6, math.inf]) \
+    | st.floats(-10.0, 30.0)
+_T = 300.0
+
+
+def _surface_config(values, times, threshold, q0, **changes):
+    """A run on the surface ``values`` (rows at ``times``), as a fallback
+    to market orders below ``threshold``, or optimal if that is None."""
+    p = ModelParams(q_max=len(values[0]), **changes)
+    surface = QuoteSurface(np.array(times), np.array(values), p)
+    policy = (OptimalSurface(surface) if threshold is None
+              else MarketOrderFallback(surface, threshold))
+    return SimConfig(params=p, q0=q0, dt=_T / 100, n_paths=200, seed=7,
+                     policy=policy)
+
+
+@st.composite
+def _rule_configs(draw):
+    q_max = draw(st.integers(1, 4))
+    p = ModelParams(mu=draw(st.sampled_from([0.0, -0.02, 0.02])),
+                    sigma=draw(st.sampled_from([0.0, 0.3, 3.0])),
+                    big_a=draw(st.floats(0.05, 1.0)), k=draw(st.floats(0.1, 1.0)),
+                    q_max=q_max)
+    kind = draw(st.sampled_from(["fixed", "optimal", "fallback"]))
+    if kind == "fixed":
+        policy = FixedQuote(draw(_PREMIUMS))
+    else:
+        inner = sorted(set(draw(st.lists(st.floats(1.0, _T - 1.0), max_size=6))))
+        # the first node is held from 0; a node at T, past T only, or a hair
+        # below T is never held
+        last = draw(st.sampled_from([[_T], [_T, 2 * _T], [1.5 * _T],
+                                     [_T * (1 - 1e-13)]]))
+        times = [draw(st.sampled_from([0.0, 0.5]))] + inner + last
+        rows = st.lists(_PREMIUMS, min_size=q_max, max_size=q_max)
+        values = draw(st.lists(rows, min_size=len(times), max_size=len(times)))
+        surface = QuoteSurface(np.array(times), np.array(values), p)
+        policy = (OptimalSurface(surface) if kind == "optimal" else
+                  MarketOrderFallback(surface, draw(
+                      st.sampled_from([0.0, 5.0, -1e3]) | st.floats(-10.0, 10.0))))
+    return SimConfig(params=p, q0=draw(st.integers(1, q_max)), dt=_T / 100,
+                     n_paths=200, seed=draw(st.integers(0, 2 ** 32)),
+                     policy=policy)
+
+
+class TestEventRuleOracle:
+    """The vectorised fill rounds against a plain loop of the event rule
+    per path (:func:`tests.oracles.event_rule_path`) on the same draws."""
+
+    @given(cfg=_rule_configs())
+    # a fallback threshold crossed at t = 100 and uncrossed at t = 200, at
+    # q0 = 2 < q_max
+    @example(cfg=_surface_config([[6.0, 4.0, 3.0], [-2.0, 1.0, -3.0],
+                                  [5.0, 3.0, 2.0], [1.0, 1.0, 1.0]],
+                                 [0.0, 100.0, 200.0, _T], 0.0, q0=2, sigma=3.0))
+    # no node at T; the rate overflows on [0, 50) at q = 1
+    @example(cfg=_surface_config([[-1e4, 2.0], [3.0, 1e6], [8.0, 8.0]],
+                                 [0.0, 50.0, 1.5 * _T], None, q0=2))
+    @example(cfg=SimConfig(params=ModelParams(sigma=3.0), q0=6, dt=1.0, n_paths=200,
+                           seed=1, policy=FixedQuote(-1e4)))
+    @example(cfg=SimConfig(params=ModelParams(), q0=6, dt=1.0, n_paths=200,
+                           seed=1, policy=FixedQuote(math.inf)))
+    @settings(max_examples=150, deadline=None)
+    def test_finals_and_sales_match(self, cfg):
+        draws = _Draws(cfg.seed, np.arange(cfg.n_paths))
+        rounds = []   # (times, settlement prices) of each round's sales
+        got = _simulate(cfg, _HazardTable(cfg.policy, cfg.params, cfg.q0), draws,
+                        on_fill=lambda j, tau, s_at, price: rounds.append((tau, price)))
+        # round j sells, in path order, one unit of each path selling > j
+        sold = cfg.q0 - got["q_final"]
+        sales = [[] for _ in range(cfg.n_paths)]
+        for j, (tau, price) in enumerate(rounds):
+            for path, t, px in zip(np.flatnonzero(sold > j), tau, price):
+                sales[path].append((t, px))
+        exps = [draws.exponential(j) for j in range(cfg.q0)]
+        normals = [draws.normal(j) for j in range(cfg.q0 + 1)]
+        for path in range(cfg.n_paths):
+            want = event_rule_path(cfg, [e[path] for e in exps],
+                                   [z[path] for z in normals])
+            assert got["q_final"][path] == want["q_final"]
+            assert got["market_orders"][path] == want["market_orders"]
+            assert len(sales[path]) == len(want["sales"])
+            # cash and price are sums: relative to the size of their terms
+            scale = abs(cfg.s0) + sum(abs(px) for _, px in want["sales"])
+            for (t, px), (t_want, px_want) in zip(sales[path], want["sales"]):
+                assert t == pytest.approx(t_want, rel=1e-12, abs=0.0)
+                assert px == pytest.approx(px_want, rel=1e-12, abs=1e-12 * scale)
+            for key in ("x_final", "s_final"):
+                assert got[key][path] == pytest.approx(
+                    want[key], rel=1e-12, abs=1e-12 * (scale + abs(want["s_final"])))
 
 
 class TestGridIndex:

@@ -55,6 +55,12 @@ optliq solve --config reference.cfg --format json --out w.json
 optliq quotes --config reference.cfg --format json --out quotes_5min.json
 optliq sweep --config reference.cfg --sweep mu=-0.01,0,0.01 --format json --out dep_mu.json
 optliq simulate --config reference.cfg --paths 1 --seed 3 --events --out sim_one/
+# market orders below a threshold, and a premium whose fill rate overflows
+# so that every unit sells at once
+optliq simulate --config reference.cfg --paths 1000 --seed 1 \
+    --policy fallback:5 --out sim_fallback/
+optliq simulate --config reference.cfg --set sigma=3 --paths 1000 --seed 1 \
+    --policy fixed:-1e4 --out sim_overflow/
 # the multi-policy path: the optimal surface and the fixed quotes 0..3
 # over common draws, one stats entry per policy
 python3 - <<'PY'
