@@ -1,8 +1,9 @@
-"""Exception hierarchy shared across the package.  The w solver has no
-error of its own: it refuses no parameter set for how far w leaves the
-double range.  Some extreme finite sets are still open and fail outside
-this hierarchy: gamma = 1e300 raises RecursionError, k = 1e150
-OverflowError, and mu = 1e30 does not finish."""
+"""Exception hierarchy shared across the package.  The w solver refuses
+no parameter set for how far w leaves the double range; it refuses, as a
+ParameterError, only a terminal w(T) = exp(-k q b) whose exponents would
+reach 2^22 (k b q_max above 2.9e6).  Some extreme finite sets are still
+open and fail outside this hierarchy: gamma = 1e300 raises RecursionError,
+and mu = 1e30 does not finish."""
 
 
 class OptliqError(Exception):

@@ -100,7 +100,7 @@ class TradeTape:
         self.size = _frozen(size)
         self.bid = _frozen(bid)
         self.ask = _frozen(ask)
-        self.tick_size = float(tick_size)
+        self.tick_size = _require_tick_size(tick_size)
         self._intensity_indexes = {}  # offset grid tuple -> _IntensityIndex
         self._mid_increments = {}  # sampling step -> squared mid increments
         n = self.ts.size
@@ -169,10 +169,15 @@ class TradeTape:
         _write_csv(path, COLUMNS, (row for block in blocks for row in block.tolist()))
 
 
-def load_tape(path, tick_size: float = 1.0) -> TradeTape:
-    """Load and validate a tape file; prices divided by tick_size are Ticks."""
+def _require_tick_size(tick_size: float) -> float:
     if not 0 < tick_size < math.inf:
         raise ParameterError(f"tick_size must be > 0 and finite, got {tick_size}")
+    return float(tick_size)
+
+
+def load_tape(path, tick_size: float = 1.0) -> TradeTape:
+    """Load and validate a tape file; prices divided by tick_size are Ticks."""
+    _require_tick_size(tick_size)
     cols = {name: [] for name in COLUMNS}
     try:
         fh = open(path, "r", encoding="utf-8", newline="")

@@ -28,14 +28,28 @@ as ``exp(tau G)`` is nonnegative and commutes with G, and the segment goes
 as far as that keeps every mantissa within ``2^+-_WINDOW``.  No ratio of
 two mantissas, or entry of a scaled step, then exceeds 2^1000, and the
 rounding of an entry below the double range is under 2^-70 of the level
-it feeds.  A segment that stops short of the walk's end spans whole blocks
-of grid steps; the exponents change only where the kept ones cannot reach
-a block, and a step too long even for fresh ones is crossed as a walk of
-two half steps.  Where w stays well inside the double range the exponents
-are 0 and the grid is one block walk of plain doubles from w(T).  The
-bound and the profile are computed in Python floats, one level at a time:
+it feeds.  The exponents change only where the kept ones cannot reach
+_KEEP steps, or the walk's end, and fresh ones reach further; a step too
+long even for fresh ones is crossed as a walk of two half steps.  w(T) is
+split by a reduction that is exact while its exponents stay below 2^22 in
+size, so a k b q_max above _MAX_KBQ is refused.  The bound and the profile are computed in Python floats, one level at a time:
 they see q_max + 1 numbers, few enough that NumPy's cost per call would
 outweigh the arithmetic.
+
+A grid fills the nodes of each run of segments that keep one profile by
+doubling from the run's first node.  With E the scaled one-step
+propagator, w at node m + 2^k is ``E^(2^k)`` times w at node m, and the
+ladder of squares ``E^(2^k)`` is built once per profile, each square's
+diagonal reset to its exact value as in the propagator's own squarings.
+Node j of a run of L steps is one rung per set bit of j applied to the
+run's first node, so at most ``K = ceil(log2 L)`` products from it, and
+rung k is k squarings from E: every entry comes from at most ``K (K + 1)
+/ 2`` products of nonnegative matrices, and keeps its relative accuracy
+as above.  A rung spans at most the run, along which every mantissa stays
+in the window, so the bound on its entries, and on the rounding of those
+below the double range, is the step's.  Where w stays well inside the
+double range the exponents are 0 and the grid is one doubling walk of
+plain doubles from w(T).
 
 Level one couples only to ``w_0 = 1``: ``w_1(T - tau) = e^(-x - k b) +
 eta tau phi1(-x)``, ``x = lambda_1 tau``, ``phi1(y) = expm1(y) / y``.  A
@@ -73,8 +87,10 @@ DEFAULT_N_STEPS = 10_000
 
 # the scaled step keeps h * max(diag N) + h * eta below this
 _THETA = 0.5
-# powers E_h^j precomputed per block when building a grid
-_BLOCK = 32
+# a walk keeps its exponents while they reach this many steps
+_KEEP = 32
+# rows per product when a grid is filled by doubling
+_ROWS = 1024
 _INV_FACTORIAL = 1.0 / np.array([math.factorial(j) for j in range(171)], dtype=float)
 # log2 bound on the mantissas of a segment
 _WINDOW = 500.0
@@ -87,6 +103,9 @@ _LOG_TINY = math.log(_TINY)
 _LN2 = math.log(2.0)
 # ln 2 in pieces of 31 bits, so that n * piece is exact for |n| < 2^22
 _LN2_PIECES = (0.6931471801362932, 4.2365213637554633e-10, 2.0538208177030216e-19)
+# the largest k b q_max: below (2^22 - 2) ln 2, so that the exponents of
+# w(T) stay below 2^22 in size
+_MAX_KBQ = 2.9e6
 
 
 def _split_exp(x: np.ndarray) -> tuple:
@@ -103,7 +122,12 @@ def _split_exp(x: np.ndarray) -> tuple:
 
 
 def _terminal_state(p: ModelParams) -> tuple:
-    """w(T) = exp(-k q b) as (mantissas, exponents)."""
+    """w(T) = exp(-k q b) as (mantissas, exponents), for k b q_max up to
+    _MAX_KBQ."""
+    kbq = p.k * p.b * p.q_max
+    if not kbq <= _MAX_KBQ:
+        raise ParameterError(f"k * b * q_max = {kbq:.6g} is above {_MAX_KBQ:g}: the "
+                             f"exponents of w(T) = exp(-k b q) cannot hold it exactly")
     return _split_exp(-p.k * p.b * np.arange(p.q_max + 1, dtype=float))
 
 
@@ -200,7 +224,7 @@ class _Walk:
         # M has diagonal lam and subdiagonal -eta
         self._lam = [c.alpha * q * q - c.beta * q for q in range(p.q_max + 1)]
         self.lam, self.eta = np.array(self._lam), c.eta
-        self._step = None  # (h, profile, propagator) last built
+        self._ladder = None  # (h, profile, [E, E^2, E^4, ...]) last built
 
     @staticmethod
     def _lift(lw: list) -> tuple:
@@ -249,25 +273,35 @@ class _Walk:
                 np.array(e_new, dtype=np.int64))
 
     def step(self, h: float, e: np.ndarray) -> np.ndarray:
-        """The propagator over h in the profile e.  The last one built, for
-        h or h / 2^j, is rescaled exactly and squared j times, unless the
+        """The propagator E over h in the profile e: rung 0 of the ladder
+        that :meth:`power` climbs.  The last ladder built, for h or h / 2^j,
+        is reused from rung j on if the profile is the same, and else its
+        rung 0 is rescaled exactly and squared j times, unless the
         rescaling would raise an entry below the diagonal: one lost below
         the double range would stay lost."""
-        if self._step is not None:
-            h0, e0, s = self._step
+        if self._ladder is not None:
+            h0, e0, ladder = self._ladder
             j = math.log2(h / h0)
             d = e - e0
             shift = d[None, :] - d[:, None]
             if j >= 0 and j == int(j) and not (np.tril(shift) > 0).any():
                 if d.any():
-                    s = np.ldexp(s, shift.astype(np.int32))
-                for i in range(1, int(j) + 1):
-                    s = s @ s
-                    s.reshape(-1)[::s.shape[0] + 1] = np.exp(-h0 * 2.0 ** i * self.lam)
-                self._step = (h, e, s)
-                return s
-        self._step = (h, e, _propagator(self.lam, self.eta, h, e))
-        return self._step[2]
+                    self._ladder = h0, e, [np.ldexp(ladder[0], shift.astype(np.int32))]
+                self.power(int(j))
+                self._ladder = h, e, self._ladder[2][int(j):]
+                return self._ladder[2][0]
+        self._ladder = h, e, [_propagator(self.lam, self.eta, h, e)]
+        return self._ladder[2][0]
+
+    def power(self, k: int) -> np.ndarray:
+        """E^(2^k) for the last step E: E squared k times, each square's
+        diagonal reset to its exact value."""
+        h, _, ladder = self._ladder
+        while len(ladder) <= k:
+            s = ladder[-1] @ ladder[-1]
+            s.reshape(-1)[::s.shape[0] + 1] = np.exp(-h * 2.0 ** len(ladder) * self.lam)
+            ladder.append(s)
+        return ladder[k]
 
     def run(self, v: np.ndarray, e: np.ndarray, tau: float, n_steps: int, emit) -> tuple:
         """Walk w = v 2^e back over n_steps steps of tau / n_steps.
@@ -275,23 +309,22 @@ class _Walk:
         Each segment goes to ``emit(i, v, e, step, length)``: the state
         w = v 2^e at node i (i steps back), the scaled one-step propagator
         (None when length is 0) and the number of steps it spans; emit
-        returns the state at node i + length.  A segment that stops short
-        of node n_steps spans whole blocks of _BLOCK steps if it spans one.
-        Where even a fresh profile cannot take one step, the walk crosses
-        it as a walk of two half steps.  Returns the state at node n_steps.
+        returns the state at node i + length.  The exponents change only
+        where the kept ones cannot reach _KEEP steps, or the walk's end if
+        nearer, and a fresh profile reaches further.  Where even a fresh
+        profile cannot take one step, the walk crosses it as a walk of two
+        half steps.  Returns the state at node n_steps.
         """
         h = tau / n_steps
         i = 0
         while True:
             length = int(min(n_steps - i, self.reach(v, e) / h))
-            if length < min(n_steps - i, _BLOCK):
+            if length < min(n_steps - i, _KEEP):
                 v2, e2 = self.profile(v, e)
                 length2 = int(min(n_steps - i, self.reach(v2, e2) / h))
                 # node i is written in the new profile: only where it is exact
                 if length2 > length and v2.min() >= _TINY:
                     v, e, length = v2, e2, length2
-            if _BLOCK < length < n_steps - i:
-                length -= length % _BLOCK
             v = emit(i, v, e, self.step(h, e) if length else None, length)
             i += length
             if i == n_steps:
@@ -377,10 +410,11 @@ class WSolution:
         return self.params.horizon - t
 
     def _state_at(self, t: float) -> tuple:
-        """w(t) as (mantissas, exponents): level one in closed form, else a walk of one step."""
+        """w(t) as (mantissas, exponents): w(T) at T, level one in closed
+        form, else a walk of one step."""
         p = self.params
         tau = self._tau(t)
-        if p.q_max == 1:
+        if p.q_max == 1 and tau > 0.0:
             return _level_one_state(p, tau)
         v, e = _terminal_state(p)
         return (v, e) if tau == 0.0 else _Walk(p).run(v, e, tau, 1, _advance)
@@ -406,54 +440,49 @@ class WSolution:
     def to_wgrid(self, n_steps: int = DEFAULT_N_STEPS) -> WGrid:
         """w on the uniform grid of n_steps steps, exact at every node.
 
-        Within a segment, with ``E`` its scaled propagator over one step,
-        the nodes are taken in blocks of B = 32: node j of a block is
-        ``E^(B-1-j) S``, S being w at the block's last node.  The powers
-        ``E^j``, ``j <= B``, are built once, the starts are walked back from
-        the segment's first node by ``E^B``, and one matrix product writes
-        every node into the rows of the grid, in time order.
+        The nodes of a run that keeps one profile are filled by doubling
+        from its first node: with ``E`` the scaled one-step propagator,
+        node ``j`` of the run, ``2^k <= j < 2^(k+1)``, is ``E^(2^k)`` times
+        node ``j - 2^k``.  In the rows of the grid, which run forward in
+        time, that is one product ``rows[a - 2^k:b - 2^k] = rows[a:b] @
+        (E^(2^k)).T`` per doubling, _ROWS rows at a time; a segment of the
+        walk that keeps the profile goes on with the doubling where the one
+        before it stopped.
         """
         p = self.params
         if n_steps < 1:
             raise ParameterError(f"n_steps must be >= 1, got {n_steps}")
-        n = p.q_max + 1
-        h = p.horizon / n_steps
         walk = _Walk(p)
-        # the padding of a segment's earliest block falls on rows that the
-        # next segment, or nothing past t = 0, overwrites
-        rows = np.empty((n_steps + 1 + _BLOCK, n))
+        rows = np.empty((n_steps + 1, p.q_max + 1))
         firsts, profiles = [], []
-        built = [None, np.empty((0, n, n))]  # a step and its powers
+        run = [0, -1]  # the run's first node and the last node it filled
 
         def emit(i, v, e, step, length):
-            last = _BLOCK + n_steps - i  # the segment's first node
             # segments that keep their exponents share one profile
             if not profiles or not np.array_equal(e, profiles[-1]):
                 firsts.append(i)
                 profiles.append(e)
-            block = min(_BLOCK, length + 1)
-            n_blocks = -(-(length + 1) // block)
-            if length and (built[0] is not step or len(built[1]) < block + (n_blocks > 1)):
-                built[:] = step, np.empty((block + (n_blocks > 1), n, n))
-                built[1][0] = np.eye(n)
-                for j in range(1, len(built[1])):
-                    np.matmul(built[1][j - 1], step, out=built[1][j])
-                    built[1][j].reshape(-1)[::n + 1] = np.exp(-j * h * walk.lam)
-            powers = built[1] if length else np.eye(n)[None]
-            starts = np.empty((n, n_blocks))
-            starts[:, -1] = v
-            for k in range(n_blocks - 2, -1, -1):
-                starts[:, k] = powers[block] @ starts[:, k + 1]
-            # stacked[l, j * n + q] = (E^(B-1-j))[q, l]
-            stacked = powers[block - 1::-1].transpose(2, 0, 1).reshape(n, block * n)
-            out = rows[last + 1 - n_blocks * block:last + 1].reshape(n_blocks, block * n)
-            np.matmul(starts.T, stacked, out=out)
-            return rows[last - length].copy()
+                run[1] = -1
+            # a new profile, or a node reached in two half steps, starts a run
+            if i != run[1]:
+                run[0] = i
+                rows[n_steps - i] = v
+            origin = n_steps - run[0]  # the row of the run's first node
+            lo, hi = i + 1 - run[0], i + length - run[0]  # the run's nodes to fill
+            for k in range(lo.bit_length() - 1, hi.bit_length()):
+                shift = 1 << k
+                # the rows of nodes max(lo, 2^k)..min(hi, 2^(k+1) - 1)
+                top = origin + 1 - max(lo, shift)
+                for r in range(origin - min(hi, 2 * shift - 1), top, _ROWS):
+                    end = min(r + _ROWS, top)
+                    np.matmul(rows[r + shift:end + shift], walk.power(k).T, out=rows[r:end])
+            run[1] = i + length
+            return rows[n_steps - i - length].copy()
 
         walk.run(*_terminal_state(p), p.horizon, n_steps, emit)
         # a profile owns its rows down to the next profile's first node
         return WGrid(params=p, times=np.linspace(0.0, p.horizon, n_steps + 1),
-                     values=rows[_BLOCK:], exponents=profiles[::-1],
+                     values=rows, exponents=profiles[::-1],
                      breaks=[0] + [n_steps - i + 1 for i in firsts[:0:-1]])
 
 

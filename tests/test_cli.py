@@ -93,6 +93,13 @@ class TestQuotePipeline:
         data = json.loads(out.read_text())
         assert data["params"]["T"] == 60.0
 
+    def test_terminal_beyond_exponents_is_parameter_error(self, config_path, tmp_path):
+        res = run_cli("quotes", "--config", str(config_path), "--set", "k=1e150",
+                      "--out", str(tmp_path / "q.csv"))
+        assert res.returncode == 3, res.stderr
+        assert "k * b * q_max = 1.8e+151 is above 2.9e+06" in res.stderr
+        assert not (tmp_path / "q.csv").exists()
+
     def test_config_dir_env_fallback(self, config_path, tmp_path):
         import os
         env = dict(os.environ, OPTLIQ_CONFIG_DIR=str(config_path.parent))

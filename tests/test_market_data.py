@@ -111,6 +111,17 @@ class TestLoadTape:
         assert np.array_equal(back.price, tape.price)
         assert np.array_equal(back.bid, tape.bid)
 
+    @pytest.mark.parametrize("tick_size", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_constructor_refuses_tick_size_naming_it(self, tick_size):
+        # with a nan tick size, write_csv would write every price as nan
+        with pytest.raises(ParameterError, match=re.escape(
+                f"tick_size must be > 0 and finite, got {tick_size}")):
+            TradeTape(ts=[1.0], price=[100.6], size=[1.0], bid=[99.5], ask=[100.5],
+                      tick_size=tick_size)
+        with pytest.raises(ParameterError, match=re.escape(
+                f"tick_size must be > 0 and finite, got {tick_size}")):
+            load_tape("unread.csv", tick_size=tick_size)
+
 
 class TestSyntheticTape:
     @pytest.mark.parametrize("changes,match", [

@@ -17,7 +17,7 @@ from optliq import (ModelParams, ParameterError, hjb_residual, quote_from_w,
                     quote_surface, run_backtest, solve_grid, solve_w, terminal_quote)
 from optliq.closed_forms import asymptotic_quote, binf_w, nodrift_novol_quote
 from optliq.model import DerivedCoefficients, derive_coefficients
-from optliq.ode import (_BLOCK, _LIFT, _Walk, _level_one_state, _propagator, _quotes,
+from optliq.ode import (_LIFT, _Walk, _level_one_state, _propagator, _quotes,
                         _terminal_state)
 from tests.conftest import (HIGH_VOL_K_SWEEP, REFERENCE_QUOTES_T0,
                             SWEEP_QUOTES_T0, TABLE_TOL, q1_asymptote_gap,
@@ -175,29 +175,28 @@ class TestSolveSpectral:
     @pytest.mark.parametrize("changes", [{}, {"horizon": 7200.0},
                                          {"b": 20.0, "horizon": 7200.0},
                                          {"sigma": 3.0, "k": 0.2}])
-    def test_in_range_grid_is_one_block_walk(self, changes):
-        # the walk cuts a segment that keeps its exponents only at a whole
-        # block, so the grid is the block walk of one profile from w(T),
-        # bit for bit: node j of block k, counted back from T, is E^j S_k,
-        # the starts S_k walked back from S_0 = w(T) by E^32
+    def test_in_range_grid_is_one_doubling_walk(self, changes):
+        # segments that keep their exponents go on with one doubling, so the
+        # grid is the doubling walk of one profile from w(T), bit for bit:
+        # node j, 2^k <= j < 2^(k+1), counted back from T, is E^(2^k) times
+        # node j - 2^k, each square with its exact diagonal.  At this size
+        # BLAS gives a row the same bits in a product of any height above
+        # one, so one product per doubling stands for the grid's products
         p = ModelParams(**changes)
         grid = solve_grid(p, N)
         assert np.array_equal(grid.breaks, [0])
         walk, n, h = _Walk(p), p.q_max + 1, p.horizon / N
-        step = _propagator(walk.lam, walk.eta, h, np.zeros(n, dtype=np.int64))
-        powers = np.empty((_BLOCK + 1, n, n))
-        powers[0] = np.eye(n)
-        for j in range(1, _BLOCK + 1):
-            powers[j] = powers[j - 1] @ step
-            np.fill_diagonal(powers[j], np.exp(-j * h * walk.lam))
-        starts = np.empty((N // _BLOCK + 1, n))
-        starts[0] = np.exp(-p.k * p.b * np.arange(n))
-        for k in range(1, len(starts)):
-            starts[k] = powers[_BLOCK] @ starts[k - 1]
-        # one product, laid out as the grid builds its blocks
-        stacked = powers[:_BLOCK].transpose(2, 0, 1).reshape(n, _BLOCK * n)
-        back = (starts @ stacked).reshape(-1, n)
-        assert np.array_equal(grid.values, back[N::-1])
+        power = _propagator(walk.lam, walk.eta, h, np.zeros(n, dtype=np.int64))
+        back = np.empty((N + 1, n))
+        back[0] = np.exp(-p.k * p.b * np.arange(n))
+        shift = 1
+        while shift <= N:
+            m = min(shift, N + 1 - shift)
+            back[shift:shift + m] = back[:m] @ power.T
+            shift *= 2
+            power = power @ power
+            np.fill_diagonal(power, np.exp(-(h * shift) * walk.lam))
+        assert np.array_equal(grid.values, back[::-1])
 
     def test_zero_eigenvalue_mode_is_constant(self, ref_params):
         dec = solve_w(ref_params)
@@ -222,6 +221,22 @@ class TestSolveSpectral:
         grid = dec.to_wgrid(1000)
         for i in (0, 1, 31, 32, 33, 500, 999, 1000):
             assert max_rel(grid.doubles(i), dec.evaluate_at(float(grid.times[i]))) < 1e-12
+
+    def test_profiled_grid_nodes_match_point_quotes(self):
+        # w_100 falls below the double range: the grid changes its exponents
+        # three times, and each run of nodes in one profile is filled by
+        # doubling from its first node.  Next to T, where w_100 falls fastest,
+        # the reported time of a node is an ulp of T from the node's own
+        # T - j h: that alone moves its quotes by up to 9.3e-12 Ticks
+        p = ModelParams(sigma=3.0, k=0.2, q_max=100, horizon=7200.0)
+        dec = solve_w(p)
+        grid = dec.to_wgrid(N)
+        assert len(grid.breaks) == 4
+        surface = quote_surface(grid)
+        nodes = {n for j in range(14) for n in (2 ** j - 1, 2 ** j, 2 ** j + 1) if n <= N}
+        rows = {N - n for n in nodes} | {int(r) for b in grid.breaks[1:] for r in (b - 1, b)}
+        for i in sorted(rows):
+            assert np.max(np.abs(dec.quotes_at(float(grid.times[i])) - surface.values[i])) < 1e-11, i
 
     @pytest.mark.parametrize("changes", LEVEL_ONE_CASES)
     def test_level_one_matches_walk_at_grid_nodes(self, changes):
@@ -543,6 +558,26 @@ class TestExtremeLiquidationCost:
             ref = mp_log_w(p, float(surface.times[i]))
             exact = [float(ref[q] - ref[q - 1]) / p.k + spread for q in range(1, 147)]
             assert np.max(np.abs(surface.values[i] - exact)) < 1e-9
+
+    @pytest.mark.parametrize("changes", [{"k": 1e150}, {"b": 1e150}, {"b": 1.7e6},
+                                         {"k": 1e150, "q_max": 1}])
+    def test_terminal_beyond_exponents_refused_by_name(self, changes):
+        # exp(-k b q_max) = 2^-e with e of 2^22 or more, where the split of
+        # w(T) into mantissas and exponents is no longer exact
+        p = ModelParams(**changes)
+        calls = [lambda: solve_w(p).evaluate_at(p.horizon), lambda: solve_grid(p, 10)]
+        if p.q_max > 1:
+            calls.append(lambda: solve_w(p).quotes_at(0.0))
+        for call in calls:
+            with pytest.raises(ParameterError, match=r"k \* b \* q_max = .* is above 2\.9e\+06"):
+                call()
+
+    def test_terminal_at_exponent_bound_is_solved(self):
+        p = ModelParams(b=2.9e6 / 1.8)  # k b q_max = 2.9e6 - 5e-10
+        surface = quote_surface(solve_grid(p, 100))
+        assert np.all(np.isfinite(surface.values))
+        assert np.all(surface.values[-1] == terminal_quote(p))
+        assert np.max(np.abs(solve_w(p).quotes_at(0.0) - surface.values[0])) < 1e-12
 
     def test_large_b_matches_forced_liquidation_shape(self):
         # normalising by big_a^q removes the only big_a dependence left in

@@ -2,8 +2,10 @@
 # Write every file of the README's standard experiments into OUTDIR, plus
 # the other output forms of each subcommand, with the optliq package found
 # under REPO/src.  Two checkouts give the same outputs when, after one run
-# each into two directories, `diff -r DIR1 DIR2` prints nothing.  Standard
-# output of a command is kept as a file named after it.  Needs no network.
+# each into two directories, `diff -r DIR1 DIR2` prints nothing; where they
+# differ, `tools/compare_outputs.py DIR1 DIR2` counts the differing cells per
+# file.  Standard output of a command is kept as a file named after it.
+# Needs no network.
 #
 #   usage: tools/readme_outputs.sh REPO OUTDIR
 set -eu
