@@ -190,8 +190,10 @@ def run_backtest(tape: TradeTape, cfg: BacktestConfig) -> BacktestLedger:
     sigma is the :func:`~optliq.market_data.calibrate_sigma` of the tape up
     to the warm-up end, read from the increments the tape caches.  Each
     re-quote fits only the prevailing spread bucket, from the tape's
-    intensity index for the configured grid; all buckets are fitted only
-    to word the error when that one has no usable fit.
+    intensity index for the configured grid, on the rows of its window:
+    those run from the first print in the window, which only moves
+    forward, to the last print up to the re-quote.  All buckets are fitted
+    only to word the error when that one has no usable fit.
     """
     if len(tape) < 2:
         raise DataError("tape too short to backtest")
@@ -204,7 +206,9 @@ def run_backtest(tape: TradeTape, cfg: BacktestConfig) -> BacktestLedger:
     horizon = cfg.horizon if cfg.horizon is not None else float(tape.ts[-1]) - start
     end_cap = min(start + horizon, float(tape.ts[-1]))
 
-    i_state = int(np.searchsorted(tape.ts, start, side="right")) - 1
+    ts, price, n = tape.ts, tape.price, len(tape)
+    i_state = int(np.searchsorted(ts, start, side="right")) - 1
+    lo = int(np.searchsorted(ts, start - cfg.recalib_window, side="left"))
     try:
         sigma_hat = _prefix_sigma(tape, cfg.sampling_dt, i_state)
     except CalibrationError as exc:
@@ -228,12 +232,17 @@ def run_backtest(tape: TradeTape, cfg: BacktestConfig) -> BacktestLedger:
         ask = float(tape.ask[i_state])
         mid = 0.5 * (bid + ask)
         bucket = int(_spread_bucket(ask - bid))
-        try:
-            fit = _window_fit(tape, index, bucket, cfg.recalib_window, t_now,
-                              cfg.n_min)
-        except DataError as exc:
-            raise CalibrationError(
-                f"intensity calibration failed at t={t_now:.6g}: {exc}") from exc
+        # the fit window [t_now - recalib_window, t_now] is rows [lo, hi)
+        hi = i_state + 1
+        while hi < n and ts[hi] <= t_now:  # prints at the time of a fill
+            hi += 1
+        window_start = t_now - cfg.recalib_window
+        while lo < hi and ts[lo] < window_start:
+            lo += 1
+        if lo == hi:
+            raise CalibrationError(f"intensity calibration failed at t={t_now:.6g}: "
+                                   f"no records in [{window_start}, {t_now}]")
+        fit = _window_fit(tape, index, bucket, lo, hi, t_now, cfg.n_min)
         if not isinstance(fit, IntensityFit):
             fits, _ = calibrate_intensity(tape, cfg.distance_grid,
                                           window=cfg.recalib_window,
@@ -281,11 +290,11 @@ def run_backtest(tape: TradeTape, cfg: BacktestConfig) -> BacktestLedger:
         window_end = min(t_now + cfg.delta_t, end_cap)
         filled = False
         j = i_state + 1
-        while j < len(tape) and tape.ts[j] <= window_end:
-            if tape.price[j] >= order_price:
+        while j < n and ts[j] <= window_end:
+            if price[j] >= order_price:
                 q -= 1
                 cash += order_price
-                t_now = float(tape.ts[j])
+                t_now = float(ts[j])
                 i_state = j
                 ledger.fills.append(FillEvent(t=t_now, price=order_price,
                                               q_after=q,
@@ -296,8 +305,9 @@ def run_backtest(tape: TradeTape, cfg: BacktestConfig) -> BacktestLedger:
                 break
             j += 1
         if not filled:
+            # the scan stopped at the first print after the window
             t_now = window_end
-            i_state = int(np.searchsorted(tape.ts, t_now, side="right")) - 1
+            i_state = j - 1
 
     i_end = int(np.searchsorted(tape.ts, end_cap, side="right")) - 1
     ledger.mid_end = _mid(tape, i_end)

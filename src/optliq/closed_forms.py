@@ -55,6 +55,7 @@ def asymptotic_quote(p: ModelParams, q: int) -> float:
     bound and no asymptote exists.  Note the limit does not involve b.
     """
     p.require_risk_averse("asymptotic_quote")
+    derive_coefficients(p)  # refuses a k * gamma * sigma^2 / 2 beyond the double range
     if q < 1:
         raise ParameterError(f"q must be >= 1, got {q}")
     if not p.mu < 0.5 * p.gamma * p.sigma ** 2:

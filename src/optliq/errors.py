@@ -1,9 +1,10 @@
 """Exception hierarchy shared across the package.  The w solver refuses
 no parameter set for how far w leaves the double range; it refuses, as a
-ParameterError, only a terminal w(T) = exp(-k q b) whose exponents would
-reach 2^22 (k b q_max above 2.9e6).  Some extreme finite sets are still
-open and fail outside this hierarchy: gamma = 1e300 raises RecursionError,
-and mu = 1e30 does not finish."""
+ParameterError, a terminal w(T) = exp(-k q b) whose exponents would reach
+2^22 (k b q_max above 2.9e6), a k gamma sigma^2 / 2 beyond the double
+range (sigma = 1e200), and rates too fast for the walk to cross a step in
+half steps of T 2^-117 (gamma = 1e300, mu = +-1e300, sigma = 1e150).  Some
+extreme finite sets are still open: mu = 1e30 does not finish."""
 
 
 class OptliqError(Exception):

@@ -3,8 +3,9 @@
 Input format: comma-separated text with a header row naming the columns
 ``ts,price,size,bid,ask``, all finite numbers; ts is seconds since session
 open (decimal) and prices are in currency, which loading converts to Ticks
-via the tick size.  Ingestion streams row by row with bounded memory;
-calibration is a pure function of the loaded tape.
+via the tick size.  Ingestion parses every row in one ``np.loadtxt``
+call, straight into the five columns; calibration is a pure function of
+the loaded tape.
 
 Estimators:
 
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -176,45 +178,62 @@ def _require_tick_size(tick_size: float) -> float:
 
 
 def load_tape(path, tick_size: float = 1.0) -> TradeTape:
-    """Load and validate a tape file; prices divided by tick_size are Ticks."""
+    """Load and validate a tape file; prices divided by tick_size are Ticks.
+
+    The header is read with :mod:`csv`, the rows in one ``np.loadtxt``.
+    Where NumPy refuses a row, the file is read again row by row with
+    :mod:`csv` and ``float``: that names the first malformed line, or,
+    where ``float`` reads every value (``1_000``, say), loads those
+    values instead."""
     _require_tick_size(tick_size)
-    cols = {name: [] for name in COLUMNS}
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise DataError(f"cannot read tape {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None:
             raise DataError(f"{path}: empty file")
         position = {name: i for i, name in enumerate(header)}
         missing = [c for c in COLUMNS if c not in position]
         if missing:
             raise DataError(f"{path}: missing columns {missing}")
-        appends = [(position[c], cols[c].append) for c in COLUMNS]
-        for row in reader:
-            if not row:  # a blank line
-                continue
-            try:
-                for i, append in appends:
-                    append(float(row[i]))
-            except (IndexError, ValueError) as exc:
-                raise DataError(f"{path}: malformed row at line {reader.line_num}") from exc
-    if not cols["ts"]:
+        usecols = [position[c] for c in COLUMNS]
+        try:
+            with warnings.catch_warnings():
+                # a file of only the header is refused below, by name
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(fh, delimiter=",", usecols=usecols, quotechar='"',
+                                  comments=None, ndmin=2)
+        except ValueError:
+            fh.seek(0)
+            rows = _read_rows(path, fh, usecols)
+    if not rows.size:
         raise DataError(f"{path}: no data rows")
+    ts, price, size, bid, ask = np.ascontiguousarray(rows.T)
     scale = 1.0 / tick_size
     try:
-        return TradeTape(
-            ts=cols["ts"],
-            price=np.asarray(cols["price"]) * scale,
-            size=cols["size"],
-            bid=np.asarray(cols["bid"]) * scale,
-            ask=np.asarray(cols["ask"]) * scale,
-            tick_size=tick_size,
-        )
+        return TradeTape(ts=ts, price=price * scale, size=size, bid=bid * scale,
+                         ask=ask * scale, tick_size=tick_size)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
+
+
+def _read_rows(path, fh, usecols: list) -> np.ndarray:
+    """The columns ``usecols`` of every row after the header, read with
+    :mod:`csv` and ``float``, blank lines skipped; the first row that
+    ``float`` cannot read is refused by its line number."""
+    reader = csv.reader(fh)
+    next(reader)
+    rows = []
+    for row in reader:
+        if not row:  # a blank line
+            continue
+        try:
+            rows.append([float(row[i]) for i in usecols])
+        except (IndexError, ValueError) as exc:
+            raise DataError(f"{path}: malformed row at line {reader.line_num}") from exc
+    return np.array(rows, dtype=float).reshape(-1, len(usecols))
 
 
 def calibrate_sigma(tape: TradeTape, sampling_dt: float) -> float:
@@ -364,11 +383,13 @@ def _window_rows(tape: TradeTape, window: Optional[float],
 
 
 def _window_fit(tape: TradeTape, index: _IntensityIndex, bucket: int,
-                window: float, end_time: float, n_min: int):
-    """Bucket ``bucket`` on the window of ``window`` seconds up to
-    ``end_time``, as :meth:`_IntensityIndex.fit_bucket` returns it; each
-    re-quote of :func:`optliq.backtest.run_backtest` reads its fit here."""
-    return index.fit_bucket(bucket, *_window_rows(tape, window, end_time), n_min)
+                lo: int, hi: int, end_time: float, n_min: int):
+    """Bucket ``bucket`` on rows ``[lo, hi)``, the prints of a window that
+    ends at ``end_time``, as :meth:`_IntensityIndex.fit_bucket` returns it;
+    each re-quote of :func:`optliq.backtest.run_backtest` reads its fit
+    here."""
+    return index.fit_bucket(bucket, lo, hi, max(end_time - float(tape.ts[hi - 1]), 0.0),
+                            n_min)
 
 
 def calibrate_intensity(tape: TradeTape,

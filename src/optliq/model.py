@@ -57,6 +57,9 @@ CONFIG_KEY_TO_FIELD = {
     "q_max": "q_max",
 }
 FIELD_TO_CONFIG_KEY = {v: k for k, v in CONFIG_KEY_TO_FIELD.items()}
+_INF = math.inf
+# ints below this are exact as floats, the form in which _refuse tests q_max
+_Q_MAX_EXACT = 2 ** 53
 
 
 def _require_finite(**values) -> None:
@@ -101,6 +104,20 @@ class ModelParams:
     q_max: int = 6
 
     def __post_init__(self):
+        # one combined test of floats and an int q_max in their domains;
+        # anything else goes through the per-field checks of _refuse
+        mu, sigma, big_a, k, gamma, b, horizon = (self.mu, self.sigma, self.big_a, self.k,
+                                                  self.gamma, self.b, self.horizon)
+        if not (type(mu) is type(sigma) is type(big_a) is type(k) is type(gamma)
+                is type(b) is type(horizon) is float and type(self.q_max) is int
+                and -_INF < mu < _INF and 0.0 <= sigma < _INF and 0.0 < big_a < _INF
+                and 0.0 < k < _INF and 0.0 <= gamma < _INF and 0.0 <= b < _INF
+                and 0.0 < horizon < _INF and 1 <= self.q_max < _Q_MAX_EXACT):
+            self._refuse()
+
+    def _refuse(self):
+        """Refuse the first field out of its domain, by name; else store
+        q_max as an int."""
         for name in FIELD_TO_CONFIG_KEY:
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -205,8 +222,16 @@ class DerivedCoefficients:
 
 
 def derive_coefficients(p: ModelParams) -> DerivedCoefficients:
-    """Compute the ODE coefficients (alpha, beta, eta) from model parameters."""
-    alpha = 0.5 * p.k * p.gamma * p.sigma ** 2
+    """Compute the ODE coefficients (alpha, beta, eta) from model parameters;
+    an alpha beyond the double range is refused by name."""
+    try:
+        alpha = 0.5 * p.k * p.gamma * p.sigma ** 2
+    except OverflowError:  # sigma^2 alone is beyond the double range
+        alpha = math.inf
+    if not alpha < math.inf:
+        raise ParameterError(
+            f"k * gamma * sigma^2 / 2 is beyond the double range (k = {p.k}, "
+            f"gamma = {p.gamma}, sigma = {p.sigma})")
     beta = p.k * p.mu
     if p.gamma < p.k * 1e-300:
         # gamma = 0 and gammas too small for k/gamma to stay finite share

@@ -106,15 +106,19 @@ _LN2_PIECES = (0.6931471801362932, 4.2365213637554633e-10, 2.0538208177030216e-1
 # the largest k b q_max: below (2^22 - 2) ln 2, so that the exponents of
 # w(T) stay below 2^22 in size
 _MAX_KBQ = 2.9e6
+# the shortest half step, as a fraction of T: 2^_LIFT below the resolution
+# of T, which leaves a lifted level room to catch up with its feeder (the
+# tests' deepest half step is 2^-68 of T)
+_HALF_STEP_FLOOR = 2.0 ** -(53 + _LIFT)
 
 
-def _split_exp(x: np.ndarray) -> tuple:
-    """exp(x) as (mantissas, exponents): the double itself with exponent 0
-    where ``|x| <= -ln(tiny)``, so that it is normal, else reduced by a
-    multiple of ``ln 2`` first (Cody & Waite)."""
-    outside = np.abs(x) > -_LOG_TINY
-    if not outside.any():
+def _split_exp(x: np.ndarray, top: float) -> tuple:
+    """exp(x) as (mantissas, exponents), given ``top = max |x|``: the double
+    itself with exponent 0 where ``|x| <= -ln(tiny)``, so that it is normal,
+    else reduced by a multiple of ``ln 2`` first (Cody & Waite)."""
+    if top <= -_LOG_TINY:
         return np.exp(x), np.zeros(x.size, dtype=np.int64)
+    outside = np.abs(x) > -_LOG_TINY
     e = np.where(outside, np.floor(x / math.log(2.0)) + 1.0, 0.0)
     for piece in _LN2_PIECES:
         x = x - e * piece
@@ -128,7 +132,8 @@ def _terminal_state(p: ModelParams) -> tuple:
     if not kbq <= _MAX_KBQ:
         raise ParameterError(f"k * b * q_max = {kbq:.6g} is above {_MAX_KBQ:g}: the "
                              f"exponents of w(T) = exp(-k b q) cannot hold it exactly")
-    return _split_exp(-p.k * p.b * np.arange(p.q_max + 1, dtype=float))
+    # the largest |-k b q| is k b q_max, the same double
+    return _split_exp(-p.k * p.b * np.arange(p.q_max + 1, dtype=float), kbq)
 
 
 def _level_one_log(p: ModelParams, tau: float) -> float:
@@ -149,7 +154,8 @@ def _level_one_log(p: ModelParams, tau: float) -> float:
 def _level_one_state(p: ModelParams, tau: float) -> tuple:
     """w(T - tau) at q_max = 1 as (mantissas, exponents), split from
     :func:`_level_one_log`."""
-    return _split_exp(np.array([0.0, _level_one_log(p, tau)]))
+    log_w1 = _level_one_log(p, tau)
+    return _split_exp(np.array([0.0, log_w1]), abs(log_w1))
 
 
 def _propagator(lam: np.ndarray, eta: float, tau: float, e: np.ndarray) -> np.ndarray:
@@ -220,44 +226,53 @@ class _Walk:
     scaled steps it takes."""
 
     def __init__(self, p: ModelParams):
-        c = derive_coefficients(p)
+        c = self._coefficients = derive_coefficients(p)
         # M has diagonal lam and subdiagonal -eta
         self._lam = [c.alpha * q * q - c.beta * q for q in range(p.q_max + 1)]
         self.lam, self.eta = np.array(self._lam), c.eta
+        self._floor = p.horizon * _HALF_STEP_FLOOR
         self._ladder = None  # (h, profile, [E, E^2, E^4, ...]) last built
-
-    @staticmethod
-    def _lift(lw: list) -> tuple:
-        """log2 w with each level raised to at least 2^-_LIFT times the
-        level below, and the mask of the levels left as they were."""
-        lifted, own, floor = [], [], -math.inf
-        for q, x in enumerate(lw):
-            shifted = x + _LIFT * q
-            own.append(shifted >= floor)
-            if own[-1]:
-                floor = shifted
-            lifted.append(x if own[-1] else floor - _LIFT * q)
-        return lifted, own
 
     def reach(self, v: np.ndarray, e: np.ndarray) -> float:
         """How long w = v 2^e can be walked back keeping every mantissa in
         the window: the lifted w bounds growth, the levels left as they
         were bound decay.  A level 0 of zero, or any mantissa that is
-        negative, infinite or NaN, allows no step."""
-        v, e = v.tolist(), e.tolist()
-        if not (v[0] > 0.0 and all(0.0 <= x < math.inf for x in v)):
+        negative, infinite or NaN, allows no step.  The lifted log2 w
+        raises each level to at least 2^-_LIFT times the level below; one
+        pass over the levels lifts them and keeps the extremes."""
+        v = v.tolist()
+        if not v[0] > 0.0:
             return 0.0
-        a = [math.log2(x) if x else -math.inf for x in v]
-        lw = [x + y for x, y in zip(a, e)]
-        lifted, own = self._lift(lw)
-        lam, eta = self._lam, self.eta
-        # each lifted level, and so each level left as it was, is at least
-        # 2^-_LIFT times the level below: no power here overflows
-        up = max(eta * 2.0 ** (lifted[q - 1] - lifted[q]) - lam[q] for q in range(1, len(v)))
-        lo = min((eta * 2.0 ** (lw[q - 1] - lw[q]) - lam[q] for q in range(1, len(v)) if own[q]),
-                 default=0.0)
-        top = max(x - y for x, y in zip(lifted, e))
-        bottom = min(x for x, mine in zip(a, own) if mine)
+        eta, inf, log2 = self.eta, math.inf, math.log2
+        up = top = floor = -inf
+        lo = bottom = inf
+        q = 0
+        for x, y, rate in zip(v, e.tolist(), self._lam):
+            if not 0.0 <= x < inf:
+                return 0.0
+            a = log2(x) if x else -inf
+            lw = a + y
+            shifted = lw + _LIFT * q
+            # each lifted level, and so each level left as it was, is at
+            # least 2^-_LIFT times the level below: no power here overflows
+            if shifted >= floor:  # left as it was
+                floor, lifted = shifted, lw
+                if a < bottom:
+                    bottom = a
+                if q:
+                    fed = eta * 2.0 ** (lw_below - lw) - rate
+                    if fed < lo:
+                        lo = fed
+            else:
+                lifted = floor - _LIFT * q
+            if q:
+                rise = eta * 2.0 ** (lifted_below - lifted) - rate
+                if rise > up:
+                    up = rise
+            if lifted - y > top:
+                top = lifted - y
+            lw_below, lifted_below = lw, lifted
+            q += 1
         if not -_WINDOW <= bottom <= top <= _WINDOW:
             return 0.0
         growth = (_WINDOW - top) * _LN2 / up if up > 0 else math.inf
@@ -265,10 +280,17 @@ class _Walk:
 
     def profile(self, v: np.ndarray, e: np.ndarray) -> tuple:
         """w = v 2^e with each exponent moved to the nearest integer of the
-        level's lifted log2 (v_0 > 0 and every mantissa finite)."""
+        level's lifted log2, as :meth:`reach` lifts it (v_0 > 0 and every
+        mantissa finite)."""
         v, e = v.tolist(), e.tolist()
-        lifted = self._lift([math.log2(x) + y if x else -math.inf for x, y in zip(v, e)])[0]
-        e_new = [round(x) for x in lifted]
+        e_new, floor = [], -math.inf
+        for q, (x, y) in enumerate(zip(v, e)):
+            lw = math.log2(x) + y if x else -math.inf
+            if lw + _LIFT * q >= floor:  # left as it was
+                floor = lw + _LIFT * q
+                e_new.append(round(lw))
+            else:
+                e_new.append(round(floor - _LIFT * q))
         return (np.array([math.ldexp(x, y - z) for x, y, z in zip(v, e, e_new)]),
                 np.array(e_new, dtype=np.int64))
 
@@ -313,7 +335,8 @@ class _Walk:
         where the kept ones cannot reach _KEEP steps, or the walk's end if
         nearer, and a fresh profile reaches further.  Where even a fresh
         profile cannot take one step, the walk crosses it as a walk of two
-        half steps.  Returns the state at node n_steps.
+        half steps, down to half steps of T * _HALF_STEP_FLOOR: a shorter
+        one is refused.  Returns the state at node n_steps.
         """
         h = tau / n_steps
         i = 0
@@ -330,6 +353,14 @@ class _Walk:
             if i == n_steps:
                 return v, e
             if not length:  # v2, e2: the fresh profile tried above
+                if h / 2 < self._floor:
+                    c = self._coefficients
+                    raise ParameterError(
+                        f"w leaves the window of 2^+-{_WINDOW:g} within a step of {h:.3g}s, "
+                        f"and half of it is below the walk's shortest half step, "
+                        f"T * 2^-{53 + _LIFT:g}: the rates alpha = k * gamma * sigma^2 / 2 = "
+                        f"{c.alpha:.3g}, beta = k * mu = {c.beta:.3g} and eta = {c.eta:.3g} "
+                        f"(1/s) are too fast to solve")
                 v, e = self.run(v2, e2, h, 2, _advance)
                 i += 1
 
@@ -529,7 +560,8 @@ def _quotes(v: np.ndarray, e: np.ndarray, p: ModelParams, out: np.ndarray) -> np
     term, for q = 1..q_max along the last axis of v, written into out."""
     np.divide(v[..., 1:], v[..., :-1], out=out)
     np.log(out, out=out)
-    out += (e[1:] - e[:-1]) * _LN2
+    if e.any():  # no exponent term where w is a double, as it mostly is
+        out += (e[1:] - e[:-1]) * _LN2
     out /= p.k
     out += math.log1p(p.gamma / p.k) / p.gamma
     return out

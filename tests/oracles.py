@@ -20,11 +20,14 @@ positivity check on the terminal row.
 
 :func:`walk_reach`, :func:`walk_lift` and :func:`walk_profile` are the
 segment bound of the ``w`` walk in NumPy: the oracles of the float forms
-of ``_Walk.reach``, ``_Walk._lift`` and ``_Walk.profile``.
+of ``_Walk.reach`` and ``_Walk.profile``, and of the lift they share.
 
 :func:`event_rule_path` runs the event rule of :mod:`optliq.simulate` for
 one path in a plain loop over the held intervals: the oracle of the
 vectorised hazard table and fill rounds.
+
+:func:`model_params_fields` checks a parameter set one field at a time:
+the oracle of the combined check of ``ModelParams``.
 
 :func:`calibrate_intensity_recount` slices the window out of the tape
 (:func:`slice_time`), recounts every print against every offset and fits
@@ -39,6 +42,7 @@ Invariants, each raising ``AssertionError``:
 * :func:`assert_trading_curve`  V(0) = q0 and V non-increasing.
 """
 
+import dataclasses
 import math
 
 import mpmath
@@ -48,7 +52,7 @@ from optliq import (FixedQuote, ModelParams, NoAsymptoteError, ParameterError,
                     RegimeError, TradeTape, WGrid, terminal_quote)
 from optliq.market_data import (COLUMNS, DEFAULT_DISTANCE_GRID, IntensityFit,
                                 _row_range, _spread_bucket)
-from optliq.model import DerivedCoefficients, derive_coefficients
+from optliq.model import FIELD_TO_CONFIG_KEY, DerivedCoefficients, derive_coefficients
 from optliq.ode import _LIFT, _WINDOW, DEFAULT_N_STEPS, _terminal_state
 
 # terminal values exp(-k*q*b) below this are treated as exact zeros
@@ -274,6 +278,29 @@ def assert_trading_curve(curve, q0: int) -> None:
         assert abs(curve.expected_inventory[0] - q0) <= 1e-12 * q0
     assert np.all(np.diff(curve.expected_inventory) <= 1e-12), \
         "expected inventory must be non-increasing"
+
+
+def model_params_fields(values: dict):
+    """What ``ModelParams(**values)`` does, one field at a time: raises the
+    refusal of the first field out of its domain, else returns the q_max
+    the set stores."""
+    p = {f.name: f.default for f in dataclasses.fields(ModelParams)}
+    p.update(values)
+    for name in FIELD_TO_CONFIG_KEY:
+        value = p[name]
+        if not math.isfinite(value):
+            hint = (" (the forced-liquidation limit b -> inf has closed forms: "
+                    "optliq.closed_forms.binf_*)" if name == "b" else "")
+            raise ParameterError(f"{name} must be finite, got {value}{hint}")
+    for name in ("big_a", "k", "horizon"):
+        if not p[name] > 0:
+            raise ParameterError(f"{name} must be > 0, got {p[name]}")
+    for name in ("sigma", "gamma", "b"):
+        if p[name] < 0:
+            raise ParameterError(f"{name} must be >= 0, got {p[name]}")
+    if int(p["q_max"]) != p["q_max"] or p["q_max"] < 1:
+        raise ParameterError(f"q_max must be an integer >= 1, got {p['q_max']}")
+    return int(p["q_max"])
 
 
 def slice_time(tape, start: float, end: float) -> TradeTape:

@@ -13,7 +13,7 @@ from optliq import (BacktestConfig, CalibrationError, ParameterError,
                     TradeTape, calibrate_intensity, calibrate_sigma,
                     round_quote, run_backtest, summarize)
 from optliq.backtest import BacktestLedger
-from optliq.market_data import synthetic_tape
+from optliq.market_data import _row_range, synthetic_tape
 from optliq.ode import WSolution, _advance, _quotes, _terminal_state, _Walk
 from tests.conftest import two_bucket_episode
 from tests.oracles import (calibrate_intensity_recount, calibrate_sigma_resample,
@@ -242,7 +242,7 @@ class TestIndexedIntensityFit:
     """Ledgers from the prefix-count index against the slicing recount."""
 
     @pytest.mark.parametrize("case", ["fixed", "quote_target", "no_fill",
-                                      "fallback", "two_buckets"])
+                                      "fallback", "two_buckets", "tied"])
     def test_ledger_matches_recount(self, case, bullish_tape, bullish_cfg,
                                     monkeypatch):
         if case == "fixed":
@@ -259,16 +259,26 @@ class TestIndexedIntensityFit:
                                  gamma_value=0.05, b=3.0, n_min=20)
         elif case == "fallback":
             tape, cfg = violent_warmup_tape(), FALLBACK_CFG
+        elif case == "tied":
+            # each fill is followed by a print at its own time, which the
+            # window of the next re-quote holds
+            trading = [(t, px) for t in (650.0, 800.0, 950.0) for px in (120.0, 95.0)]
+            tape = flat_mid_tape(DECAYING_OFFSETS, trading)
+            cfg = BacktestConfig(q0=3, delta_t=30.0, warmup=600.0,
+                                 recalib_window=1800.0, gamma_mode="fixed",
+                                 gamma_value=0.05, b=3.0, n_min=20)
         else:
             tape, cfg = two_bucket_episode()
         got = run_backtest(tape, cfg)
         recounts = []
 
-        def recount_fit(tape, index, bucket, window, end_time, n_min):
+        def recount_fit(tape, index, bucket, lo, hi, end_time, n_min):
             recounts.append(end_time)
+            # the rows the replay tracks are the window's, found afresh
+            assert (lo, hi) == _row_range(tape.ts, end_time - cfg.recalib_window, end_time)
             fits, dropped = calibrate_intensity_recount(
-                tape, cfg.distance_grid, window=window, end_time=end_time,
-                n_min=n_min)
+                tape, cfg.distance_grid, window=cfg.recalib_window,
+                end_time=end_time, n_min=n_min)
             return fits.get(bucket, dropped.get(bucket))
 
         monkeypatch.setattr("optliq.backtest._window_fit", recount_fit)
@@ -374,6 +384,17 @@ class TestBidReference:
 
 
 class TestEdgesAndErrors:
+    def test_empty_fit_window_names_it(self):
+        # no print between the warm-up (last print at 598 s) and 1800 s:
+        # the 300-s window of the re-quote at 1000 s holds no record
+        tape = flat_mid_tape(DECAYING_OFFSETS, [])
+        cfg = BacktestConfig(q0=1, delta_t=400.0, warmup=600.0, recalib_window=300.0,
+                             gamma_mode="fixed", gamma_value=0.05, n_min=20)
+        message = ("intensity calibration failed at t=1000: no records in "
+                   "[700.0, 1000.0]")
+        with pytest.raises(CalibrationError, match=f"^{re.escape(message)}$"):
+            run_backtest(tape, cfg)
+
     def test_tape_shorter_than_horizon_marks_at_tape_end(self, bullish_tape):
         cfg = BacktestConfig(q0=20, delta_t=30.0, warmup=600.0,
                              recalib_window=600.0, gamma_mode="fixed",

@@ -3,6 +3,7 @@ round trip."""
 
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,87 @@ class TestLoadTape:
         with pytest.raises(ParameterError, match=re.escape(
                 f"tick_size must be > 0 and finite, got {tick_size}")):
             load_tape("unread.csv", tick_size=tick_size)
+
+
+class TestLoadTapeMessages:
+    """load_tape parses the rows in one NumPy call; each outcome here is
+    that of a row-by-row read with csv and float, word for word, and no
+    warning escapes."""
+
+    @staticmethod
+    def load(tmp_path, text):
+        path = tmp_path / "tape.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return path, load_tape(path)
+
+    def refused(self, tmp_path, text, message):
+        with pytest.raises(DataError) as err:
+            self.load(tmp_path, text)
+        assert str(err.value) == f"{tmp_path / 'tape.csv'}: {message}"
+
+    def test_quoted_fields_load(self, tmp_path):
+        quoted = '"2.5","100.7",80,"99.6",100.6\n'
+        _, tape = self.load(tmp_path, HEADER + GOOD_ROWS[0] + quoted + GOOD_ROWS[2])
+        assert tape.price.tolist() == [100.6, 100.7, 99.4]
+        assert tape.bid.tolist() == [99.5, 99.6, 99.4]
+
+    def test_missing_columns(self, tmp_path):
+        self.refused(tmp_path, "ts,price,size\n1.0,100.0,10\n",
+                     "missing columns ['bid', 'ask']")
+
+    def test_malformed_value_names_its_line(self, tmp_path):
+        rows = GOOD_ROWS[:1] + ["2.5,abc,80,99.6,100.6\n"] + GOOD_ROWS[2:]
+        self.refused(tmp_path, HEADER + "".join(rows), "malformed row at line 3")
+
+    def test_short_row_after_blank_line_names_its_line(self, tmp_path):
+        rows = GOOD_ROWS[:1] + ["\n", "2.5,100.7,80,99.6\n"] + GOOD_ROWS[2:]
+        self.refused(tmp_path, HEADER + "".join(rows), "malformed row at line 4")
+
+    @pytest.mark.parametrize("line", ["  \n", "# a comment,1,1,1,2\n", "2.5,,80,99.6,100.6\n"])
+    def test_only_an_empty_line_is_skipped(self, tmp_path, line):
+        # only an empty line is skipped: whitespace, a '#' and an empty
+        # field are malformed rows
+        rows = GOOD_ROWS[:1] + [line] + GOOD_ROWS[2:]
+        self.refused(tmp_path, HEADER + "".join(rows), "malformed row at line 3")
+
+    def test_extra_columns_are_ignored(self, tmp_path):
+        rows = [GOOD_ROWS[0], "2.5,100.7,80,99.6,100.6,x,7\n", GOOD_ROWS[2]]
+        _, tape = self.load(tmp_path, HEADER + "".join(rows))
+        assert tape.ts.tolist() == [1.0, 2.5, 4.0]
+        assert tape.ask.tolist() == [100.5, 100.6, 100.4]
+
+    def test_columns_are_found_by_name(self, tmp_path):
+        text = "ask,note,bid,size,price,ts\n100.5,a,99.5,120,100.6,1.0\n100.6,b,99.6,80,100.7,2.5\n"
+        _, tape = self.load(tmp_path, text)
+        assert tape.ts.tolist() == [1.0, 2.5] and tape.price.tolist() == [100.6, 100.7]
+
+    def test_header_only(self, tmp_path):
+        self.refused(tmp_path, HEADER, "no data rows")
+        self.refused(tmp_path, HEADER + "\n\n", "no data rows")
+
+    def test_empty_file(self, tmp_path):
+        self.refused(tmp_path, "", "empty file")
+
+    @pytest.mark.parametrize("value,want", [("1_0", 10.0), (" 1.5 ", 1.5), ("\uff11", 1.0),
+                                            ("+1.", 1.0), ("1e-1", 0.1)])
+    def test_values_float_reads_load_as_float_reads_them(self, tmp_path, value, want):
+        # NumPy's parser refuses 1_0 and the full-width digit; the rescan
+        # reads every value with float, as the row-by-row parser did
+        rows = ["0.0,100.6,120,99.5,100.5\n", f"{value},100.7,80,99.6,100.6\n"]
+        _, tape = self.load(tmp_path, HEADER + "".join(rows))
+        assert tape.ts.tolist() == [0.0, want]
+
+    @pytest.mark.parametrize("value", ["0x1", "1d0", "1.5.", "one"])
+    def test_values_float_refuses_name_their_line(self, tmp_path, value):
+        rows = ["0.0,100.6,120,99.5,100.5\n", f"{value},100.7,80,99.6,100.6\n"]
+        self.refused(tmp_path, HEADER + "".join(rows), "malformed row at line 3")
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_line_ends(self, tmp_path, end):
+        _, tape = self.load(tmp_path, (HEADER + "".join(GOOD_ROWS)).replace("\n", end))
+        assert tape.ts.tolist() == [1.0, 2.5, 4.0]
 
 
 class TestSyntheticTape:

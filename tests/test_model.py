@@ -11,7 +11,18 @@ from hypothesis import strategies as st
 from optliq import (ModelParams, ParameterError, WGrid, derive_coefficients,
                     hjb_residual, quote_from_w, solve_grid, terminal_quote)
 from optliq.model import DerivedCoefficients, parse_config
-from tests.oracles import nodrift_novol_w
+from tests.oracles import model_params_fields, nodrift_novol_w
+
+
+FLOAT_FIELDS = ("mu", "sigma", "big_a", "k", "gamma", "b", "horizon")
+# out of every domain and at its edges, as floats, ints, bools and NumPy
+# scalars, plus an int beyond the double range
+EDGES = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1.0, 0, -2, 3, True, False,
+         np.float64(math.nan), np.float64(-0.5), np.float64(2.0), np.int64(3),
+         np.int64(-1), 10 ** 400, 5e-324, 1.7e308]
+FIELD_VALUES = st.one_of(st.sampled_from(EDGES), st.floats())
+Q_MAX_VALUES = st.one_of(st.sampled_from(EDGES + [2.0, 2.5, np.int64(7), np.float64(4.0)]),
+                         st.integers(-3, 50), st.floats(-3.0, 50.0))
 
 
 class TestModelParams:
@@ -37,6 +48,22 @@ class TestModelParams:
             match += ".*closed_forms.binf_"
         with pytest.raises(ParameterError, match=match):
             ModelParams(**{field: value})
+
+    @given(st.fixed_dictionaries({}, optional={
+        **{name: FIELD_VALUES for name in FLOAT_FIELDS}, "q_max": Q_MAX_VALUES}))
+    @settings(max_examples=400, deadline=None)
+    def test_combined_check_matches_field_loop(self, values):
+        # the type and message of a refusal, or the q_max stored, equal
+        # those of the per-field checks
+        try:
+            want = model_params_fields(values)
+        except Exception as exc:  # noqa: BLE001 - any refusal is compared
+            with pytest.raises(Exception) as got:
+                ModelParams(**values)
+            assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        else:
+            q_max = ModelParams(**values).q_max
+            assert q_max == want and type(q_max) is int
 
     def test_config_round_trip(self, tmp_path, ref_params):
         path = tmp_path / "model.cfg"

@@ -5,6 +5,8 @@ schemas."""
 
 import csv
 import math
+import re
+import time
 
 import mpmath
 import numpy as np
@@ -578,6 +580,49 @@ class TestExtremeLiquidationCost:
         assert np.all(np.isfinite(surface.values))
         assert np.all(surface.values[-1] == terminal_quote(p))
         assert np.max(np.abs(solve_w(p).quotes_at(0.0) - surface.values[0])) < 1e-12
+
+    @pytest.mark.parametrize("changes", [{"gamma": 1e300}, {"mu": 1e300}, {"mu": -1e300},
+                                         {"sigma": 1e150}])
+    def test_rates_beyond_half_step_floor_refused_by_name(self, changes):
+        # the walk would halve its step about 1000 times to keep w within
+        # its window; it stops at T * 2^-117
+        p = ModelParams(**changes)
+        for call in (lambda: solve_w(p).quotes_at(0.0), lambda: solve_grid(p, 10)):
+            start = time.perf_counter()
+            with pytest.raises(ParameterError, match=r"walk's shortest half step, "
+                               r"T \* 2\^-117: the rates alpha = k \* gamma \* sigma\^2 / 2"
+                               r" = .*, beta = k \* mu = .* too fast to solve"):
+                call()
+            assert time.perf_counter() - start < 5.0
+
+    def test_deepest_half_steps_of_the_tests_are_above_the_floor(self, monkeypatch):
+        # w_1(T) = e^-1200 is lifted to 2^-_LIFT below w_0 = 1: its feed
+        # needs a walk of half steps down to T * 2^-68, the deepest of the
+        # tests, far above the floor T * 2^-117
+        p = ModelParams(q_max=1, mu=0.2, k=0.4, horizon=86400.0, b=3000.0)
+        halves = []
+        run = _Walk.run
+
+        def spy(walk, v, e, tau, n_steps, emit):
+            halves.append(tau / n_steps)
+            return run(walk, v, e, tau, n_steps, emit)
+
+        monkeypatch.setattr(_Walk, "run", spy)
+        surface = quote_surface(solve_grid(p, 100))
+        assert np.all(np.isfinite(surface.values))
+        assert p.horizon * 2.0 ** -69 < min(halves) < p.horizon * 2.0 ** -60
+
+    @pytest.mark.parametrize("changes", [{"sigma": 1e200}, {"sigma": 1e150, "gamma": 1e10}])
+    def test_alpha_beyond_double_range_refused_by_name(self, changes):
+        # sigma^2 overflows by itself at sigma = 1e200; at sigma = 1e150
+        # and gamma = 1e10 the product k gamma sigma^2 / 2 does
+        p = ModelParams(**changes)
+        message = (f"k * gamma * sigma^2 / 2 is beyond the double range (k = 0.3, "
+                   f"gamma = {p.gamma}, sigma = {p.sigma})")
+        for call in (lambda: solve_w(p).quotes_at(0.0), lambda: solve_grid(p, 10),
+                     lambda: asymptotic_quote(p, 1)):
+            with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+                call()
 
     def test_large_b_matches_forced_liquidation_shape(self):
         # normalising by big_a^q removes the only big_a dependence left in
