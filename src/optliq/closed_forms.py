@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -58,13 +59,18 @@ def asymptotic_quote(p: ModelParams, q: int) -> float:
     derive_coefficients(p)  # refuses a k * gamma * sigma^2 / 2 beyond the double range
     if q < 1:
         raise ParameterError(f"q must be >= 1, got {q}")
-    if not p.mu < 0.5 * p.gamma * p.sigma ** 2:
+    # in exact rationals: the terms may leave the double range where alpha
+    # and the quote do not
+    half_var = Fraction(p.gamma) * Fraction(p.sigma) ** 2 / 2
+    if not (p.mu < 0.5 * p.gamma * p.sigma ** 2 and p.mu < half_var):
         raise NoAsymptoteError(
             f"no long-horizon quote limit: need mu < gamma*sigma^2/2 "
             f"({p.mu} >= {0.5 * p.gamma * p.sigma ** 2})"
         )
-    denom = 0.5 * p.gamma * p.sigma ** 2 * q * q - p.mu * q
-    return math.log(p.big_a / (p.k + p.gamma) / denom) / p.k
+    ratio = (Fraction(p.big_a) / (Fraction(p.k) + Fraction(p.gamma))
+             / (q * (q * half_var - Fraction(p.mu))))
+    scale = ratio.numerator.bit_length() - ratio.denominator.bit_length()
+    return (math.log(ratio / Fraction(2) ** scale) + scale * math.log(2.0)) / p.k
 
 
 def _log_poly_w_terms(scale: float, kb: float, q: int, remaining: float) -> np.ndarray:

@@ -3,8 +3,10 @@ no parameter set for how far w leaves the double range; it refuses, as a
 ParameterError, a terminal w(T) = exp(-k q b) whose exponents would reach
 2^22 (k b q_max above 2.9e6), a k gamma sigma^2 / 2 beyond the double
 range (sigma = 1e200), and rates too fast for the walk to cross a step in
-half steps of T 2^-117 (gamma = 1e300, mu = +-1e300, sigma = 1e150).  Some
-extreme finite sets are still open: mu = 1e30 does not finish."""
+half steps of T 2^-117 (gamma = 1e300, mu = +-1e300, sigma = 1e150), and a
+level whose mantissa underflows to 0 in the walk (gamma = 1e30 at q_max =
+6), on the point and grid paths alike, naming the level and the rates.
+Some extreme finite sets are still open: mu = 1e30 does not finish."""
 
 
 class OptliqError(Exception):

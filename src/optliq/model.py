@@ -298,7 +298,7 @@ class QuoteSurface:
     # -- exports ----------------------------------------------------------
 
     def to_csv(self, path) -> None:
-        _write_csv(path, ("t", "q", "value"), _tq_rows(self.times, self.values, first_q=1))
+        _write_tq_csv(path, self.times, self.values, first_q=1)
 
     def to_json_dict(self) -> dict:
         return {
@@ -328,12 +328,19 @@ def _write_csv(path, header, rows) -> None:
         fh.writelines(itertools.starmap(line.format, rows))
 
 
-def _tq_rows(times, values, first_q: int):
-    """``(t, q, value)`` per cell of a time-by-level table, level
-    ``first_q`` in column 0; one time step is converted at a time."""
-    for t, row in zip(times.tolist(), values):
-        for q, value in enumerate(row.tolist(), first_q):
-            yield t, q, value
+def _write_tq_csv(path, times, values, first_q: int) -> None:
+    """Write a time-by-level table as ``t,q,value`` CSV in the format of
+    :func:`_write_csv`, one line per cell, level ``first_q`` in column 0.
+
+    One ``str.format`` writes the lines of a time step, with ``t``
+    formatted once; the table is converted one time step at a time.
+    """
+    levels = range(first_q, first_q + values.shape[1])
+    line = "".join(f"{{0}},{q},{{{j}:.17g}}\n" for j, q in enumerate(levels, 1))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("t,q,value\n")
+        fh.writelines(line.format("%.17g" % t, *row.tolist())
+                      for t, row in zip(times.tolist(), values))
 
 
 def hjb_residual(w, p: ModelParams, t: float, q: int,

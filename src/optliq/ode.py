@@ -26,15 +26,15 @@ and v > 0, the extreme log-growth rates ``r_lo <= (G v)_q / v_q <= r_up``
 give ``e^(tau r_lo) v <= exp(tau G) v <= e^(tau r_up) v`` for all tau >= 0,
 as ``exp(tau G)`` is nonnegative and commutes with G, and the segment goes
 as far as that keeps every mantissa within ``2^+-_WINDOW``.  No ratio of
-two mantissas, or entry of a scaled step, then exceeds 2^1000, and the
-rounding of an entry below the double range is under 2^-70 of the level
-it feeds.  The exponents change only where the kept ones cannot reach
-_KEEP steps, or the walk's end, and fresh ones reach further; a step too
-long even for fresh ones is crossed as a walk of two half steps.  w(T) is
-split by a reduction that is exact while its exponents stay below 2^22 in
-size, so a k b q_max above _MAX_KBQ is refused.  The bound and the profile are computed in Python floats, one level at a time:
-they see q_max + 1 numbers, few enough that NumPy's cost per call would
-outweigh the arithmetic.
+two mantissas, or entry of a scaled step, then exceeds ``2^(2 _WINDOW)``.
+The exponents change only where the kept ones cannot reach _KEEP steps,
+or the walk's end, and fresh ones reach further; a step too long even for
+fresh ones is crossed as a walk of two half steps.  w(T) is split by a
+reduction that is exact while its exponents stay below 2^22 in size, so a
+k b q_max above _MAX_KBQ is refused.  The bound and the profile are
+computed in Python floats, one level at a time: they see q_max + 1
+numbers, few enough that NumPy's cost per call would outweigh the
+arithmetic.
 
 A grid fills the nodes of each run of segments that keep one profile by
 doubling from the run's first node.  With E the scaled one-step
@@ -45,11 +45,26 @@ Node j of a run of L steps is one rung per set bit of j applied to the
 run's first node, so at most ``K = ceil(log2 L)`` products from it, and
 rung k is k squarings from E: every entry comes from at most ``K (K + 1)
 / 2`` products of nonnegative matrices, and keeps its relative accuracy
-as above.  A rung spans at most the run, along which every mantissa stays
-in the window, so the bound on its entries, and on the rounding of those
-below the double range, is the step's.  Where w stays well inside the
-double range the exponents are 0 and the grid is one doubling walk of
-plain doubles from w(T).
+as above.  Where w stays well inside the double range the exponents are
+0 and the grid is one doubling walk of plain doubles from w(T).
+
+Every rung, E included, has its entries below the double range set to 0
+as it is formed, since a product with a subnormal operand can run several
+times slower.  A rung spans at most its run, along which every mantissa
+is at most ``2^W`` (W = _WINDOW) and every level the walk does not lift
+at least ``2^-W``.  A flushed entry, under 2^-1022, thus drops a term
+under ``2^(W - 1022)`` from a level of at least ``2^-W``: under ``2^(2W -
+1022)`` of it.  W = 474 makes that 2^-74, what rounding such an entry to
+a subnormal (an error up to 2^-1074) could move a level at the former
+window of 500; at 500 a flush could move it by 2^-22.  A lifted level
+has no such floor; where a level that is fed is left at 0 its quote is
+refused by name, not returned as -inf.  :meth:`_Walk.step` rescales
+rung 0 to a new profile exactly, by powers of two, only where that
+raises no entry below the diagonal: an entry flushed in the old profile
+would stay 0 where the new one puts it in the double range.  An entry
+the rescaling lowers below the double range is flushed again, within
+the bound.  The propagator's own squarings keep their subnormal entries;
+only its result is flushed.
 
 Level one couples only to ``w_0 = 1``: ``w_1(T - tau) = e^(-x - k b) +
 eta tau phi1(-x)``, ``x = lambda_1 tau``, ``phi1(y) = expm1(y) / y``.  A
@@ -68,8 +83,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .model import (ModelParams, QuoteSurface, _tq_rows, _write_csv, derive_coefficients,
-                    terminal_quote)
+from .model import ModelParams, QuoteSurface, _write_tq_csv, derive_coefficients, terminal_quote
 
 __all__ = [
     "WGrid",
@@ -92,8 +106,9 @@ _KEEP = 32
 # rows per product when a grid is filled by doubling
 _ROWS = 1024
 _INV_FACTORIAL = 1.0 / np.array([math.factorial(j) for j in range(171)], dtype=float)
-# log2 bound on the mantissas of a segment
-_WINDOW = 500.0
+# log2 bound on the mantissas of a segment, (1022 - 74) / 2: a rung entry
+# flushed below the double range moves a level by under 2^-74 of it
+_WINDOW = 474.0
 # a level more than 2^_LIFT below the one under it is lifted in the walk's
 # profile: its value is negligible beside what it is fed in any
 # representable step, and its mantissa may round to zero
@@ -308,12 +323,13 @@ class _Walk:
             shift = d[None, :] - d[:, None]
             if j >= 0 and j == int(j) and not (np.tril(shift) > 0).any():
                 if d.any():
-                    self._ladder = h0, e, [np.ldexp(ladder[0], shift.astype(np.int32))]
+                    self._ladder = h0, e, []
+                    self._climb(np.ldexp(ladder[0], shift.astype(np.int32)))
                 self.power(int(j))
                 self._ladder = h, e, self._ladder[2][int(j):]
                 return self._ladder[2][0]
-        self._ladder = h, e, [_propagator(self.lam, self.eta, h, e)]
-        return self._ladder[2][0]
+        self._ladder = h, e, []
+        return self._climb(_propagator(self.lam, self.eta, h, e))
 
     def power(self, k: int) -> np.ndarray:
         """E^(2^k) for the last step E: E squared k times, each square's
@@ -322,8 +338,17 @@ class _Walk:
         while len(ladder) <= k:
             s = ladder[-1] @ ladder[-1]
             s.reshape(-1)[::s.shape[0] + 1] = np.exp(-h * 2.0 ** len(ladder) * self.lam)
-            ladder.append(s)
+            self._climb(s)
         return ladder[k]
+
+    def _climb(self, rung: np.ndarray) -> np.ndarray:
+        """Put rung on the ladder, as every rung is, with its entries below
+        the double range set to 0: a product with a subnormal operand can run
+        several times slower, and _WINDOW bounds what a flushed entry
+        moves."""
+        rung[rung < _TINY] = 0.0
+        self._ladder[2].append(rung)
+        return rung
 
     def run(self, v: np.ndarray, e: np.ndarray, tau: float, n_steps: int, emit) -> tuple:
         """Walk w = v 2^e back over n_steps steps of tau / n_steps.
@@ -418,7 +443,7 @@ class WGrid:
             return np.ldexp(self.values[rows], self.exponents[segment].astype(np.int32))
 
     def to_csv(self, path) -> None:
-        _write_csv(path, ("t", "q", "value"), _tq_rows(self.times, self.doubles(), first_q=0))
+        _write_tq_csv(path, self.times, self.doubles(), first_q=0)
 
     def to_json_dict(self) -> dict:
         return {
@@ -545,8 +570,6 @@ def quote_surface(w: WGrid) -> QuoteSurface:
     p = w.params
     p.require_risk_averse("quote_surface")
     vals = w.values
-    if not np.all(vals > 0):
-        raise ParameterError("w grid must be strictly positive")
     quotes = np.empty((vals.shape[0], p.q_max))
     ends = list(w.breaks[1:]) + [vals.shape[0] - 1]
     for first, end, e in zip(w.breaks, ends, w.exponents):
@@ -557,7 +580,17 @@ def quote_surface(w: WGrid) -> QuoteSurface:
 
 def _quotes(v: np.ndarray, e: np.ndarray, p: ModelParams, out: np.ndarray) -> np.ndarray:
     """``(ln(v_q / v_{q-1}) + (e_q - e_{q-1}) ln 2) / k`` plus the spread
-    term, for q = 1..q_max along the last axis of v, written into out."""
+    term, for q = 1..q_max along the last axis of v, written into out.  A
+    mantissa of 0 or below, which the walk leaves where a level underflows
+    in it, is refused, naming the level."""
+    if not v.min(initial=math.inf) > 0.0:
+        level = int(np.flatnonzero(~(v.reshape(-1, v.shape[-1]) > 0.0).all(axis=0))[0])
+        c = derive_coefficients(p)
+        raise ParameterError(
+            f"w_{level} is not positive: its mantissa of {v[..., level].min():g} underflows in "
+            f"the walk back from T, as the rates alpha = k * gamma * sigma^2 / 2 = "
+            f"{c.alpha:.3g}, beta = k * mu = {c.beta:.3g} and eta = {c.eta:.3g} (1/s) are "
+            f"too far apart")
     np.divide(v[..., 1:], v[..., :-1], out=out)
     np.log(out, out=out)
     if e.any():  # no exponent term where w is a double, as it mostly is

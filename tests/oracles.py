@@ -29,6 +29,10 @@ vectorised hazard table and fill rounds.
 :func:`model_params_fields` checks a parameter set one field at a time:
 the oracle of the combined check of ``ModelParams``.
 
+:func:`tq_rows` yields the ``(t, q, value)`` rows of a time-by-level
+table for ``optliq.model._write_csv``: the oracle of the one-format-call-
+per-time-step writer ``_write_tq_csv``.
+
 :func:`calibrate_intensity_recount` slices the window out of the tape
 (:func:`slice_time`), recounts every print against every offset and fits
 with ``np.polyfit``: the oracle of the prefix-count index in
@@ -476,3 +480,11 @@ def event_rule_path(cfg, exponentials, normals) -> dict:
         s += p.mu * (horizon - t) + p.sigma * math.sqrt(horizon - t) * normals[q0]
     return {"q_final": q0 - len(sales), "x_final": x, "s_final": s,
             "market_orders": market_orders, "sales": sales}
+
+
+def tq_rows(times, values, first_q: int):
+    """``(t, q, value)`` per cell of a time-by-level table, level
+    ``first_q`` in column 0; one time step is converted at a time."""
+    for t, row in zip(times.tolist(), values):
+        for q, value in enumerate(row.tolist(), first_q):
+            yield t, q, value

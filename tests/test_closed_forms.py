@@ -38,6 +38,23 @@ class TestAsymptoticQuote:
         with pytest.raises(NoAsymptoteError):
             asymptotic_quote(ModelParams(sigma=0.0), 1)  # risk-neutral-like
 
+    @pytest.mark.parametrize("changes", [
+        {},  # the reference set
+        {"mu": -0.01}, {"sigma": 3.0},
+        {"k": 1e-10, "gamma": 10.0, "sigma": 1e154},  # gamma sigma^2 / 2 overflows
+        {"big_a": 1e-300, "k": 1.0, "gamma": 1e10, "sigma": 1e140}])  # the ratio underflows
+    def test_matches_mpmath_where_its_terms_leave_the_double_range(self, changes):
+        # alpha = k gamma sigma^2 / 2 and the quote are doubles where
+        # gamma sigma^2 / 2 or the ratio under the log are not
+        p = ModelParams(**changes)
+        mp = mpmath.mp.clone()
+        mp.dps = 60
+        for q in (1, 6):
+            ratio = (mp.mpf(p.big_a) / (mp.mpf(p.k) + mp.mpf(p.gamma))
+                     / (mp.mpf(p.gamma) * mp.mpf(p.sigma) ** 2 * q * q / 2 - mp.mpf(p.mu) * q))
+            exact = mp.log(ratio) / mp.mpf(p.k)
+            assert asymptotic_quote(p, q) == pytest.approx(float(exact), rel=1e-15)
+
     def test_ignores_liquidation_cost(self, ref_params):
         assert asymptotic_quote(ref_params.with_(b=0.0), 3) \
             == asymptotic_quote(ref_params.with_(b=50.0), 3)

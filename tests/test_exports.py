@@ -10,15 +10,23 @@ the whole file.
 import ast
 import dataclasses
 import importlib
+import os
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from optliq import (BacktestConfig, FixedQuote, ModelParams, QuoteSurface,
                     SimConfig, TradingCurve, WGrid)
 from optliq.backtest import BacktestLedger, FillEvent, OrderEvent
 from optliq.market_data import TradeTape
+from optliq.model import _write_csv, _write_tq_csv
 from optliq.simulate import SimPath, SimSummary
+from tests.oracles import tq_rows
 
 PARAMS = ModelParams(q_max=2, horizon=1.0)
 TIMES = [0.0, 0.5, 1.0]
@@ -41,6 +49,27 @@ def test_quote_surface_csv(tmp_path):
         "0.5,2,9.9999999999999995e-21\n"
         "1,1,100\n"
         "1,2,-0\n")
+
+
+CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072e-308, 1e308, -1e308,
+                     np.inf, -np.inf, np.nan, 0.1, 1 / 3]))
+
+
+@given(data=st.data(), n_rows=st.integers(0, 12), n_levels=st.integers(1, 8),
+       first_q=st.sampled_from([0, 1]))
+@settings(max_examples=200, deadline=None)
+def test_tq_writer_matches_rows_through_write_csv(data, n_rows, n_levels, first_q):
+    # one format call per time step writes the bytes that one _write_csv
+    # line per cell writes
+    times = data.draw(hnp.arrays(float, n_rows, elements=CELLS))
+    values = data.draw(hnp.arrays(float, (n_rows, n_levels), elements=CELLS))
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = os.path.join(tmp, "new.csv"), os.path.join(tmp, "old.csv")
+        _write_tq_csv(new, times, values, first_q)
+        _write_csv(old, ("t", "q", "value"), tq_rows(times, values, first_q))
+        assert Path(new).read_bytes() == Path(old).read_bytes()
 
 
 def test_wgrid_csv_from_level_zero_with_rounded_levels(tmp_path):

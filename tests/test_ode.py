@@ -7,6 +7,7 @@ import csv
 import math
 import re
 import time
+import warnings
 
 import mpmath
 import numpy as np
@@ -19,7 +20,7 @@ from optliq import (ModelParams, ParameterError, hjb_residual, quote_from_w,
                     quote_surface, run_backtest, solve_grid, solve_w, terminal_quote)
 from optliq.closed_forms import asymptotic_quote, binf_w, nodrift_novol_quote
 from optliq.model import DerivedCoefficients, derive_coefficients
-from optliq.ode import (_LIFT, _Walk, _level_one_state, _propagator, _quotes,
+from optliq.ode import (_LIFT, _WINDOW, _Walk, _level_one_state, _propagator, _quotes,
                         _terminal_state)
 from tests.conftest import (HIGH_VOL_K_SWEEP, REFERENCE_QUOTES_T0,
                             SWEEP_QUOTES_T0, TABLE_TOL, q1_asymptote_gap,
@@ -225,20 +226,49 @@ class TestSolveSpectral:
             assert max_rel(grid.doubles(i), dec.evaluate_at(float(grid.times[i]))) < 1e-12
 
     def test_profiled_grid_nodes_match_point_quotes(self):
-        # w_100 falls below the double range: the grid changes its exponents
-        # three times, and each run of nodes in one profile is filled by
-        # doubling from its first node.  Next to T, where w_100 falls fastest,
-        # the reported time of a node is an ulp of T from the node's own
-        # T - j h: that alone moves its quotes by up to 9.3e-12 Ticks
-        p = ModelParams(sigma=3.0, k=0.2, q_max=100, horizon=7200.0)
-        dec = solve_w(p)
-        grid = dec.to_wgrid(N)
-        assert len(grid.breaks) == 4
-        surface = quote_surface(grid)
-        nodes = {n for j in range(14) for n in (2 ** j - 1, 2 ** j, 2 ** j + 1) if n <= N}
-        rows = {N - n for n in nodes} | {int(r) for b in grid.breaks[1:] for r in (b - 1, b)}
-        for i in sorted(rows):
-            assert np.max(np.abs(dec.quotes_at(float(grid.times[i])) - surface.values[i])) < 1e-11, i
+        # w_100 falls below the double range: the grid changes its exponents,
+        # and each run of nodes in one profile is filled by doubling from
+        # its first node with a ladder whose subnormal entries are flushed.
+        # Next to T, where w_100 falls fastest, the reported time of a node
+        # is an ulp of T from the node's own T - j h: that alone moves its
+        # quotes by up to 9.3e-12 Ticks at sigma = 3, k = 0.2
+        for changes, n_profiles in (({"sigma": 3.0, "k": 0.2, "horizon": 7200.0}, 4),
+                                    ({"horizon": 300.0}, 2), ({"horizon": 7200.0}, 2)):
+            p = ModelParams(q_max=100, **changes)
+            dec = solve_w(p)
+            grid = dec.to_wgrid(N)
+            assert len(grid.breaks) == n_profiles
+            surface = quote_surface(grid)
+            nodes = {n for j in range(14) for n in (2 ** j - 1, 2 ** j, 2 ** j + 1) if n <= N}
+            rows = {N - n for n in nodes} | {int(r) for b in grid.breaks[1:] for r in (b - 1, b)}
+            for i in sorted(rows):
+                gap = np.max(np.abs(dec.quotes_at(float(grid.times[i])) - surface.values[i]))
+                assert gap < 1e-11, (changes, i)
+
+    @pytest.mark.parametrize("changes", [{}, {"sigma": 3.0, "k": 0.2}])
+    @pytest.mark.parametrize("horizon", [300.0, 7200.0])
+    def test_ladder_holds_no_subnormal_entry(self, changes, horizon, monkeypatch):
+        # squares E^(2^k) of these grids reach below the double range, and a
+        # product with a subnormal operand runs several times slower: every
+        # rung the grid multiplies by has those entries flushed to 0
+        rungs = []
+        power = _Walk.power
+
+        def spy(walk, k):
+            rungs.append(power(walk, k))
+            return rungs[-1]
+
+        monkeypatch.setattr(_Walk, "power", spy)
+        solve_grid(ModelParams(q_max=100, horizon=horizon, **changes))
+        assert len({id(rung) for rung in rungs}) >= 14  # rungs 0-13 at least
+        for rung in rungs:
+            assert not np.any((rung > 0.0) & (rung < np.finfo(float).tiny))
+
+    def test_window_keeps_a_flushed_entry_below_rounding(self):
+        # a flushed entry, under 2^-1022, takes a mantissa of at most
+        # 2^_WINDOW into a level of at least 2^-_WINDOW: it moves the level
+        # by under 2^(2 _WINDOW - 1022), the 2^-74 of the module docstring
+        assert 2.0 ** (2 * _WINDOW - 1022) <= 2.0 ** -74
 
     @pytest.mark.parametrize("changes", LEVEL_ONE_CASES)
     def test_level_one_matches_walk_at_grid_nodes(self, changes):
@@ -611,6 +641,21 @@ class TestExtremeLiquidationCost:
         surface = quote_surface(solve_grid(p, 100))
         assert np.all(np.isfinite(surface.values))
         assert p.horizon * 2.0 ** -69 < min(halves) < p.horizon * 2.0 ** -60
+
+    def test_level_underflowing_in_the_walk_refused_by_name(self):
+        # at gamma = 1e30, w_6 falls about 2^-200 a level below w_5 and its
+        # mantissa underflows to 0 in the walk: both paths refuse it by
+        # name, where the point path returned -inf with a RuntimeWarning
+        p = ModelParams(gamma=1e30, q_max=6)
+        message = (r"^w_6 is not positive: its mantissa of 0 underflows in the walk back "
+                   r"from T, as the rates alpha = k \* gamma \* sigma\^2 / 2 = 1\.35e\+28, "
+                   r"beta = k \* mu = 0 and eta = 3e-32 \(1/s\) are too far apart$")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: solve_w(p).quotes_at(0.0),
+                         lambda: quote_surface(solve_grid(p, 100))):
+                with pytest.raises(ParameterError, match=message):
+                    call()
 
     @pytest.mark.parametrize("changes", [{"sigma": 1e200}, {"sigma": 1e150, "gamma": 1e10}])
     def test_alpha_beyond_double_range_refused_by_name(self, changes):

@@ -9,14 +9,16 @@ found in one tree only, a changed row count or key set, a changed text
 cell.  A cell is a CSV field, a JSON leaf, or a whitespace-separated word
 of any other file; JSON is recognised by its content, so a command's
 standard output that holds JSON is compared as JSON.  Files identical
-byte for byte are counted, not listed.  Exits 0 when the trees are
-identical, else 1.
+byte for byte are counted, not listed; a CSV or text file is compared a
+line at a time, so a table of millions of cells needs no more memory
+than its text.  Exits 0 when the trees are identical, else 1.
 
     usage: python3 tools/compare_outputs.py DIR1 DIR2
 """
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -26,11 +28,13 @@ import sys
 SHOWN = 5
 
 
-def cells(text: str, name: str):
-    """(where, value) pairs of one file: JSON leaves by their key path, CSV
-    fields and text words by line and column."""
+def chunks(text: str, name: str):
+    """The (where, value) cells of one file, in lists: one list of all JSON
+    leaves, by their key path, or one list per line of CSV fields or text
+    words, by line and column, so that a large table is compared a line
+    at a time."""
     try:
-        yield from _json_cells(json.loads(text), "")
+        yield list(_json_cells(json.loads(text), ""))
         return
     except ValueError:
         pass
@@ -39,8 +43,7 @@ def cells(text: str, name: str):
     else:
         rows = (line.split() for line in text.splitlines())
     for i, row in enumerate(rows, 1):
-        for j, value in enumerate(row, 1):
-            yield f"line {i} col {j}", value
+        yield [(f"line {i} col {j}", value) for j, value in enumerate(row, 1)]
 
 
 def _json_cells(node, where: str):
@@ -67,22 +70,26 @@ def number(value):
 def compare(path1: str, path2: str, name: str) -> tuple:
     """(numeric cells that differ, max abs, max rel, non-numeric lines)."""
     with open(path1, encoding="utf-8") as f1, open(path2, encoding="utf-8") as f2:
-        one, two = dict(cells(f1.read(), name)), dict(cells(f2.read(), name))
+        text1, text2 = f1.read(), f2.read()
     count, max_abs, max_rel, other = 0, 0.0, 0.0, []
-    for where in sorted(one.keys() ^ two.keys()):
-        side = "first" if where in one else "second"
-        other.append(f"{where} only in the {side} tree")
-    for where in [w for w in one if w in two]:
-        a, b = one[where], two[where]
-        x, y = number(a), number(b)
-        if x is None or y is None:
-            if a != b:
+    for chunk1, chunk2 in itertools.zip_longest(chunks(text1, name), chunks(text2, name),
+                                                fillvalue=[]):
+        one, two = dict(chunk1), dict(chunk2)
+        for where in sorted(one.keys() ^ two.keys()):
+            side = "first" if where in one else "second"
+            other.append(f"{where} only in the {side} tree")
+        for where in [w for w in one if w in two]:
+            a, b = one[where], two[where]
+            if a == b:
+                continue
+            x, y = number(a), number(b)
+            if x is None or y is None:
                 other.append(f"{where}: {a!r} != {b!r}")
-        elif not (x == y or (math.isnan(x) and math.isnan(y))):
-            count += 1
-            gap = abs(x - y)
-            max_abs = max(max_abs, gap)
-            max_rel = max(max_rel, gap / max(abs(x), abs(y)))
+            elif not (x == y or (math.isnan(x) and math.isnan(y))):
+                count += 1
+                gap = abs(x - y)
+                max_abs = max(max_abs, gap)
+                max_rel = max(max_rel, gap / max(abs(x), abs(y)))
     return count, max_abs, max_rel, other
 
 
