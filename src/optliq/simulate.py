@@ -31,9 +31,10 @@ the price to T when the round has no fill, and round q0's normal carries it
 to T after the last unit.  So a path is bit-identical whether simulated
 alone, inside an ensemble or under any split into batches, and every policy
 simulated with the same seed sees the same draws (common random numbers).
-Ensembles run in blocks of paths; a block computes each round's draws once,
-for all its paths, the first time a policy reaches that round, and every
-policy of a :func:`simulate_policies` call reads them from there.
+Ensembles run in blocks of paths; a block computes the draws of all its
+paths and fill rounds in one vectorised pass, and every policy of a
+:func:`simulate_policies` call reads them from there.  Each policy bins the
+fill times of a block on the reporting grid once, after its last round.
 """
 
 from __future__ import annotations
@@ -61,11 +62,12 @@ __all__ = [
     "simulate_policies",
 ]
 
-# paths per block of simulate_ensemble and simulate_policies: a block holds
-# the draws of each fill round its paths reach (16 bytes per path and
-# round), computed once per call and read by every policy.  simulate_ensemble
-# keeps one block at a time, simulate_policies every block until its last
-# policy; the results do not depend on it
+# path-rounds per block of simulate_ensemble and simulate_policies: a block
+# of max(1, _CHUNK // (q0 + 1)) paths holds the draws of all q0 + 1 fill
+# rounds of its paths (16 bytes per path and round), computed once per call
+# and read by every policy.  simulate_ensemble keeps one block at a time,
+# simulate_policies every block until its last policy; the results do not
+# depend on it
 _CHUNK = 1 << 16
 
 
@@ -232,44 +234,58 @@ def _path_keys(seed: int, paths) -> np.ndarray:
 
 
 def _uniforms(keys: np.ndarray, draw) -> np.ndarray:
-    """Uniforms in (0, 1), one per key (or per entry of an array ``draw``):
-    53 bits of SplitMix64 at position draw + 1 of each key's sequence."""
+    """Uniforms in (0, 1), one per key and entry of ``draw`` (broadcast
+    against ``keys``): 53 bits of SplitMix64 at position draw + 1 of each
+    key's sequence."""
     # at least 1-d: uint64 arrays wrap silently where numpy scalars warn
     step = np.atleast_1d(np.asarray(draw, dtype=np.uint64)) + np.uint64(1)
     step *= np.uint64(_GAMMA)
     z = _mix(keys + step)
-    return ((z >> np.uint64(11)).astype(float) + 0.5) * 2.0 ** -53
+    z >>= np.uint64(11)
+    u = z.astype(float)
+    u += 0.5
+    u *= 2.0 ** -53
+    return u
 
 
-def _exponentials(keys: np.ndarray, draw: int) -> np.ndarray:
-    return -np.log1p(-_uniforms(keys, draw))
+def _exponentials(keys: np.ndarray, draw) -> np.ndarray:
+    e = _uniforms(keys, draw)
+    np.negative(e, out=e)
+    np.log1p(e, out=e)
+    np.negative(e, out=e)
+    return e
 
 
 def _normals(keys: np.ndarray, draw) -> np.ndarray:
     """Standard normals from draws (draw, draw + 1) by Box-Muller."""
     draw = np.asarray(draw, dtype=np.uint64)
-    radius = np.sqrt(-2.0 * np.log(_uniforms(keys, draw)))
-    return radius * np.cos(2.0 * math.pi * _uniforms(keys, draw + np.uint64(1)))
+    radius = _uniforms(keys, draw)
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle = _uniforms(keys, draw + np.uint64(1))
+    angle *= 2.0 * math.pi
+    np.cos(angle, out=angle)
+    radius *= angle
+    return radius
 
 
 class _Draws:
-    """The event draws of one block of paths, each fill round's computed for
-    every path of the block on first use and then kept: round j's unit
-    exponentials (draw 3j) and standard normals (draws 3j+1 and 3j+2)."""
+    """The event draws of one block of paths, computed for every path and
+    fill round in one pass: round j's unit exponential (draw 3j, rounds
+    0..q0-1) and standard normal (draws 3j+1 and 3j+2, rounds 0..q0), one
+    row per round."""
 
-    def __init__(self, seed: int, paths):
+    def __init__(self, seed: int, paths, q0: int):
         self.keys = _path_keys(seed, paths)
-        self._exponentials = {}
-        self._normals = {}
+        draw = 3 * np.arange(q0 + 1, dtype=np.uint64)[:, None]
+        self._exponentials = _exponentials(self.keys, draw[:-1])
+        self._normals = _normals(self.keys, draw + np.uint64(1))
 
     def exponential(self, j: int) -> np.ndarray:
-        if j not in self._exponentials:
-            self._exponentials[j] = _exponentials(self.keys, 3 * j)
         return self._exponentials[j]
 
     def normal(self, j: int) -> np.ndarray:
-        if j not in self._normals:
-            self._normals[j] = _normals(self.keys, 3 * j + 1)
         return self._normals[j]
 
 
@@ -307,31 +323,43 @@ class _HazardTable:
         horizon = params.horizon
         if isinstance(policy, FixedQuote):
             starts = np.zeros(1)
-            delta = np.full((q0, 1), float(policy.delta))
+            premium = np.full((q0, 1), float(policy.delta))
         elif isinstance(policy, (OptimalSurface, MarketOrderFallback)):
             surface = policy.surface
             # the times increase, so the nodes before T are a prefix; a node
             # at T only sets the terminal quote, which is never held
             m = max(1, int(np.searchsorted(surface.times, horizon * (1 - 1e-12))))
             starts = surface.times[:m]
-            delta = np.ascontiguousarray(surface.values[:m, :q0].T)
+            # a copy even where the transpose is contiguous (q0 = 1 or
+            # m = 1): the market orders are zeroed in it below
+            premium = np.array(surface.values[:m, :q0].T, order="C")
         else:
             raise ParameterError(f"unknown policy {policy!r}")
         n = starts.size
         self.edges = np.append(starts, horizon)
         self.edges[0] = 0.0
+        # formed in place: each fresh array over the surface's nodes costs
+        # its page faults again on every call
+        rate = np.multiply(premium, -params.k)
         with np.errstate(over="ignore"):
-            rate = params.big_a * np.exp(-params.k * delta)
+            np.exp(rate, out=rate)
+            rate *= params.big_a
         # only a MarketOrderFallback has a threshold
-        self.market = delta < float(getattr(policy, "threshold", -math.inf))
-        forced = self.market | np.isinf(rate)
-        rate[forced] = 0.0
+        self.market = np.less(premium, float(getattr(policy, "threshold", -math.inf)))
+        forced = np.isinf(rate)
+        forced |= self.market
+        np.copyto(rate, 0.0, where=forced)
         self.rate = rate
-        self.cum = np.zeros((q0, n + 1))
-        np.cumsum(rate * np.diff(self.edges), axis=1, out=self.cum[:, 1:])
-        first = np.where(forced, np.arange(n), n)
-        self.next_forced = np.minimum.accumulate(first[:, ::-1], axis=1)[:, ::-1]
-        self.premium = np.where(self.market, 0.0, delta)
+        self.cum = np.empty((q0, n + 1))
+        self.cum[:, 0] = 0.0
+        np.multiply(rate, np.diff(self.edges), out=self.cum[:, 1:])
+        np.cumsum(self.cum[:, 1:], axis=1, out=self.cum[:, 1:])
+        self.next_forced = np.full((q0, n), n, dtype=np.int64)
+        np.copyto(self.next_forced, np.arange(n), where=forced)
+        backwards = self.next_forced[:, ::-1]
+        np.minimum.accumulate(backwards, axis=1, out=backwards)
+        np.copyto(premium, 0.0, where=self.market)
+        self.premium = premium
 
 
 # ------------------------------------------------------------------- engine
@@ -423,7 +451,7 @@ def simulate_path(cfg: SimConfig, path_index: int = 0) -> SimPath:
     if not 0 <= path_index < 2 ** 64:
         raise ParameterError(f"path_index must be in [0, 2**64), got {path_index}")
     table = _HazardTable(cfg.policy, cfg.params, cfg.q0)
-    draws = _Draws(cfg.seed, [path_index])
+    draws = _Draws(cfg.seed, [path_index], cfg.q0)
     events = []   # (time, reference price, settlement price) per unit sold
 
     def record(j, tau, s_at, price):
@@ -481,36 +509,40 @@ def _summary_from_finals(cfg: SimConfig, fills, fills_sq,
 
 def _ensembles(cfgs: list) -> list:
     """One :class:`SimSummary` per config, for configs that differ only in
-    their policy.  The paths run in blocks of ``_CHUNK``, and every policy
-    reads the draws of a block from one :class:`_Draws`, kept until the
-    last policy has read it.  Every policy is checked before any path is
-    simulated."""
+    their policy.  The paths run in blocks of ``_CHUNK`` path-rounds, and
+    every policy reads the draws of a block from one :class:`_Draws`, kept
+    until the last policy has read it.  Every policy is checked before any
+    path is simulated."""
     tables = [_HazardTable(c.policy, c.params, c.q0) for c in cfgs]
-    n_paths, seed = cfgs[0].n_paths, cfgs[0].seed
+    n_paths, seed, q0 = cfgs[0].n_paths, cfgs[0].seed, cfgs[0].q0
     grid = cfgs[0].grid
-    blocks = [None] * math.ceil(n_paths / _CHUNK)   # the _Draws of each block
+    size = max(1, _CHUNK // (q0 + 1))   # paths per block
+    blocks = [None] * math.ceil(n_paths / size)   # the _Draws of each block
+    # q^2 falls by 2q - 1 when level q sells a unit, so by 2 (q0 - j) - 1
+    # in fill round j
+    sq_drop = 2.0 * (q0 - np.arange(q0)) - 1.0
     summaries = []
     for i, cfg in enumerate(cfgs):
         table, tables[i] = tables[i], None   # freed once its policy is done
         fills = np.zeros(grid.size)
         fills_sq = np.zeros(grid.size)
-
-        def record(j, tau, s_at, price):
-            count = np.bincount(_grid_index(grid, cfg.dt, tau), minlength=grid.size)
-            fills[:] += count
-            # q^2 falls by 2q - 1 when level q sells a unit
-            fills_sq[:] += (2 * (cfg.q0 - j) - 1) * count
-
         q_fin = np.empty(n_paths, dtype=np.int64)
         x_fin = np.empty(n_paths)
         s_fin = np.empty(n_paths)
-        for b, lo in enumerate(range(0, n_paths, _CHUNK)):
-            hi = min(lo + _CHUNK, n_paths)
+        for b, lo in enumerate(range(0, n_paths, size)):
+            hi = min(lo + size, n_paths)
             draws = blocks[b]
             if draws is None:
-                draws = _Draws(seed, np.arange(lo, hi))
+                draws = _Draws(seed, np.arange(lo, hi), q0)
             blocks[b] = draws if i < len(cfgs) - 1 else None
-            res = _simulate(cfg, table, draws, on_fill=record)
+            taus = []   # the fill times of each round
+            res = _simulate(cfg, table, draws,
+                            on_fill=lambda j, tau, s_at, price: taus.append(tau))
+            # the counts and the integer q^2 drops are exact in any order
+            cell = _grid_index(grid, cfg.dt, np.concatenate(taus))
+            fills += np.bincount(cell, minlength=grid.size)
+            drops = np.repeat(sq_drop[:len(taus)], [tau.size for tau in taus])
+            fills_sq += np.bincount(cell, weights=drops, minlength=grid.size)
             q_fin[lo:hi] = res["q_final"]
             x_fin[lo:hi] = res["x_final"]
             s_fin[lo:hi] = res["s_final"]
@@ -535,9 +567,14 @@ def simulate_policies(params: ModelParams, policies, q0: int, dt: float,
     :func:`simulate_ensemble` of that policy alone with the same seed.  Path
     i of every policy consumes the identical counter-based draws, so
     cross-policy comparisons are much tighter than independent runs; each
-    draw is computed once per call, for all policies.  Every policy is
-    checked before any path is simulated.
+    draw is computed once per call, for all policies.  The settings and
+    every policy are checked before any path is simulated; an empty list of
+    policies is refused.
     """
+    policies = list(policies)
+    # the settings are checked even without a policy, on one that never fills
     cfgs = [SimConfig(params=params, q0=q0, dt=dt, n_paths=n_paths, seed=seed,
-                      policy=pol, s0=s0) for pol in policies]
-    return _ensembles(cfgs) if cfgs else []
+                      policy=pol, s0=s0) for pol in policies or [FixedQuote(math.inf)]]
+    if not policies:
+        raise ParameterError("policies must hold at least one policy")
+    return _ensembles(cfgs)

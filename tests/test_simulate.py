@@ -14,8 +14,8 @@ from optliq import (FixedQuote, MarketOrderFallback, ModelParams,
                     simulate_path, simulate_policies, solve_grid, solve_w)
 from optliq.model import QuoteSurface
 import optliq.simulate as sim_module
-from optliq.simulate import (_Draws, _grid_index, _HazardTable, _normals,
-                             _path_keys, _simulate, _uniforms)
+from optliq.simulate import (_Draws, _exponentials, _grid_index, _HazardTable,
+                             _normals, _path_keys, _simulate, _uniforms)
 from tests.oracles import event_rule_path
 
 
@@ -37,7 +37,7 @@ def dominance_runs(ref_surface):
 def run_paths(cfg, paths):
     """Finals of the given path indices, simulated together."""
     return _simulate(cfg, _HazardTable(cfg.policy, cfg.params, cfg.q0),
-                     _Draws(cfg.seed, paths))
+                     _Draws(cfg.seed, paths, cfg.q0))
 
 
 def all_fills(cfg):
@@ -46,7 +46,7 @@ def all_fills(cfg):
     path that sells more than j units."""
     out = []
     finals = _simulate(cfg, _HazardTable(cfg.policy, cfg.params, cfg.q0),
-                       _Draws(cfg.seed, np.arange(cfg.n_paths)),
+                       _Draws(cfg.seed, np.arange(cfg.n_paths), cfg.q0),
                        on_fill=lambda j, tau, s, px: out.append((tau, px)))
     sold = cfg.q0 - finals["q_final"]
     path_ids = np.concatenate([np.flatnonzero(sold > j) for j in range(len(out))])
@@ -92,6 +92,18 @@ class TestConfigValidation:
         cfg = SimConfig(params=ModelParams(), q0=6, dt=1.0, n_paths=100,
                         seed=0, policy=FixedQuote(float("inf")))
         assert simulate_ensemble(cfg).terminal_inventory_hist[6] == 100
+
+    @pytest.mark.parametrize("changes,match", [
+        (dict(q0=-5, dt=math.nan, n_paths=0, seed=1.5), "seed must be an integer"),
+        (dict(q0=-5), r"q0 must be in 1\.\.6, got -5"),
+        (dict(dt=math.nan), "dt must be > 0, got nan"),
+        (dict(n_paths=0), "n_paths must be >= 1, got 0"),
+        ({}, "policies must hold at least one policy"),
+    ])
+    def test_empty_policy_list_refused_naming_it(self, changes, match):
+        good = dict(q0=6, dt=1.0, n_paths=10, seed=0)
+        with pytest.raises(ParameterError, match=match):
+            simulate_policies(ModelParams(), [], **{**good, **changes})
 
     def test_rejects_surface_not_covering_horizon(self, ref_surface):
         long_p = ModelParams(horizon=600.0)
@@ -243,8 +255,9 @@ class TestSharedDraws:
         alone = [simulate_ensemble(SimConfig(params=p, q0=6, dt=0.5,
                                              n_paths=2500, seed=17, policy=pol))
                  for pol in policies]
-        # three blocks of paths, each read by all four policies
-        monkeypatch.setattr(sim_module, "_CHUNK", 1000)
+        # three blocks of 7000 // 7 = 1000 path-rounds' worth of paths,
+        # the last holding 500, each read by all four policies
+        monkeypatch.setattr(sim_module, "_CHUNK", 7000)
         runs = simulate_policies(p, policies, q0=6, dt=0.5, n_paths=2500,
                                  seed=17)
         for run, single in zip(runs, alone):
@@ -255,6 +268,26 @@ class TestSharedDraws:
                     assert np.array_equal(got, want)
                 else:
                     assert got == want
+
+    # at q0 = 6 a block holds _CHUNK // 7 paths: 1-path blocks, and 3-path
+    # blocks whose last holds 1 of the 10 paths
+    @pytest.mark.parametrize("chunk", [1, 21])
+    def test_results_independent_of_block_size(self, monkeypatch, ref_surface,
+                                               chunk):
+        p = ModelParams()
+        policies = [OptimalSurface(ref_surface), FixedQuote(2.0),
+                    MarketOrderFallback(ref_surface, 5.0)]
+        whole = simulate_policies(p, policies, q0=6, dt=0.5, n_paths=10, seed=3)
+        monkeypatch.setattr(sim_module, "_CHUNK", chunk)
+        blocks = simulate_policies(p, policies, q0=6, dt=0.5, n_paths=10, seed=3)
+        alone = simulate_ensemble(whole[0].config)
+        for run, want in [*zip(blocks, whole), (alone, whole[0])]:
+            for got, field in zip(self.summary_fields(run),
+                                  self.summary_fields(want)):
+                if isinstance(got, np.ndarray):
+                    assert np.array_equal(got, field)
+                else:
+                    assert got == field
 
     @pytest.mark.parametrize("bad", ["small_surface", "unknown_policy"])
     def test_bad_last_policy_refused_before_any_path(self, monkeypatch,
@@ -341,7 +374,7 @@ class TestEventRuleOracle:
                            seed=1, policy=FixedQuote(math.inf)))
     @settings(max_examples=150, deadline=None)
     def test_finals_and_sales_match(self, cfg):
-        draws = _Draws(cfg.seed, np.arange(cfg.n_paths))
+        draws = _Draws(cfg.seed, np.arange(cfg.n_paths), cfg.q0)
         rounds = []   # (times, settlement prices) of each round's sales
         got = _simulate(cfg, _HazardTable(cfg.policy, cfg.params, cfg.q0), draws,
                         on_fill=lambda j, tau, s_at, price: rounds.append((tau, price)))
@@ -446,6 +479,21 @@ class TestCounterStreams:
         # |a - b| is distributed as 1 - sqrt(1 - v) for v uniform
         d = np.abs(a - b).ravel()
         assert self.ks_statistic(1 - (1 - d) ** 2) < 1.63 / np.sqrt(d.size)
+
+    def test_block_draws_match_the_streams(self):
+        # round j of a block: exponential from draw 3j, normal from draws
+        # 3j+1 and 3j+2, bit for bit as each path's own stream gives them
+        paths = np.array([0, 1, 7, 2 ** 64 - 1], dtype=np.uint64)
+        draws = _Draws(9, paths, 4)
+        keys = _path_keys(9, paths)
+        for j in range(4):
+            assert np.array_equal(draws.exponential(j), _exponentials(keys, 3 * j))
+        for j in range(5):
+            assert np.array_equal(draws.normal(j), _normals(keys, 3 * j + 1))
+        for i, path in enumerate(paths):
+            alone = _Draws(9, [path], 4)
+            assert alone.exponential(3)[0] == draws.exponential(3)[i]
+            assert alone.normal(4)[0] == draws.normal(4)[i]
 
     def test_normals_have_gaussian_moments(self):
         keys = _path_keys(11, np.arange(1000))
@@ -608,6 +656,33 @@ class TestMarketOrderFallback:
         q_plain = runs[0].trading_curve.expected_inventory[-1]
         q_fallback = runs[1].trading_curve.expected_inventory[-1]
         assert q_fallback <= q_plain
+
+    # q0 = q_max = 1 and a single held node make the held block of the
+    # surface's values contiguous once transposed, so that a table built
+    # on a view of it would zero the market orders in the surface itself
+    @pytest.mark.parametrize("q0,times,values", [
+        (1, [0.0, 100.0, 200.0, _T], [[4.0], [-2.0], [3.0], [1.0]]),
+        (3, [0.0, _T], [[-1.0, 2.0, -3.0], [1.0, 1.0, 1.0]]),
+        (1, [_T], [[-1.0]]),
+        (2, [0.0, 100.0, _T], [[6.0, -4.0, 3.0], [-2.0, 1.0, -3.0],
+                                [1.0, 1.0, 1.0]]),
+    ])
+    def test_simulations_leave_surface_unchanged(self, q0, times, values):
+        # the threshold of 0 is crossed at every surface, so the tables of
+        # the fallback hold market orders
+        p = ModelParams(sigma=3.0, q_max=len(values[0]))
+        surface = QuoteSurface(np.array(times), np.array(values), p)
+        want = surface.values.copy()
+        policies = [MarketOrderFallback(surface, 0.0), OptimalSurface(surface)]
+        runs = simulate_policies(p, policies, q0=q0, dt=_T / 100, n_paths=50,
+                                 seed=4)
+        assert runs[0].terminal_inventory_hist[0] == 50
+        for policy in policies:
+            cfg = SimConfig(params=p, q0=q0, dt=_T / 100, n_paths=50, seed=4,
+                            policy=policy)
+            simulate_ensemble(cfg)
+            simulate_path(cfg, 1)
+        assert np.array_equal(surface.values, want)
 
 
 class TestExports:
