@@ -100,6 +100,8 @@ class BacktestConfig:
                         b=self.b, sampling_dt=self.sampling_dt)
         if self.q0 < 1:
             raise ParameterError(f"q0 must be >= 1, got {self.q0}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.warmup is not None and self.warmup < 0:
             raise ParameterError(f"warmup must be >= 0, got {self.warmup}")
         if not self.recalib_window > 0:
@@ -113,6 +115,10 @@ class BacktestConfig:
             raise ParameterError(f"unknown rounding mode {self.rounding!r}")
         if self.gamma_mode not in ("fixed", "quote_target"):
             raise ParameterError(f"unknown gamma_mode {self.gamma_mode!r}")
+        # in quote_target mode gamma_value is a target premium in Ticks
+        if self.gamma_mode == "fixed" and not self.gamma_value > 0:
+            raise ParameterError(f"gamma_value must be > 0 in fixed gamma_mode, "
+                                 f"got {self.gamma_value}")
         if self.reference not in ("mid", "bid"):
             raise ParameterError(f"reference must be 'mid' or 'bid', got "
                                  f"{self.reference!r}")

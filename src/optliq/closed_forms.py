@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NoAsymptoteError, ParameterError, RegimeError
-from .model import ModelParams, _write_csv, derive_coefficients
+from .model import ModelParams, _require_int, _write_csv, derive_coefficients
 
 __all__ = [
     "TradingCurve",
@@ -55,6 +55,7 @@ def asymptotic_quote(p: ModelParams, q: int) -> float:
     requiring ``mu < gamma sigma^2 / 2``; otherwise the quotes grow without
     bound and no asymptote exists.  Note the limit does not involve b.
     """
+    _require_int(q=q)
     p.require_risk_averse("asymptotic_quote")
     derive_coefficients(p)  # refuses a k * gamma * sigma^2 / 2 beyond the double range
     if q < 1:
@@ -109,6 +110,7 @@ def nodrift_novol_quote(p: ModelParams, t: float, q: int) -> float:
     summed in logs so the quote is finite wherever w is positive.
     Strictly above the terminal quote for t < T.
     """
+    _require_int(q=q)
     _require(p.sigma == 0.0 and p.mu == 0.0,
              f"nodrift_novol_quote requires sigma = 0 and mu = 0, got "
              f"sigma={p.sigma}, mu={p.mu}")
@@ -125,6 +127,7 @@ def risk_neutral_quote(p: ModelParams, t: float, q: int) -> float:
     sigma, so any sigma is accepted; mu must be 0.  Grows without bound as
     the remaining horizon increases.
     """
+    _require_int(q=q)
     _require(p.mu == 0.0, f"risk_neutral_quote requires mu = 0, got mu={p.mu}")
     return _poly_quote(p.big_a / math.e, p, t, q) + 1.0 / p.k
 
@@ -143,6 +146,7 @@ def binf_w(p: ModelParams, t: float, q: int) -> float:
     ``eta^q / q! * (T-t)^q``.  Returns 0 at t = T for q >= 1, the boundary
     of positivity (the quote diverges to -inf there).
     """
+    _require_int(q=q)
     _require(p.sigma == 0.0, f"binf_w requires sigma = 0, got sigma={p.sigma}")
     if q < 0:
         raise ParameterError(f"q must be >= 0, got {q}")
@@ -163,6 +167,7 @@ def binf_quote(p: ModelParams, t: float, q: int) -> float:
     (mu = 0 branch: ``(T-t)/q`` in place of the growth factor).  Unbounded
     below as t -> T; t = T raises :class:`RegimeError`.
     """
+    _require_int(q=q)
     _require(p.sigma == 0.0, f"binf_quote requires sigma = 0, got sigma={p.sigma}")
     p.require_risk_averse("binf_quote")
     if q < 1:
@@ -206,6 +211,7 @@ def binf_trading_curve(p: ModelParams, q0: int,
     with the mu = 0 branch ``q0 (1 - t/T)^(1 + gamma/k)``.  The curve does
     not involve big_a at all.
     """
+    _require_int(q0=q0)
     _require(p.sigma == 0.0,
              f"binf_trading_curve requires sigma = 0, got sigma={p.sigma}")
     p.require_risk_averse("binf_trading_curve")

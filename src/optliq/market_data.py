@@ -518,6 +518,12 @@ def synthetic_tape(duration: float, sigma: float, big_a: float, k: float,
             raise ParameterError(f"{name} must be > 0, got {value}")
     if sigma < 0:
         raise ParameterError(f"sigma must be >= 0, got {sigma}")
+    _require_int(seed=seed)
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
+    sched = None if np.isscalar(spread_schedule) else sorted(spread_schedule)
+    if sched == []:
+        raise ParameterError("spread_schedule must hold at least one (start_time, spread) pair")
     expected = 2.0 * big_a * duration
     if expected > _MAX_SYNTHETIC_PRINTS:
         raise ParameterError(
@@ -536,10 +542,9 @@ def synthetic_tape(duration: float, sigma: float, big_a: float, k: float,
     price = np.where(side, mid - offs, mid + offs)
     if np.any(price <= 0):
         raise DataError("synthetic prices went non-positive; raise mid0")
-    if np.isscalar(spread_schedule):
+    if sched is None:
         spread = np.full(n, float(spread_schedule))
     else:
-        sched = sorted(spread_schedule)
         starts = np.array([s for s, _ in sched])
         vals = np.array([v for _, v in sched])
         spread = vals[np.clip(np.searchsorted(starts, ts, side="right") - 1, 0, None)]

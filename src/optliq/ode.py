@@ -83,7 +83,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .model import ModelParams, QuoteSurface, _write_tq_csv, derive_coefficients, terminal_quote
+from .model import (ModelParams, QuoteSurface, _require_int, _write_tq_csv,
+                    derive_coefficients, terminal_quote)
 
 __all__ = [
     "WGrid",
@@ -506,6 +507,7 @@ class WSolution:
         before it stopped.
         """
         p = self.params
+        _require_int(n_steps=n_steps)
         if n_steps < 1:
             raise ParameterError(f"n_steps must be >= 1, got {n_steps}")
         walk = _Walk(p)

@@ -480,10 +480,19 @@ class TestEdgesAndErrors:
         ("distance_grid", (0.0, 0.5, 1.0), "distance_grid must be positive and increasing"),
         ("distance_grid", (0.5, 1.5, 1.0), "distance_grid must be positive and increasing"),
         ("distance_grid", (0.5, NAN, 1.5), "distance_grid must be positive and increasing"),
+        ("seed", -1, "seed must be >= 0, got -1"),
     ])
     def test_refuses_setting_naming_it(self, field, value, match):
         with pytest.raises(ParameterError, match=match):
             BacktestConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_fixed_gamma_must_be_positive(self, value):
+        with pytest.raises(ParameterError,
+                           match=f"gamma_value must be > 0 in fixed gamma_mode, got {value}"):
+            BacktestConfig(gamma_mode="fixed", gamma_value=value)
+        # in quote_target mode gamma_value is a target premium, not a risk aversion
+        assert BacktestConfig(gamma_mode="quote_target", gamma_value=value).gamma_value == value
 
 
 class TestSummarizeAndExports:

@@ -246,6 +246,12 @@ class TestBacktestCommand:
         assert res.returncode == 3 and "warmup must be finite" in res.stderr
         assert not outdir.exists()
 
+    def test_negative_seed_refused_by_name(self, tape_path, tmp_path):
+        res = run_cli("backtest", "--tape", str(tape_path), "--out", str(tmp_path / "bt"),
+                      "--seed", "-1")
+        assert res.returncode == 3, res.stderr
+        assert "seed must be >= 0, got -1" in res.stderr and "Traceback" not in res.stderr
+
     def test_bid_reference_matches_library(self, tmp_path):
         tape, cfg = two_bucket_episode()
         path = tmp_path / "tape.csv"

@@ -270,6 +270,20 @@ class TestForcedLiquidationLimit:
             binf_w(ref_params, 0.0, 1)
 
 
+@pytest.mark.parametrize("func,args,name", [
+    (asymptotic_quote, (1.5,), "q"),
+    (nodrift_novol_quote, (0.0, 1.5), "q"),
+    (risk_neutral_quote, (0.0, 1.5), "q"),
+    (binf_w, (0.0, 1.5), "q"),
+    (binf_quote, (0.0, 1.5), "q"),
+    (binf_trading_curve, (2.5, [0.0, 300.0]), "q0"),
+], ids=lambda value: getattr(value, "__name__", None))
+def test_non_integer_inventory_refused_by_name(func, args, name):
+    # sigma = mu = 0 is each function's own regime, so only the inventory is wrong
+    with pytest.raises(ParameterError, match=f"^{name} must be an integer, got"):
+        func(ModelParams(sigma=0.0), *args)
+
+
 class TestForcedLiquidationCurve:
     def test_endpoints(self, nodrift_params):
         curve = binf_trading_curve(nodrift_params, 6, [0.0, 150.0, 300.0])

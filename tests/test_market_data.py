@@ -225,6 +225,9 @@ class TestSyntheticTape:
         (dict(big_a=1e9), r"about 1\.2e\+12 prints \(2 big_a duration\), "
                           r"above the limit of 10000000"),
         (dict(duration=1e300, big_a=1e300), r"about inf prints"),
+        (dict(seed=-1), "seed must be >= 0, got -1"),
+        (dict(seed=1.5), "seed must be an integer, got 1.5"),
+        (dict(spread_schedule=[]), "spread_schedule must hold at least one"),
     ])
     def test_refuses_argument_naming_it(self, changes, match):
         args = dict(duration=600.0, sigma=0.3, big_a=0.1, k=0.3)

@@ -291,6 +291,8 @@ class TestSolveSpectral:
     def test_rejects_bad_step_count_and_time(self, ref_params):
         with pytest.raises(ParameterError):
             solve_w(ref_params).to_wgrid(0)
+        with pytest.raises(ParameterError, match="n_steps must be an integer, got 2.5"):
+            solve_grid(ref_params, 2.5)
         with pytest.raises(ParameterError):
             solve_w(ref_params).evaluate_at(ref_params.horizon + 1.0)
 
