@@ -28,7 +28,7 @@ import numpy as np
 from .errors import CalibrationError, DataError, ParameterError
 from .market_data import (DEFAULT_DISTANCE_GRID, IntensityFit, TradeTape,
                           _checked_grid, _prefix_sigma, _spread_bucket,
-                          _window_fit, calibrate_gamma, calibrate_intensity)
+                          _window_fit, calibrate_gamma)
 from .model import ModelParams, _require_finite, _require_int, _write_csv
 from .ode import solve_w
 
@@ -198,8 +198,9 @@ def run_backtest(tape: TradeTape, cfg: BacktestConfig) -> BacktestLedger:
     re-quote fits only the prevailing spread bucket, from the tape's
     intensity index for the configured grid, on the rows of its window:
     those run from the first print in the window, which only moves
-    forward, to the last print up to the re-quote.  All buckets are fitted
-    only to word the error when that one has no usable fit.
+    forward, to the last print up to the re-quote.  All buckets are fitted,
+    on the same rows, only to word the error when that one has no usable
+    fit.
     """
     if len(tape) < 2:
         raise DataError("tape too short to backtest")
@@ -250,9 +251,7 @@ def run_backtest(tape: TradeTape, cfg: BacktestConfig) -> BacktestLedger:
                                    f"no records in [{window_start}, {t_now}]")
         fit = _window_fit(tape, index, bucket, lo, hi, t_now, cfg.n_min)
         if not isinstance(fit, IntensityFit):
-            fits, _ = calibrate_intensity(tape, cfg.distance_grid,
-                                          window=cfg.recalib_window,
-                                          end_time=t_now, n_min=cfg.n_min)
+            fits, _ = index.fit(lo, hi, max(t_now - float(ts[hi - 1]), 0.0), cfg.n_min)
             raise CalibrationError(
                 f"no usable fit for spread bucket {bucket} at t={t_now:.6g} "
                 f"({fit or 'no prints in bucket'}); usable buckets: {sorted(fits)}"

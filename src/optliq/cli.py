@@ -244,32 +244,30 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+#: closed-form --which name -> the expression, called as f(params, t, q);
+#: binf-curve writes the trading curve of binf_trading_curve instead
+CLOSED_FORMS = {
+    "asymptotic": lambda params, t, q: cf.asymptotic_quote(params, q),
+    "nodrift": cf.nodrift_novol_quote,
+    "risk-neutral": cf.risk_neutral_quote,
+    "binf-quote": cf.binf_quote,
+    "binf-w": cf.binf_w,
+    "binf-curve": cf.binf_trading_curve,
+}
+
+
 def cmd_closed_form(args) -> int:
     params, _ = _load_params(args)
-    which = args.which
-    if which == "binf-curve":
+    form = CLOSED_FORMS[args.which]
+    if form is cf.binf_trading_curve:
         if args.out is None:
-            raise UsageError("binf-curve requires --out for the CSV")
+            raise UsageError(f"{args.which} requires --out for the CSV")
         times = np.linspace(0.0, params.horizon, args.points)
-        curve = cf.binf_trading_curve(params, args.q0, times)
-        curve.to_csv(args.out)
+        form(params, args.q0, times).to_csv(args.out)
         return 0
-    qs = [args.q] if args.q is not None else list(range(1, params.q_max + 1))
-    t = args.t
-    values = {}
-    for q in qs:
-        if which == "asymptotic":
-            values[q] = cf.asymptotic_quote(params, q)
-        elif which == "nodrift":
-            values[q] = cf.nodrift_novol_quote(params, t, q)
-        elif which == "risk-neutral":
-            values[q] = cf.risk_neutral_quote(params, t, q)
-        elif which == "binf-quote":
-            values[q] = cf.binf_quote(params, t, q)
-        else:  # binf-w
-            values[q] = cf.binf_w(params, t, q)
-    payload = {"which": which, "t": t, "values": {str(q): v for q, v in values.items()}}
-    _write_json(args.out, payload, pretty=True)
+    qs = [args.q] if args.q is not None else range(1, params.q_max + 1)
+    values = {str(q): form(params, args.t, q) for q in qs}
+    _write_json(args.out, {"which": args.which, "t": args.t, "values": values}, pretty=True)
     return 0
 
 
@@ -386,9 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("closed-form", help="evaluate a closed-form expression")
     _add_model_flags(sp)
-    sp.add_argument("--which", required=True,
-                    choices=("asymptotic", "nodrift", "risk-neutral",
-                             "binf-quote", "binf-w", "binf-curve"))
+    sp.add_argument("--which", required=True, choices=tuple(CLOSED_FORMS))
     sp.add_argument("--q", type=int)
     sp.add_argument("--t", type=float, default=0.0)
     sp.add_argument("--q0", type=int, default=6, help="for binf-curve")

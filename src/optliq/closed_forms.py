@@ -218,7 +218,7 @@ def binf_trading_curve(p: ModelParams, q0: int,
     if q0 < 1:
         raise ParameterError(f"q0 must be >= 1, got {q0}")
     t = np.asarray(times, dtype=float)
-    if np.any((t < 0) | (t > p.horizon)):
+    if not np.all((t >= 0) & (t <= p.horizon)):  # NaN included
         raise ParameterError("times must lie within [0, horizon]")
     power = 1.0 + p.gamma / p.k
     beta = p.k * p.mu

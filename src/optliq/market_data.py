@@ -521,9 +521,20 @@ def synthetic_tape(duration: float, sigma: float, big_a: float, k: float,
     _require_int(seed=seed)
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
-    sched = None if np.isscalar(spread_schedule) else sorted(spread_schedule)
-    if sched == []:
+    # a constant spread is a schedule of one pair
+    sched = [(0.0, spread_schedule)] if np.isscalar(spread_schedule) else list(spread_schedule)
+    if not sched:
         raise ParameterError("spread_schedule must hold at least one (start_time, spread) pair")
+    for entry in sched:
+        if np.shape(entry) != (2,):
+            raise ParameterError(f"spread_schedule entries must be (start_time, spread) "
+                                 f"pairs, got {entry!r}")
+        start, value = entry
+        if not math.isfinite(start):
+            raise ParameterError(f"spread_schedule start times must be finite, got {start}")
+        if not (math.isfinite(value) and value > 0):
+            raise ParameterError(f"spread_schedule spreads must be finite and > 0, got {value}")
+    starts, vals = np.array(sorted(sched, key=tuple), dtype=float).T
     expected = 2.0 * big_a * duration
     if expected > _MAX_SYNTHETIC_PRINTS:
         raise ParameterError(
@@ -542,12 +553,7 @@ def synthetic_tape(duration: float, sigma: float, big_a: float, k: float,
     price = np.where(side, mid - offs, mid + offs)
     if np.any(price <= 0):
         raise DataError("synthetic prices went non-positive; raise mid0")
-    if sched is None:
-        spread = np.full(n, float(spread_schedule))
-    else:
-        starts = np.array([s for s, _ in sched])
-        vals = np.array([v for _, v in sched])
-        spread = vals[np.clip(np.searchsorted(starts, ts, side="right") - 1, 0, None)]
+    spread = vals[np.clip(np.searchsorted(starts, ts, side="right") - 1, 0, None)]
     sizes = rng.uniform(50.0, 150.0, size=n)
     return TradeTape(ts=ts, price=price, size=sizes,
                      bid=mid - 0.5 * spread, ask=mid + 0.5 * spread,

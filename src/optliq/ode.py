@@ -70,9 +70,8 @@ Level one couples only to ``w_0 = 1``: ``w_1(T - tau) = e^(-x - k b) +
 eta tau phi1(-x)``, ``x = lambda_1 tau``, ``phi1(y) = expm1(y) / y``.  A
 point at ``q_max = 1`` (the backtester's last unit, each step of the gamma
 calibration) takes it in logs: its quote is ``ln w_1 / k + ln(1 +
-gamma/k) / gamma`` straight from the log, and its w splits the same log
-into a mantissa and an exponent as w(T) is.  Grids, and points at
-``q_max >= 2``, take the walk.
+gamma/k) / gamma`` straight from the log, and its w is the exponential of
+the same log.  Grids, and points at ``q_max >= 2``, take the walk.
 """
 
 from __future__ import annotations
@@ -165,13 +164,6 @@ def _level_one_log(p: ModelParams, tau: float) -> float:
     x = y - p.k * p.b
     top = max(x, log_feed)
     return top + math.log1p(math.exp(min(x, log_feed) - top))
-
-
-def _level_one_state(p: ModelParams, tau: float) -> tuple:
-    """w(T - tau) at q_max = 1 as (mantissas, exponents), split from
-    :func:`_level_one_log`."""
-    log_w1 = _level_one_log(p, tau)
-    return _split_exp(np.array([0.0, log_w1]), abs(log_w1))
 
 
 def _propagator(lam: np.ndarray, eta: float, tau: float, e: np.ndarray) -> np.ndarray:
@@ -467,19 +459,21 @@ class WSolution:
         return self.params.horizon - t
 
     def _state_at(self, t: float) -> tuple:
-        """w(t) as (mantissas, exponents): w(T) at T, level one in closed
-        form, else a walk of one step."""
+        """w(t) as (mantissas, exponents): w(T) at T, else a walk of one
+        step."""
         p = self.params
         tau = self._tau(t)
-        if p.q_max == 1 and tau > 0.0:
-            return _level_one_state(p, tau)
         v, e = _terminal_state(p)
         return (v, e) if tau == 0.0 else _Walk(p).run(v, e, tau, 1, _advance)
 
     def evaluate_at(self, t: float) -> np.ndarray:
-        """w(t), q = 0..q_max, as doubles (0 or inf beyond the double range)."""
-        v, e = self._state_at(t)
+        """w(t), q = 0..q_max, as doubles (0 or inf beyond the double
+        range); at q_max = 1, the exponential of ln w_1."""
+        p = self.params
         with np.errstate(over="ignore"):
+            if p.q_max == 1:
+                return np.array([1.0, np.exp(_level_one_log(p, self._tau(t)))])
+            v, e = self._state_at(t)
             return np.ldexp(v, e.astype(np.int32))
 
     def quotes_at(self, t: float) -> np.ndarray:

@@ -272,21 +272,15 @@ def _normals(keys: np.ndarray, draw) -> np.ndarray:
 
 class _Draws:
     """The event draws of one block of paths, computed for every path and
-    fill round in one pass: round j's unit exponential (draw 3j, rounds
-    0..q0-1) and standard normal (draws 3j+1 and 3j+2, rounds 0..q0), one
-    row per round."""
+    fill round in one pass: round j's unit exponentials (draw 3j, rounds
+    0..q0-1) in row j of ``exponentials``, its standard normals (draws 3j+1
+    and 3j+2, rounds 0..q0) in row j of ``normals``."""
 
     def __init__(self, seed: int, paths, q0: int):
         self.keys = _path_keys(seed, paths)
         draw = 3 * np.arange(q0 + 1, dtype=np.uint64)[:, None]
-        self._exponentials = _exponentials(self.keys, draw[:-1])
-        self._normals = _normals(self.keys, draw + np.uint64(1))
-
-    def exponential(self, j: int) -> np.ndarray:
-        return self._exponentials[j]
-
-    def normal(self, j: int) -> np.ndarray:
-        return self._normals[j]
+        self.exponentials = _exponentials(self.keys, draw[:-1])
+        self.normals = _normals(self.keys, draw + np.uint64(1))
 
 
 def _grid_index(grid: np.ndarray, dt: float, tau: np.ndarray) -> np.ndarray:
@@ -364,14 +358,14 @@ class _HazardTable:
 
 # ------------------------------------------------------------------- engine
 
-def _simulate(cfg: SimConfig, table: _HazardTable, draws: _Draws,
-              on_fill=None) -> dict:
-    """Exact events of the paths of ``draws``; returns their finals.
+def _simulate(cfg: SimConfig, table: _HazardTable, draws: _Draws) -> tuple:
+    """Exact events of the paths of ``draws``.
 
     Fill round j moves every live path, all at level q0 - j, to its next
-    event.  ``on_fill(j, tau, s_at, price)`` is called with the units sold
-    in round j: their event times, the reference prices there and the
-    settlement prices.
+    event.  Returns the finals of the paths and the sales of each round:
+    a list whose entry j holds the units sold in round j, one per path
+    that sells more than j units, in path order, as (event times,
+    reference prices there, settlement prices).
     """
     p = cfg.params
     horizon = p.horizon
@@ -382,6 +376,7 @@ def _simulate(cfg: SimConfig, table: _HazardTable, draws: _Draws,
     x = np.zeros(n)
     s = np.full(n, float(cfg.s0))
     market_orders = np.zeros(n, dtype=np.int64)
+    sales = []
 
     rows = np.arange(n)
     t = np.zeros(n)
@@ -391,7 +386,7 @@ def _simulate(cfg: SimConfig, table: _HazardTable, draws: _Draws,
             break
         level = cfg.q0 - 1 - j
         cum, rate = table.cum[level], table.rate[level]
-        target = cum[node] + rate[node] * (t - edges[node]) + draws.exponential(j)[rows]
+        target = cum[node] + rate[node] * (t - edges[node]) + draws.exponentials[j][rows]
         k = np.minimum(np.searchsorted(cum, target, side="right") - 1, n_int - 1)
         with np.errstate(divide="ignore", invalid="ignore"):
             tau = edges[k] + (target - cum[k]) / rate[k]
@@ -404,7 +399,7 @@ def _simulate(cfg: SimConfig, table: _HazardTable, draws: _Draws,
         event = np.minimum(tau, t_forced)
 
         gap = event - t
-        s_live = s[rows] + (p.mu * gap + p.sigma * np.sqrt(gap) * draws.normal(j)[rows])
+        s_live = s[rows] + (p.mu * gap + p.sigma * np.sqrt(gap) * draws.normals[j][rows])
         s[rows] = s_live
 
         sold = event < horizon
@@ -414,15 +409,14 @@ def _simulate(cfg: SimConfig, table: _HazardTable, draws: _Draws,
         x[rows] += price
         q[rows] -= 1
         market_orders[rows] += table.market[level][node]
-        if on_fill is not None:
-            on_fill(j, t, s_live[sold], price)
+        sales.append((t, s_live[sold], price))
 
     if rows.size:
         # every unit sold before T: carry the price on to T
         gap = horizon - t
-        s[rows] += p.mu * gap + p.sigma * np.sqrt(gap) * draws.normal(cfg.q0)[rows]
+        s[rows] += p.mu * gap + p.sigma * np.sqrt(gap) * draws.normals[cfg.q0][rows]
     return {"q_final": q, "x_final": x, "s_final": s,
-            "market_orders": market_orders}
+            "market_orders": market_orders}, sales
 
 
 def _bridge(keys: np.ndarray, grid: np.ndarray, ev_times: np.ndarray,
@@ -452,29 +446,22 @@ def simulate_path(cfg: SimConfig, path_index: int = 0) -> SimPath:
         raise ParameterError(f"path_index must be in [0, 2**64), got {path_index}")
     table = _HazardTable(cfg.policy, cfg.params, cfg.q0)
     draws = _Draws(cfg.seed, [path_index], cfg.q0)
-    events = []   # (time, reference price, settlement price) per unit sold
-
-    def record(j, tau, s_at, price):
-        events.extend(zip(tau.tolist(), s_at.tolist(), price.tolist()))
-
-    res = _simulate(cfg, table, draws, on_fill=record)
-    fill_times = np.array([e[0] for e in events])
-    fill_prices = np.array([e[2] for e in events])
+    res, sales = _simulate(cfg, table, draws)
+    fill_times, fill_refs, fill_prices = (np.concatenate(col) for col in zip(*sales))
     grid = cfg.grid
     n_done = np.cumsum(np.bincount(_grid_index(grid, cfg.dt, fill_times),
                                    minlength=grid.size))
     # cumsum adds in order from 0.0, as the engine does
     cash = np.cumsum(np.concatenate([[0.0], fill_prices]))[n_done]
     ev_times = np.concatenate([[0.0], fill_times, [cfg.params.horizon]])
-    ev_prices = np.concatenate([[float(cfg.s0)], [e[1] for e in events],
-                                res["s_final"]])
+    ev_prices = np.concatenate([[float(cfg.s0)], fill_refs, res["s_final"]])
     price = _bridge(draws.keys, grid, ev_times, ev_prices, cfg.params.sigma)
     return SimPath(
         times=grid,
         price=price,
         inventory=cfg.q0 - n_done,
         cash=cash,
-        fills=[(t, px) for t, _, px in events],
+        fills=list(zip(fill_times.tolist(), fill_prices.tolist())),
         market_order_count=int(res["market_orders"][0]),
     )
 
@@ -535,9 +522,8 @@ def _ensembles(cfgs: list) -> list:
             if draws is None:
                 draws = _Draws(seed, np.arange(lo, hi), q0)
             blocks[b] = draws if i < len(cfgs) - 1 else None
-            taus = []   # the fill times of each round
-            res = _simulate(cfg, table, draws,
-                            on_fill=lambda j, tau, s_at, price: taus.append(tau))
+            res, sales = _simulate(cfg, table, draws)
+            taus = [tau for tau, _, _ in sales]   # the fill times of each round
             # the counts and the integer q^2 drops are exact in any order
             cell = _grid_index(grid, cfg.dt, np.concatenate(taus))
             fills += np.bincount(cell, minlength=grid.size)

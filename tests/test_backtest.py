@@ -237,6 +237,19 @@ class TestMarketOrderFallback:
             assert f.price == tape.bid[i]
         assert cfg.q0 == len(ledger.fills) + ledger.q_end
 
+    def test_summary_prices_market_orders_against_the_mid(self):
+        # every unit goes by market order at the bid, half a Tick below the
+        # mid of its time
+        tape, cfg = violent_warmup_tape(), FALLBACK_CFG
+        ledger = run_backtest(tape, cfg)
+        report = summarize(ledger)
+        market = [f for f in ledger.fills if f.order_index is None]
+        assert report.market_order_count == len(market) == cfg.q0
+        rows = np.searchsorted(tape.ts, [f.t for f in market], side="right") - 1
+        premiums = [f.price - tape.mid[i] for f, i in zip(market, rows)]
+        assert premiums == [-0.5] * cfg.q0
+        assert report.avg_fill_premium == -0.5
+
 
 class TestIndexedIntensityFit:
     """Ledgers from the prefix-count index against the slicing recount."""

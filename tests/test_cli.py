@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from optliq import BacktestConfig, ModelParams, load_tape, run_backtest
-from optliq.cli import backtest_config, build_parser
+from optliq import closed_forms as cf
+from optliq.cli import backtest_config, build_parser, main
 from optliq.market_data import synthetic_tape
 from tests.conftest import REFERENCE_QUOTES_T0, TABLE_TOL, two_bucket_episode
 
@@ -122,6 +123,33 @@ class TestClosedFormCommand:
         assert res.stdout == json.dumps(data, indent=2, sort_keys=True) + "\n"
         assert run_cli(*args, "--out", str(tmp_path / "cf.json")).returncode == 0
         assert (tmp_path / "cf.json").read_text() == res.stdout
+
+    @pytest.mark.parametrize("which,form,changes", [
+        ("asymptotic", lambda p, t, q: cf.asymptotic_quote(p, q), {}),
+        ("nodrift", cf.nodrift_novol_quote, {"mu": 0.0, "sigma": 0.0}),
+        ("risk-neutral", cf.risk_neutral_quote, {"mu": 0.0}),
+        ("binf-quote", cf.binf_quote, {"sigma": 0.0}),
+        ("binf-w", cf.binf_w, {"sigma": 0.0}),
+    ])
+    def test_each_expression_is_its_library_call(self, capsys, which, form, changes):
+        p = ModelParams(**changes)
+        sets = [arg for key, value in changes.items() for arg in ("--set", f"{key}={value}")]
+        assert main(["closed-form", "--which", which, "--t", "120", *sets]) == 0
+        values = {str(q): form(p, 120.0, q) for q in range(1, p.q_max + 1)}
+        assert json.loads(capsys.readouterr().out) == {"which": which, "t": 120.0,
+                                                       "values": values}
+        assert main(["closed-form", "--which", which, "--q", "2", *sets]) == 0
+        assert json.loads(capsys.readouterr().out)["values"] == {"2": form(p, 0.0, 2)}
+
+    def test_binf_curve_is_its_library_call(self, capsys, tmp_path):
+        args = ["closed-form", "--which", "binf-curve", "--set", "sigma=0",
+                "--q0", "3", "--points", "11"]
+        assert main(args) == 2
+        assert "binf-curve requires --out" in capsys.readouterr().err
+        assert main([*args, "--out", str(tmp_path / "cli.csv")]) == 0
+        p = ModelParams(sigma=0.0)
+        cf.binf_trading_curve(p, 3, np.linspace(0.0, p.horizon, 11)).to_csv(tmp_path / "lib.csv")
+        assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
 
     def test_regime_error_exit_code(self, config_path):
         res = run_cli("closed-form", "--config", str(config_path),

@@ -297,6 +297,12 @@ class TestForcedLiquidationCurve:
             6 * 0.5 ** (7 / 6), rel=1e-12)
         assert curve.expected_inventory[0] == pytest.approx(6 * 0.44545, abs=1e-4)
 
+    @pytest.mark.parametrize("t", [-1.0, 300.5, math.nan, math.inf])
+    def test_time_outside_horizon_refused(self, t):
+        # NaN included: it fails every comparison
+        with pytest.raises(ParameterError, match=r"^times must lie within \[0, horizon\]$"):
+            binf_trading_curve(ModelParams(sigma=0.0), 3, [0.0, t])
+
     def test_independent_of_fill_scale(self, nodrift_params):
         times = np.linspace(0.0, 300.0, 31)
         lo = binf_trading_curve(nodrift_params.with_(big_a=0.05), 6, times)

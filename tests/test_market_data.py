@@ -228,6 +228,22 @@ class TestSyntheticTape:
         (dict(seed=-1), "seed must be >= 0, got -1"),
         (dict(seed=1.5), "seed must be an integer, got 1.5"),
         (dict(spread_schedule=[]), "spread_schedule must hold at least one"),
+        # each entry of the schedule is checked by name before any draw
+        (dict(spread_schedule=[(float("nan"), 1.0)]),
+         "spread_schedule start times must be finite, got nan"),
+        (dict(spread_schedule=[(0.0, float("nan"))]),
+         "spread_schedule spreads must be finite and > 0, got nan"),
+        (dict(spread_schedule=[(0.0, 1.0), (300.0, -1.0)]),
+         "spread_schedule spreads must be finite and > 0, got -1.0"),
+        (dict(spread_schedule=float("nan")),
+         "spread_schedule spreads must be finite and > 0, got nan"),
+        (dict(spread_schedule=-1.0),
+         "spread_schedule spreads must be finite and > 0, got -1.0"),
+        (dict(spread_schedule=[(0.0,)]),
+         r"spread_schedule entries must be \(start_time, spread\) pairs, got \(0\.0,\)"),
+        (dict(spread_schedule=[(0.0, 1.0, 2.0)]),
+         r"spread_schedule entries must be \(start_time, spread\) pairs, "
+         r"got \(0\.0, 1\.0, 2\.0\)"),
     ])
     def test_refuses_argument_naming_it(self, changes, match):
         args = dict(duration=600.0, sigma=0.3, big_a=0.1, k=0.3)

@@ -20,8 +20,7 @@ from optliq import (ModelParams, ParameterError, hjb_residual, quote_from_w,
                     quote_surface, run_backtest, solve_grid, solve_w, terminal_quote)
 from optliq.closed_forms import asymptotic_quote, binf_w, nodrift_novol_quote
 from optliq.model import DerivedCoefficients, derive_coefficients
-from optliq.ode import (_LIFT, _WINDOW, _Walk, _level_one_state, _propagator, _quotes,
-                        _terminal_state)
+from optliq.ode import _LIFT, _WINDOW, _Walk, _propagator, _terminal_state
 from tests.conftest import (HIGH_VOL_K_SWEEP, REFERENCE_QUOTES_T0,
                             SWEEP_QUOTES_T0, TABLE_TOL, q1_asymptote_gap,
                             two_bucket_episode)
@@ -558,15 +557,31 @@ class TestExtremeLiquidationCost:
 
     @pytest.mark.parametrize("changes", LEVEL_ONE_CASES)
     def test_level_one_quote_is_the_quote_of_its_state(self, changes):
-        # quotes_at takes ln w_1 straight; evaluate_at splits the same log.
-        # The two differ by at most an ulp of the quote: 3.6e-12 Ticks at
-        # the 17280-Tick quotes of mu = 0.2, b = 3000
+        # quotes_at takes ln w_1 straight; evaluate_at returns its
+        # exponential: within the normal doubles the quote of that w is the
+        # same within rounding, beyond them w_1 is 0 or inf (w_1(T) =
+        # e^-1200 for b = 3000, w_1(0) = e^6912 for mu = 0.2)
         p = ModelParams(q_max=1, **changes)
         dec = solve_w(p)
+        spread = math.log1p(p.gamma / p.k) / p.gamma
         for t in (0.0, 0.5 * p.horizon, p.horizon - 1.0, p.horizon - 1e-6,
                   math.nextafter(p.horizon, 0.0), p.horizon):
-            state = _quotes(*_level_one_state(p, p.horizon - t), p, np.empty(1))
-            assert level_one_gap(dec.quotes_at(t), state) <= 100.0, t
+            w = dec.evaluate_at(t)
+            quote = dec.quotes_at(t)[0]
+            assert w[0] == 1.0, t
+            if np.finfo(float).tiny <= w[1] < math.inf:
+                assert level_one_gap(quote_from_w(w[1], w[0], p), quote) <= 100.0, t
+            else:
+                assert w[1] == (math.inf if quote > spread else 0.0), t
+
+    @pytest.mark.parametrize("mu", [1e17, 1e20, 1e300])
+    def test_level_one_above_double_range_is_inf(self, mu):
+        # ln w_1(0) is far above the double range, beyond any int64
+        # exponent a split into mantissa and exponent could carry
+        p = ModelParams(q_max=1, mu=mu)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert solve_w(p).evaluate_at(0.0).tolist() == [1.0, math.inf]
 
     def test_relaxation_far_below_terminal_matches_mpmath(self):
         # w_200 falls from 1 at T to about 2^-2690 within a second, far
@@ -597,11 +612,15 @@ class TestExtremeLiquidationCost:
                                          {"k": 1e150, "q_max": 1}])
     def test_terminal_beyond_exponents_refused_by_name(self, changes):
         # exp(-k b q_max) = 2^-e with e of 2^22 or more, where the split of
-        # w(T) into mantissas and exponents is no longer exact
+        # w(T) into mantissas and exponents is no longer exact; a point at
+        # q_max = 1 takes w_1 from its log, which needs no split
         p = ModelParams(**changes)
-        calls = [lambda: solve_w(p).evaluate_at(p.horizon), lambda: solve_grid(p, 10)]
+        calls = [lambda: solve_grid(p, 10)]
         if p.q_max > 1:
-            calls.append(lambda: solve_w(p).quotes_at(0.0))
+            calls += [lambda: solve_w(p).evaluate_at(p.horizon),
+                      lambda: solve_w(p).quotes_at(0.0)]
+        else:
+            assert solve_w(p).evaluate_at(p.horizon).tolist() == [1.0, 0.0]
         for call in calls:
             with pytest.raises(ParameterError, match=r"k \* b \* q_max = .* is above 2\.9e\+06"):
                 call()

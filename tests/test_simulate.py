@@ -37,20 +37,18 @@ def dominance_runs(ref_surface):
 def run_paths(cfg, paths):
     """Finals of the given path indices, simulated together."""
     return _simulate(cfg, _HazardTable(cfg.policy, cfg.params, cfg.q0),
-                     _Draws(cfg.seed, paths, cfg.q0))
+                     _Draws(cfg.seed, paths, cfg.q0))[0]
 
 
 def all_fills(cfg):
     """(path, time, price) arrays of every unit sold in an ensemble, and the
     ensemble's finals.  Fill round j sells, in path order, one unit of each
     path that sells more than j units."""
-    out = []
-    finals = _simulate(cfg, _HazardTable(cfg.policy, cfg.params, cfg.q0),
-                       _Draws(cfg.seed, np.arange(cfg.n_paths), cfg.q0),
-                       on_fill=lambda j, tau, s, px: out.append((tau, px)))
+    finals, sales = _simulate(cfg, _HazardTable(cfg.policy, cfg.params, cfg.q0),
+                              _Draws(cfg.seed, np.arange(cfg.n_paths), cfg.q0))
     sold = cfg.q0 - finals["q_final"]
-    path_ids = np.concatenate([np.flatnonzero(sold > j) for j in range(len(out))])
-    t_fills, price = (np.concatenate(col) for col in zip(*out))
+    path_ids = np.concatenate([np.flatnonzero(sold > j) for j in range(len(sales))])
+    t_fills, _, price = (np.concatenate(col) for col in zip(*sales))
     assert path_ids.size == t_fills.size
     return path_ids, t_fills, price, finals
 
@@ -375,20 +373,16 @@ class TestEventRuleOracle:
     @settings(max_examples=150, deadline=None)
     def test_finals_and_sales_match(self, cfg):
         draws = _Draws(cfg.seed, np.arange(cfg.n_paths), cfg.q0)
-        rounds = []   # (times, settlement prices) of each round's sales
-        got = _simulate(cfg, _HazardTable(cfg.policy, cfg.params, cfg.q0), draws,
-                        on_fill=lambda j, tau, s_at, price: rounds.append((tau, price)))
+        got, rounds = _simulate(cfg, _HazardTable(cfg.policy, cfg.params, cfg.q0), draws)
         # round j sells, in path order, one unit of each path selling > j
         sold = cfg.q0 - got["q_final"]
         sales = [[] for _ in range(cfg.n_paths)]
-        for j, (tau, price) in enumerate(rounds):
+        for j, (tau, _, price) in enumerate(rounds):
             for path, t, px in zip(np.flatnonzero(sold > j), tau, price):
                 sales[path].append((t, px))
-        exps = [draws.exponential(j) for j in range(cfg.q0)]
-        normals = [draws.normal(j) for j in range(cfg.q0 + 1)]
         for path in range(cfg.n_paths):
-            want = event_rule_path(cfg, [e[path] for e in exps],
-                                   [z[path] for z in normals])
+            want = event_rule_path(cfg, draws.exponentials[:, path],
+                                   draws.normals[:, path])
             assert got["q_final"][path] == want["q_final"]
             assert got["market_orders"][path] == want["market_orders"]
             assert len(sales[path]) == len(want["sales"])
@@ -432,9 +426,10 @@ class TestGridIndex:
                         seed=1, policy=FixedQuote(0.0))
         gap_time = p.horizon - 1e-10
         assert cfg.grid[-1] < gap_time
+        # round 0's exponential (draw 0) is gap_time, every later one 1e9
         monkeypatch.setattr(
-            _Draws, "exponential",
-            lambda self, j: np.full(self.keys.size, gap_time if j == 0 else 1e9))
+            sim_module, "_exponentials",
+            lambda keys, draw: np.where(draw == 0, gap_time, 1e9) + np.zeros(keys.size))
         summary = simulate_ensemble(cfg)
         assert summary.terminal_inventory_hist[5] == 50
         assert summary.trading_curve.expected_inventory[-1] == 5.0
@@ -486,14 +481,15 @@ class TestCounterStreams:
         paths = np.array([0, 1, 7, 2 ** 64 - 1], dtype=np.uint64)
         draws = _Draws(9, paths, 4)
         keys = _path_keys(9, paths)
+        assert draws.exponentials.shape == (4, 4) and draws.normals.shape == (5, 4)
         for j in range(4):
-            assert np.array_equal(draws.exponential(j), _exponentials(keys, 3 * j))
+            assert np.array_equal(draws.exponentials[j], _exponentials(keys, 3 * j))
         for j in range(5):
-            assert np.array_equal(draws.normal(j), _normals(keys, 3 * j + 1))
+            assert np.array_equal(draws.normals[j], _normals(keys, 3 * j + 1))
         for i, path in enumerate(paths):
             alone = _Draws(9, [path], 4)
-            assert alone.exponential(3)[0] == draws.exponential(3)[i]
-            assert alone.normal(4)[0] == draws.normal(4)[i]
+            assert alone.exponentials[3, 0] == draws.exponentials[3, i]
+            assert alone.normals[4, 0] == draws.normals[4, i]
 
     def test_normals_have_gaussian_moments(self):
         keys = _path_keys(11, np.arange(1000))
