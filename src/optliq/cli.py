@@ -3,15 +3,16 @@
 Subcommands: solve, quotes, sweep, closed-form, simulate, calibrate,
 backtest.  Config files carry model parameters as flat key=value lines
 (keys mu, sigma, A, k, gamma, b, T, q_max) with optional [sim] and
-[backtest] sections (keys in :data:`SECTIONS`; others are refused);
-``--set key=value`` / ``--set section.key=value`` override file values,
-and explicit flags override both.  Relative ``--config`` paths fall back
-to $OPTLIQ_CONFIG_DIR when not found locally.
+[backtest] sections; ``--set key=value`` / ``--set section.key=value``
+override file values, and explicit flags override both.  Relative
+``--config`` paths fall back to $OPTLIQ_CONFIG_DIR when not found locally.
 
-Each flag that sets a library value is a key of one :class:`Setting`
-table per target, spelled with ``-`` for ``_``.  Only what the user set
-reaches the library, which owns the defaults and checks every value: an
-out-of-domain value exits 3 from a flag, --set or a file alike.
+Each section, the model keys included, has one :class:`Setting` table in
+:data:`SECTIONS`, and each flag that sets a library value is a key of one
+such table, spelled with ``-`` for ``_``.  A key that its table lacks, or
+a value that its cast cannot parse, is a usage error.  Only what the user
+set reaches the library, which owns the defaults and checks every value:
+an out-of-domain value exits 3 from a flag, --set or a file alike.
 
 Exit codes: 0 success, 2 usage, 3 domain or regime error, 4 data error.
 """
@@ -31,8 +32,8 @@ from .backtest import BacktestConfig, run_backtest, summarize
 from .errors import (CalibrationError, DataError, ParameterError, RegimeError,
                      UsageError)
 from .market_data import calibrate_tape, load_tape
-from .model import CONFIG_KEY_TO_FIELD, ModelParams, _write_csv, parse_config
-from .ode import DEFAULT_N_STEPS, quote_surface, solve_grid
+from .model import CONFIG_KEY_TO_FIELD, MODEL_SECTION, ModelParams, _write_csv, parse_config
+from .ode import DEFAULT_N_STEPS, quote_surface, solve_grid, solve_w
 from .simulate import (FixedQuote, MarketOrderFallback, OptimalSurface,
                        SimConfig, simulate_ensemble, simulate_path)
 
@@ -111,7 +112,13 @@ CALIBRATE_SETTINGS = {
     "horizon": Setting(float, "horizon"),
 }
 
-SECTIONS = {"sim": SIM_SETTINGS, "backtest": BACKTEST_SETTINGS}
+#: model key -> :class:`optliq.model.ModelParams` field
+MODEL_SETTINGS = {key: Setting(int if field == "q_max" else float, field)
+                  for key, field in CONFIG_KEY_TO_FIELD.items()}
+
+#: section -> its table, the model keys under MODEL_SECTION
+SECTIONS = {MODEL_SECTION: MODEL_SETTINGS, "sim": SIM_SETTINGS,
+            "backtest": BACKTEST_SETTINGS}
 
 
 def _resolve_config_path(path: str) -> str:
@@ -125,44 +132,40 @@ def _resolve_config_path(path: str) -> str:
     return path
 
 
-def _apply_overrides(model_items: dict, sections: dict, sets):
-    for item in sets or []:
-        if "=" not in item:
-            raise UsageError(f"--set expects key=value, got {item!r}")
-        key, _, value = item.partition("=")
-        key = key.strip()
-        if "." in key:
-            section, _, sub = key.partition(".")
-            sections.setdefault(section, {})[sub] = value.strip()
-        else:
-            model_items[key] = value.strip()
+def _where(name) -> str:
+    return "model" if name is MODEL_SECTION else f"[{name}]"
 
 
-def _load_params(args) -> tuple:
-    model_items, sections = {}, {}
+def _sections(args) -> dict:
+    """The raw values of the config file and of --set, which wins, as
+    ``{section: {key: raw}}``; an unknown section or key is refused."""
+    sections = {}
     if getattr(args, "config", None):
         path = _resolve_config_path(args.config)
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                model_items, sections = parse_config(fh)
+                sections = parse_config(fh)
         except OSError as exc:
             raise DataError(f"cannot read config {path}: {exc}") from exc
         except ParameterError as exc:
             raise UsageError(f"{path}: {exc}") from exc
-    _apply_overrides(model_items, sections, getattr(args, "set", None))
+    for item in getattr(args, "set", None) or []:
+        key, eq, raw = item.partition("=")
+        if not eq:
+            raise UsageError(f"--set expects key=value, got {item!r}")
+        name, dot, key = key.strip().partition(".")
+        if not dot:
+            name, key = MODEL_SECTION, name
+        sections.setdefault(name, {})[key] = raw.strip()
     for name, items in sections.items():
         if name not in SECTIONS:
             raise UsageError(f"unknown section [{name}] (keys {list(items)}); "
                              f"sections are [sim] and [backtest]")
         for key in items:
             if key not in SECTIONS[name]:
-                raise UsageError(f"unknown key {key!r} in [{name}]; known keys: "
+                raise UsageError(f"unknown {_where(name)} key {key!r}; known keys: "
                                  f"{', '.join(SECTIONS[name])}")
-    try:
-        params = ModelParams.from_mapping(model_items)
-    except ParameterError as exc:
-        raise UsageError(str(exc)) from exc
-    return params, sections
+    return sections
 
 
 def _flags(args, table: dict) -> dict:
@@ -171,21 +174,27 @@ def _flags(args, table: dict) -> dict:
             if getattr(args, key) is not None}
 
 
-def _settings(args, sections: dict, name: str) -> dict:
-    """Config fields of section ``name`` that the user set, from the file
-    and --set, then from the flags, which win; plus the table defaults."""
+def _settings(sections: dict, name, flags: dict) -> dict:
+    """Fields of section ``name`` that the user set, from the file and
+    --set, then from ``flags``, which win; plus the table defaults."""
     table = SECTIONS[name]
     values = {}
     for key, raw in sections.get(name, {}).items():
         try:
             values[table[key].field] = table[key].cast(raw)
         except ValueError as exc:
-            raise UsageError(f"bad [{name}] value {key}={raw!r}") from exc
-    values.update(_flags(args, table))
+            raise UsageError(f"bad {_where(name)} value {key}={raw!r}") from exc
+    values.update(flags)
     for setting in table.values():
         if setting.default is not None:
             values.setdefault(setting.field, setting.default)
     return values
+
+
+def _load_params(args) -> tuple:
+    """The model parameters of a command line, and its raw sections."""
+    sections = _sections(args)
+    return ModelParams(**_settings(sections, MODEL_SECTION, {})), sections
 
 
 def _write_json(path, payload, pretty: bool) -> None:
@@ -222,18 +231,16 @@ def cmd_sweep(args) -> int:
     name = name.strip()
     if name not in SWEEPABLE:
         raise UsageError(f"sweep parameter must be one of {SWEEPABLE}, got {name!r}")
+    setting = MODEL_SETTINGS[name]
     try:
-        values = [float(v) for v in raw_values.split(",") if v.strip()]
+        values = [setting.cast(v) for v in raw_values.split(",") if v.strip()]
     except ValueError as exc:
         raise UsageError(f"bad sweep values {raw_values!r}") from exc
     if not values:
         raise UsageError("sweep needs at least one value")
-    field = CONFIG_KEY_TO_FIELD[name]
-    columns = []
-    for value in values:
-        p = params.with_(**{field: value})
-        surface = quote_surface(solve_grid(p, n_steps=args.steps))
-        columns.append(surface.values[0])  # premiums at t = 0, q = 1..q_max
+    # premiums at t = 0, q = 1..q_max
+    columns = [solve_w(params.with_(**{setting.field: value})).quotes_at(0.0)
+               for value in values]
     qs = list(range(1, params.q_max + 1))
     if args.format == "csv":
         header = ["q"] + [f"{name}={v:g}" for v in values]
@@ -293,7 +300,7 @@ def _build_policy(spec: str, params: ModelParams, steps: int):
 
 def cmd_simulate(args) -> int:
     params, sections = _load_params(args)
-    settings = _settings(args, sections, "sim")
+    settings = _settings(sections, "sim", _flags(args, SIM_SETTINGS))
     settings.setdefault("q0", params.q_max)
     if args.events and settings["n_paths"] != 1:
         raise UsageError("--events requires paths=1")
@@ -317,8 +324,8 @@ def cmd_calibrate(args) -> int:
 
 def backtest_config(args) -> BacktestConfig:
     """The protocol settings of a parsed ``backtest`` command line."""
-    _, sections = _load_params(args)
-    return BacktestConfig(**_settings(args, sections, "backtest"))
+    _, sections = _load_params(args)  # the model keys are checked too
+    return BacktestConfig(**_settings(sections, "backtest", _flags(args, BACKTEST_SETTINGS)))
 
 
 def cmd_backtest(args) -> int:
@@ -376,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="time-0 premiums across one parameter")
     _add_model_flags(sp)
-    _add_solver_flags(sp)
     sp.add_argument("--sweep", required=True, metavar="PARAM=V1,V2,...")
     sp.add_argument("--out", required=True)
     sp.add_argument("--format", default="csv", choices=("csv", "json"))

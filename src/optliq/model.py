@@ -26,7 +26,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
-from typing import Mapping, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -57,6 +57,8 @@ CONFIG_KEY_TO_FIELD = {
     "q_max": "q_max",
 }
 FIELD_TO_CONFIG_KEY = {v: k for k, v in CONFIG_KEY_TO_FIELD.items()}
+#: parse_config's section of the model keys, which no [header] can spell
+MODEL_SECTION = None
 _INF = math.inf
 # ints below this are exact as floats, the form in which _refuse tests q_max
 _Q_MAX_EXACT = 2 ** 53
@@ -165,31 +167,17 @@ class ModelParams:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_config_text())
 
-    @classmethod
-    def from_mapping(cls, items: Mapping[str, str]) -> "ModelParams":
-        """Build from flat config keys (mu, sigma, A, k, gamma, b, T, q_max)."""
-        kwargs = {}
-        for key, raw in items.items():
-            if key not in CONFIG_KEY_TO_FIELD:
-                raise ParameterError(f"unknown model parameter key {key!r}")
-            field = CONFIG_KEY_TO_FIELD[key]
-            try:
-                kwargs[field] = int(raw) if field == "q_max" else float(raw)
-            except ValueError as exc:
-                raise ParameterError(f"bad value for {key!r}: {raw!r}") from exc
-        return cls(**kwargs)
 
+def parse_config(fh: TextIO) -> dict:
+    """Parse a config file into ``{section: {key: raw value}}``.
 
-def parse_config(fh: TextIO) -> tuple:
-    """Parse a config file into ``(model_items, sections)``.
-
-    ``key = value`` lines before the first section header are model keys;
-    a line ``[name]`` opens section ``name``, whose keys go to
-    ``sections[name]``.  '#' comments and blank lines are ignored; any other
-    line raises :class:`ParameterError`.
+    ``key = value`` lines before the first section header are model keys,
+    under :data:`MODEL_SECTION`; a line ``[name]`` opens section ``name``,
+    whose keys go to ``sections[name]``.  '#' comments and blank lines are
+    ignored; any other line raises :class:`ParameterError`.
     """
-    model_items, sections = {}, {}
-    target = model_items
+    sections = {MODEL_SECTION: {}}
+    target = sections[MODEL_SECTION]
     for line in fh:
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -201,7 +189,7 @@ def parse_config(fh: TextIO) -> tuple:
             raise ParameterError(f"malformed config line: {line.strip()!r}")
         key, _, value = stripped.partition("=")
         target[key.strip()] = value.strip()
-    return model_items, sections
+    return sections
 
 
 @dataclass(frozen=True)

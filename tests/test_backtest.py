@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optliq import (BacktestConfig, CalibrationError, ParameterError,
+from optliq import (BacktestConfig, CalibrationError, DataError, ParameterError,
                     TradeTape, calibrate_intensity, calibrate_sigma,
                     round_quote, run_backtest, summarize)
 from optliq.backtest import BacktestLedger
@@ -397,6 +397,11 @@ class TestBidReference:
 
 
 class TestEdgesAndErrors:
+    def test_one_print_tape_refused(self):
+        tape = TradeTape(ts=[1.0], price=[100.6], size=[120.0], bid=[99.5], ask=[100.5])
+        with pytest.raises(DataError, match="^tape too short to backtest$"):
+            run_backtest(tape, BacktestConfig())
+
     def test_empty_fit_window_names_it(self):
         # no print between the warm-up (last print at 598 s) and 1800 s:
         # the 300-s window of the re-quote at 1000 s holds no record

@@ -392,12 +392,51 @@ class TestSettings:
         assert "bad [sim] value paths='abc'" in res.stderr
 
 
+class TestModelKeys:
+    """The model keys pass one table, cast and checks, as the section keys
+    do: out of its domain is a domain error, unreadable a usage error."""
+
+    @pytest.mark.parametrize("source", ["set", "file", "sweep"])
+    def test_out_of_domain_value_exits_3(self, tmp_path, capsys, source):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text("mu = 0\nsigma = -1\n")
+        command = {"set": ["quotes", "--set", "sigma=-1"],
+                   "file": ["quotes", "--config", str(cfg)],
+                   "sweep": ["sweep", "--sweep", "sigma=0.3,-1"]}[source]
+        out = tmp_path / "q.csv"
+        assert main([*command, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: sigma must be >= 0, got -1.0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("item,message", [
+        ("sigma=abc", "bad model value sigma='abc'"),
+        ("q_max=2.5", "bad model value q_max='2.5'"),
+        ("whatever=1", "unknown model key 'whatever'; known keys: "
+                       "mu, sigma, A, k, gamma, b, T, q_max"),
+        # no --set prefix spells the model keys' section
+        (".mu=1", "unknown section [] (keys ['mu']); sections are [sim] and [backtest]"),
+        ("mu", "--set expects key=value, got 'mu'"),
+    ])
+    def test_unreadable_item_is_usage_error(self, tmp_path, capsys, item, message):
+        out = tmp_path / "q.csv"
+        assert main(["quotes", "--set", item, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not out.exists()
+
+    def test_empty_header_refused(self, tmp_path, capsys):
+        # no header spells the model keys' section either
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text("mu = 0\n[]\nmu = 1\n")
+        assert main(["quotes", "--config", str(cfg), "--out", str(tmp_path / "q.csv")]) == 2
+        assert ("usage error: unknown section [] (keys ['mu'])"
+                in capsys.readouterr().err)
+
+
 #: every subcommand's option strings, in the parser's order
 OPTION_STRINGS = {
     "solve": ["-h", "--help", "--config", "--set", "--steps", "--out", "--format"],
     "quotes": ["-h", "--help", "--config", "--set", "--steps", "--out", "--format"],
-    "sweep": ["-h", "--help", "--config", "--set", "--steps", "--sweep", "--out",
-              "--format"],
+    "sweep": ["-h", "--help", "--config", "--set", "--sweep", "--out", "--format"],
     "closed-form": ["-h", "--help", "--config", "--set", "--which", "--q", "--t",
                     "--q0", "--points", "--out"],
     "simulate": ["-h", "--help", "--config", "--set", "--steps", "--out", "--q0",

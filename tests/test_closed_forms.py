@@ -2,6 +2,7 @@
 agreement with the numerical solvers in each regime."""
 
 import math
+import re
 import sys
 
 import mpmath
@@ -281,6 +282,25 @@ class TestForcedLiquidationLimit:
 def test_non_integer_inventory_refused_by_name(func, args, name):
     # sigma = mu = 0 is each function's own regime, so only the inventory is wrong
     with pytest.raises(ParameterError, match=f"^{name} must be an integer, got"):
+        func(ModelParams(sigma=0.0), *args)
+
+
+@pytest.mark.parametrize("func,args,message", [
+    (asymptotic_quote, (0,), "q must be >= 1, got 0"),
+    (nodrift_novol_quote, (0.0, 0), "q must be >= 1, got 0"),
+    (nodrift_novol_quote, (-1.0, 1), "t=-1.0 outside [0, 300.0]"),
+    (risk_neutral_quote, (0.0, -2), "q must be >= 1, got -2"),
+    (risk_neutral_quote, (300.5, 1), "t=300.5 outside [0, 300.0]"),
+    (risk_neutral_quote, (math.nan, 1), "t=nan outside [0, 300.0]"),
+    (binf_w, (0.0, -1), "q must be >= 0, got -1"),
+    (binf_w, (-1e-9, 0), "t=-1e-09 outside [0, 300.0]"),
+    (binf_quote, (0.0, 0), "q must be >= 1, got 0"),
+    (binf_quote, (math.inf, 1), "t=inf outside [0, 300.0]"),
+    (binf_trading_curve, (0, [0.0, 300.0]), "q0 must be >= 1, got 0"),
+], ids=lambda value: getattr(value, "__name__", None))
+def test_argument_outside_domain_refused_by_name(func, args, message):
+    # sigma = mu = 0 is each function's own regime, so only the argument is wrong
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
         func(ModelParams(sigma=0.0), *args)
 
 

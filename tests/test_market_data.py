@@ -30,6 +30,13 @@ GOOD_ROWS = [
 ]
 
 
+def tape_columns() -> dict:
+    """The columns of a valid three-record tape, as fresh lists."""
+    return {"ts": [1.0, 2.5, 4.0], "price": [100.6, 100.7, 99.4],
+            "size": [120.0, 80.0, 100.0], "bid": [99.5, 99.6, 99.4],
+            "ask": [100.5, 100.6, 100.4]}
+
+
 class TestLoadTape:
     def test_three_row_fixture(self, tmp_path):
         tape = load_tape(write_tape(tmp_path, GOOD_ROWS))
@@ -68,11 +75,26 @@ class TestLoadTape:
     @pytest.mark.parametrize("column", ["ts", "price", "size", "bid", "ask"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_names_column_and_record(self, column, value):
-        cols = {"ts": [1.0, 2.5, 4.0], "price": [100.6, 100.7, 99.4],
-                "size": [120.0, 80.0, 100.0], "bid": [99.5, 99.6, 99.4],
-                "ask": [100.5, 100.6, 100.4]}
+        cols = tape_columns()
         cols[column][1] = value
         with pytest.raises(DataError, match=f"non-finite {column} .* at record 1"):
+            TradeTape(**cols)
+
+    @pytest.mark.parametrize("column,rows", [("price", 2), ("size", 4), ("bid", 1),
+                                             ("ask", 0)])
+    def test_column_length_mismatch_names_column(self, column, rows):
+        cols = tape_columns()
+        cols[column] = (cols[column] * 2)[:rows]
+        with pytest.raises(DataError, match=f"^column {column} length mismatch$"):
+            TradeTape(**cols)
+
+    @pytest.mark.parametrize("column,record,value", [
+        ("price", 1, 0.0), ("price", 2, -99.4), ("size", 0, 0.0), ("size", 1, -80.0),
+    ])
+    def test_non_positive_value_names_column_and_record(self, column, record, value):
+        cols = tape_columns()
+        cols[column][record] = value
+        with pytest.raises(DataError, match=f"^non-positive {column} at record {record}$"):
             TradeTape(**cols)
 
     def test_nan_timestamp_names_path(self, tmp_path):
@@ -248,6 +270,17 @@ class TestSyntheticTape:
     def test_refuses_argument_naming_it(self, changes, match):
         args = dict(duration=600.0, sigma=0.3, big_a=0.1, k=0.3)
         with pytest.raises(ParameterError, match=match):
+            synthetic_tape(**{**args, **changes})
+
+    @pytest.mark.parametrize("changes,message", [
+        # about 2e-4 prints expected: none is drawn
+        (dict(duration=1e-3), "synthetic tape came out empty; increase duration or big_a"),
+        # offsets of mean 1/k = 3.3 Ticks below a mid of 1 Tick
+        (dict(mid0=1.0), "synthetic prices went non-positive; raise mid0"),
+    ])
+    def test_refuses_tape_it_cannot_draw(self, changes, message):
+        args = dict(duration=600.0, sigma=0.3, big_a=0.1, k=0.3)
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             synthetic_tape(**{**args, **changes})
 
 
@@ -468,6 +501,12 @@ class TestCalibrateGamma:
             surface = quote_surface(solve_grid(p, 2000))
             quotes.append(surface.values[0, 0])
         assert np.all(np.diff(quotes) < 0)
+
+    def test_gamma_rule_without_usable_bucket_refused(self):
+        tape = synthetic_tape(600.0, sigma=0.3, big_a=0.1, k=0.3, seed=1)
+        with pytest.raises(CalibrationError,
+                           match="^no usable spread bucket for the gamma rule$"):
+            calibrate_tape(tape, gamma_target=1.0, n_min=10 ** 6)
 
     def test_unattainable_target_reports_interval(self):
         with pytest.raises(CalibrationError, match="attainable"):

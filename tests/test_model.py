@@ -1,6 +1,7 @@
 """Parameter validation, derived coefficients, the quote formula, and the
 ODE residual checker."""
 
+import argparse
 import math
 
 import numpy as np
@@ -8,9 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optliq import (ModelParams, ParameterError, WGrid, derive_coefficients,
-                    hjb_residual, quote_from_w, solve_grid, terminal_quote)
-from optliq.model import DerivedCoefficients, parse_config
+from optliq import (ModelParams, ParameterError, UsageError, WGrid,
+                    derive_coefficients, hjb_residual, quote_from_w, solve_grid,
+                    terminal_quote)
+from optliq.cli import _load_params, _settings
+from optliq.closed_forms import TradingCurve
+from optliq.model import MODEL_SECTION, DerivedCoefficients, QuoteSurface, parse_config
 from tests.oracles import model_params_fields, nodrift_novol_w
 
 
@@ -23,6 +27,12 @@ EDGES = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1.0, 0, -2, 3, True, Fa
 FIELD_VALUES = st.one_of(st.sampled_from(EDGES), st.floats())
 Q_MAX_VALUES = st.one_of(st.sampled_from(EDGES + [2.0, 2.5, np.int64(7), np.float64(4.0)]),
                          st.integers(-3, 50), st.floats(-3.0, 50.0))
+
+
+def model_of(sections: dict) -> ModelParams:
+    """The model parameters of parsed config sections, read by the
+    command line's model table."""
+    return ModelParams(**_settings(sections, MODEL_SECTION, {}))
 
 
 class TestModelParams:
@@ -68,25 +78,27 @@ class TestModelParams:
     def test_config_round_trip(self, tmp_path, ref_params):
         path = tmp_path / "model.cfg"
         ref_params.to_config_file(path)
-        with open(path, encoding="utf-8") as fh:
-            items, sections = parse_config(fh)
-        assert sections == {} and ModelParams.from_mapping(items) == ref_params
+        params, sections = _load_params(argparse.Namespace(config=str(path), set=None))
+        assert list(sections) == [MODEL_SECTION] and params == ref_params
 
     def test_config_sections_and_header_rule(self, tmp_path, ref_params):
         path = tmp_path / "model.cfg"
         path.write_text(ref_params.to_config_text()
                         + "# comment\n[sim]\nq0 = 6  # trailing\n[ backtest ]\nb = 2\n")
         with open(path, encoding="utf-8") as fh:
-            items, sections = parse_config(fh)
+            sections = parse_config(fh)
+        assert model_of(sections) == ref_params
+        del sections[MODEL_SECTION]
         assert sections == {"sim": {"q0": "6"}, "backtest": {"b": "2"}}
-        assert ModelParams.from_mapping(items) == ref_params
         # a header is "[name]" on its own line; anything else is malformed
         with pytest.raises(ParameterError, match="malformed"):
             parse_config(iter(["mu = 0\n", "[sim\n"]))
 
-    def test_config_rejects_unknown_key(self):
-        with pytest.raises(ParameterError, match="unknown"):
-            ModelParams.from_mapping({"mu": "0", "bogus": "1"})
+    def test_config_rejects_unknown_key(self, tmp_path):
+        path = tmp_path / "model.cfg"
+        path.write_text("mu = 0\nbogus = 1\n")
+        with pytest.raises(UsageError, match="unknown model key 'bogus'"):
+            _load_params(argparse.Namespace(config=str(path), set=None))
 
     @given(mu=st.floats(-1, 1), sigma=st.floats(0, 5),
            big_a=st.floats(1e-3, 10), k=st.floats(1e-3, 10),
@@ -97,9 +109,9 @@ class TestModelParams:
                                             b, horizon):
         p = ModelParams(mu=mu, sigma=sigma, big_a=big_a, k=k, gamma=gamma,
                         b=b, horizon=horizon, q_max=3)
-        items, sections = parse_config(iter(p.to_config_text().splitlines(True)))
-        assert sections == {}
-        assert ModelParams.from_mapping(items) == p
+        sections = parse_config(iter(p.to_config_text().splitlines(True)))
+        assert list(sections) == [MODEL_SECTION]
+        assert model_of(sections) == p
 
 
 class TestDerivedCoefficients:
@@ -236,3 +248,26 @@ class TestFirstOrderCondition:
                     options={"xtol": 1e-8})
                 expected = quote_from_w(w_q, w_qm1, p)
                 assert res.x == pytest.approx(expected, abs=1e-4)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda p: QuoteSurface(np.arange(3.0), np.zeros((3, 5)), p),
+     "quote surface shape mismatch"),
+    (lambda p: QuoteSurface(np.zeros((3, 1)), np.zeros((3, 6)), p),
+     "quote surface shape mismatch"),
+    (lambda p: QuoteSurface([0.0, 2.0, 1.0], np.zeros((3, 6)), p),
+     "surface times must be strictly increasing"),
+    (lambda p: QuoteSurface([0.0, 1.0, 1.0], np.zeros((3, 6)), p),
+     "surface times must be strictly increasing"),
+    (lambda p: WGrid(p, np.arange(3.0), np.ones((3, 6))), "w grid shape mismatch"),
+    (lambda p: WGrid(p, np.arange(3.0), np.ones((3, 7)), breaks=(1,)),
+     "w grid shape mismatch"),
+    (lambda p: WGrid(p, np.arange(3.0), np.ones((3, 7)), exponents=np.zeros((1, 6))),
+     "w grid shape mismatch"),
+    (lambda p: TradingCurve([0.0, 1.0], [6.0]), "trading curve shape mismatch"),
+    (lambda p: TradingCurve(np.zeros((2, 1)), np.zeros((2, 1))),
+     "trading curve shape mismatch"),
+])
+def test_table_refuses_shape_or_time_order(ref_params, make, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        make(ref_params)

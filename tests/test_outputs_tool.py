@@ -3,6 +3,7 @@ code, and ``compare`` reports each kind of difference."""
 
 import importlib.util
 import pathlib
+import shlex
 
 import numpy as np
 import pytest
@@ -38,6 +39,18 @@ def test_readme_dump_repeats_bit_for_bit(tmp_path, capsys):
         outputs.readme(str(tmp_path / name))
     assert outputs.compare(str(tmp_path / "a"), str(tmp_path / "b")) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "40 files identical"
+
+
+def test_readme_experiments_are_dumped():
+    # each optliq line of the README's experiments block, continuations
+    # joined, is a command the readme case runs ("> FILE" aside)
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("The standard experiments", 1)[1].split("```bash\n", 1)[1]
+    lines = block.split("```", 1)[0].replace("\\\n", "").splitlines()
+    shown = [shlex.split(line)[1:] for line in lines if line.startswith("optliq ")]
+    dumped = [argv for argv, _ in outputs.readme_commands()]
+    assert shown
+    assert [argv for argv in shown if argv not in dumped] == []
 
 
 def test_compare_reports_cells_maxima_and_missing_files(tmp_path, capsys):

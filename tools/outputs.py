@@ -109,6 +109,16 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
+def readme_commands():
+    """Each command of README_COMMANDS as its argv and the file that keeps
+    its standard output, or ''."""
+    for line in README_COMMANDS.replace("\\\n", "").splitlines():
+        args, _, stdout_file = line.partition(" > ")
+        argv = shlex.split(args, comments=True)
+        if argv:
+            yield argv, stdout_file
+
+
 def readme(outdir: str) -> None:
     """README_COMMANDS and the README's Python steps, in this process."""
     from optliq import (FixedQuote, ModelParams, OptimalSurface, quote_surface,
@@ -126,16 +136,12 @@ def readme(outdir: str) -> None:
         schedule = [(60.0 * i, 1.0 + i % 2) for i in range(120)]
         synthetic_tape(7200.0, sigma=0.3, big_a=0.2, k=0.3, mid0=1000.0,
                        spread_schedule=schedule, seed=1).write_csv("tape_replay.csv")
-        for line in README_COMMANDS.replace("\\\n", "").splitlines():
-            args, _, stdout_file = line.partition(" > ")
-            argv = shlex.split(args, comments=True)
-            if not argv:
-                continue
+        for argv, stdout_file in readme_commands():
             text = io.StringIO()
             with contextlib.redirect_stdout(text):
                 code = main(argv)
             if code:
-                raise SystemExit(f"optliq {args}: exit {code}")
+                raise SystemExit(f"optliq {shlex.join(argv)}: exit {code}")
             if stdout_file:
                 _write(stdout_file, text.getvalue())
         # the optimal surface and the fixed quotes 0..3 over common draws
