@@ -184,11 +184,6 @@ class BacktestLedger:
                    self.series)
 
 
-def _mid(tape: TradeTape, row: int) -> float:
-    # one row's mid, bit for bit the row of ``tape.mid``
-    return 0.5 * (float(tape.bid[row]) + float(tape.ask[row]))
-
-
 def run_backtest(tape: TradeTape, cfg: BacktestConfig) -> BacktestLedger:
     """Replay the protocol on a tape.  See the module docstring for the
     event loop; calibration failure anywhere aborts with a diagnostic.
@@ -200,7 +195,9 @@ def run_backtest(tape: TradeTape, cfg: BacktestConfig) -> BacktestLedger:
     those run from the first print in the window, which only moves
     forward, to the last print up to the re-quote.  All buckets are fitted,
     on the same rows, only to word the error when that one has no usable
-    fit.
+    fit.  The rows the replay reads, from its first window to the first
+    print after its end, are taken as Python floats once per call, not as
+    one NumPy scalar per read.
     """
     if len(tape) < 2:
         raise DataError("tape too short to backtest")
@@ -213,17 +210,29 @@ def run_backtest(tape: TradeTape, cfg: BacktestConfig) -> BacktestLedger:
     horizon = cfg.horizon if cfg.horizon is not None else float(tape.ts[-1]) - start
     end_cap = min(start + horizon, float(tape.ts[-1]))
 
-    ts, price, n = tape.ts, tape.price, len(tape)
-    i_state = int(np.searchsorted(ts, start, side="right")) - 1
-    lo = int(np.searchsorted(ts, start - cfg.recalib_window, side="left"))
+    i_state = int(tape.ts.searchsorted(start, side="right")) - 1
+    lo = int(tape.ts.searchsorted(start - cfg.recalib_window, side="left"))
+    i_end = int(tape.ts.searchsorted(end_cap, side="right")) - 1
     try:
         sigma_hat = _prefix_sigma(tape, cfg.sampling_dt, i_state)
     except CalibrationError as exc:
         raise CalibrationError(f"warm-up sigma calibration failed: {exc}") from exc
 
+    # the rows the replay can read: from its first window (or the warm-up's
+    # last print, where that window is empty) to the first print after
+    # end_cap; the row indices below count from base
+    base = min(lo, i_state)
+    rows = slice(base, i_end + 2)
+    ts, price, bids, asks = (col[rows].tolist()
+                             for col in (tape.ts, tape.price, tape.bid, tape.ask))
+    n = len(ts)
+    i_state -= base
+    lo -= base
+
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     index = tape._intensity_index(np.asarray(cfg.distance_grid, dtype=float))
-    mid_start = _mid(tape, i_state)
+    # a row's mid, bit for bit the row of ``tape.mid``
+    mid_start = 0.5 * (bids[i_state] + asks[i_state])
     ledger = BacktestLedger(config=cfg, start_time=start, end_time=end_cap,
                             horizon=horizon, mid_start=mid_start,
                             sigma_hat=sigma_hat)
@@ -235,8 +244,8 @@ def run_backtest(tape: TradeTape, cfg: BacktestConfig) -> BacktestLedger:
     ledger.series.append((t_now, mid_start, q, cash))
 
     while q > 0 and t_now < end_cap:
-        bid = float(tape.bid[i_state])
-        ask = float(tape.ask[i_state])
+        bid = bids[i_state]
+        ask = asks[i_state]
         mid = 0.5 * (bid + ask)
         bucket = int(_spread_bucket(ask - bid))
         # the fit window [t_now - recalib_window, t_now] is rows [lo, hi)
@@ -249,9 +258,9 @@ def run_backtest(tape: TradeTape, cfg: BacktestConfig) -> BacktestLedger:
         if lo == hi:
             raise CalibrationError(f"intensity calibration failed at t={t_now:.6g}: "
                                    f"no records in [{window_start}, {t_now}]")
-        fit = _window_fit(tape, index, bucket, lo, hi, t_now, cfg.n_min)
+        fit = _window_fit(tape, index, bucket, base + lo, base + hi, t_now, cfg.n_min)
         if not isinstance(fit, IntensityFit):
-            fits, _ = index.fit(lo, hi, max(t_now - float(ts[hi - 1]), 0.0), cfg.n_min)
+            fits, _ = index.fit(base + lo, base + hi, max(t_now - ts[hi - 1], 0.0), cfg.n_min)
             raise CalibrationError(
                 f"no usable fit for spread bucket {bucket} at t={t_now:.6g} "
                 f"({fit or 'no prints in bucket'}); usable buckets: {sorted(fits)}"
@@ -299,13 +308,12 @@ def run_backtest(tape: TradeTape, cfg: BacktestConfig) -> BacktestLedger:
             if price[j] >= order_price:
                 q -= 1
                 cash += order_price
-                t_now = float(ts[j])
+                t_now = ts[j]
                 i_state = j
                 ledger.fills.append(FillEvent(t=t_now, price=order_price,
                                               q_after=q,
                                               order_index=order_index))
-                mid_j = _mid(tape, j)
-                ledger.series.append((t_now, mid_j, q, cash))
+                ledger.series.append((t_now, 0.5 * (bids[j] + asks[j]), q, cash))
                 filled = True
                 break
             j += 1
@@ -314,8 +322,7 @@ def run_backtest(tape: TradeTape, cfg: BacktestConfig) -> BacktestLedger:
             t_now = window_end
             i_state = j - 1
 
-    i_end = int(np.searchsorted(tape.ts, end_cap, side="right")) - 1
-    ledger.mid_end = _mid(tape, i_end)
+    ledger.mid_end = 0.5 * (bids[i_end - base] + asks[i_end - base])
     ledger.cash_end = cash
     ledger.q_end = q
     ledger.mark = cash + q * (ledger.mid_end - cfg.b)

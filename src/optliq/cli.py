@@ -238,12 +238,22 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"bad sweep values {raw_values!r}") from exc
     if not values:
         raise UsageError("sweep needs at least one value")
+    # a CSV column is read back by its header, so two values that print
+    # alike in it are refused before anything is solved
+    header = ["q"] + [f"{name}={v:g}" for v in values]
+    if args.format == "csv":
+        for i, label in enumerate(header[1:]):
+            first = header.index(label) - 1
+            if first < i:
+                raise UsageError(
+                    f"sweep values {values[first]!r} and {values[i]!r} share the CSV "
+                    f"header {label!r}; give values that differ in their first 6 "
+                    f"significant digits, or use --format json")
     # premiums at t = 0, q = 1..q_max
     columns = [solve_w(params.with_(**{setting.field: value})).quotes_at(0.0)
                for value in values]
     qs = list(range(1, params.q_max + 1))
     if args.format == "csv":
-        header = ["q"] + [f"{name}={v:g}" for v in values]
         _write_csv(args.out, header, zip(qs, *(col.tolist() for col in columns)))
     else:
         _write_json(args.out, {"param": name, "values": values, "q": qs,

@@ -302,6 +302,9 @@ class _IntensityIndex:
             keys = np.concatenate([base + rows[levels[rows] > j]
                                    for j, base in enumerate(self.bases[:, 0])])
             self.buckets[int(bucket)] = (rows, gap_sums, keys)
+        # the mask of offsets with prints -> (count, x_mean, dx, dx . dx) of
+        # the offsets it keeps: the fit's terms that depend on the mask only
+        self._moments = {}
 
     def fit_bucket(self, key: int, lo: int, hi: int, tail: float, n_min: int):
         """Bucket ``key`` on rows ``[lo, hi)``, whose last print holds its
@@ -311,8 +314,8 @@ class _IntensityIndex:
         if key not in self.buckets:
             return None
         rows, gap_sums, keys = self.buckets[key]
-        i_lo, i_last, i_hi = rows.searchsorted((lo, hi - 1, hi))
-        n_obs = int(i_hi - i_lo)
+        i_lo, i_last, i_hi = rows.searchsorted((lo, hi - 1, hi)).tolist()
+        n_obs = i_hi - i_lo
         if n_obs == 0:
             return None
         if n_obs < n_min:
@@ -327,19 +330,30 @@ class _IntensityIndex:
         ends = keys.searchsorted(self.bases + (lo, hi))
         counts = ends[:, 1] - ends[:, 0]
         usable = counts > 0
-        n_usable = int(np.count_nonzero(usable))
+        mask = usable.tobytes()
+        moments = self._moments.get(mask)
+        if moments is None:
+            moments = self._moments[mask] = self._offset_moments(usable)
+        n_usable, x_mean, dx, dx_dx = moments
         if n_usable < 3:
             return f"only {n_usable} offsets with prints"
-        x = self.grid[usable]
         log_rates = np.log(counts[usable] / total_time)
-        x_mean = float(x.sum()) / n_usable
-        dx = x - x_mean
         # measured from the first point, a flat profile decays by exactly 0
-        k_hat = float(dx @ (log_rates[0] - log_rates)) / float(dx @ dx)
+        k_hat = float(dx @ (log_rates[0] - log_rates)) / dx_dx
         if k_hat <= 1e-12:  # flat or inverted rate profile
             return f"non-positive decay estimate ({k_hat:.3g})"
-        log_a = float(log_rates.sum()) / n_usable + k_hat * x_mean
+        log_a = float(np.add.reduce(log_rates)) / n_usable + k_hat * x_mean
         return IntensityFit(a_hat=math.exp(log_a), k_hat=k_hat, n_obs=n_obs)
+
+    def _offset_moments(self, usable: np.ndarray) -> tuple:
+        """The count of the offsets x under the mask ``usable`` and, where
+        there are 3 or more, their mean, ``dx = x - x_mean`` and ``dx . dx``."""
+        x = self.grid[usable]
+        if x.size < 3:
+            return x.size, None, None, None
+        x_mean = float(x.sum()) / x.size
+        dx = x - x_mean
+        return x.size, x_mean, dx, float(dx @ dx)
 
     def fit(self, lo: int, hi: int, tail: float, n_min: int):
         """:func:`calibrate_intensity` on rows ``[lo, hi)``: every bucket

@@ -13,7 +13,10 @@ The propagator is computed without a subtraction: with ``c = max lambda``,
 ``N = cI - M`` is entrywise nonnegative, ``exp(-tau M) = exp(-tau c)
 exp(tau N)`` is a Taylor polynomial of N at a step ``tau / 2^s`` squared s
 times, and every entry keeps its relative accuracy however small it is
-(Moler & Van Loan, SIAM Rev. 2003; Xue & Ye, Numer. Math. 2008).
+(Moler & Van Loan, SIAM Rev. 2003; Xue & Ye, Numer. Math. 2008).  At the
+sizes of a re-quote (q_max up to 10) it is some 20 products of small
+matrices, so its set-up stays in Python floats and its products go through
+``np.dot``, the BLAS call of ``np.matmul`` at a lower cost per call.
 
 w can leave the double range by thousands of binary orders; quotes need
 only ``w_q / w_{q-1}``.  So w is carried as mantissas times exact powers of
@@ -48,23 +51,26 @@ rung k is k squarings from E: every entry comes from at most ``K (K + 1)
 as above.  Where w stays well inside the double range the exponents are
 0 and the grid is one doubling walk of plain doubles from w(T).
 
-Every rung, E included, has its entries below the double range set to 0
-as it is formed, since a product with a subnormal operand can run several
-times slower.  A rung spans at most its run, along which every mantissa
-is at most ``2^W`` (W = _WINDOW) and every level the walk does not lift
-at least ``2^-W``.  A flushed entry, under 2^-1022, thus drops a term
-under ``2^(W - 1022)`` from a level of at least ``2^-W``: under ``2^(2W -
-1022)`` of it.  W = 474 makes that 2^-74, what rounding such an entry to
-a subnormal (an error up to 2^-1074) could move a level at the former
-window of 500; at 500 a flush could move it by 2^-22.  A lifted level
-has no such floor; where a level that is fed is left at 0 its quote is
-refused by name, not returned as -inf.  :meth:`_Walk.step` rescales
-rung 0 to a new profile exactly, by powers of two, only where that
-raises no entry below the diagonal: an entry flushed in the old profile
-would stay 0 where the new one puts it in the double range.  An entry
-the rescaling lowers below the double range is flushed again, within
+Every rung of a grid's walk, E included, has its entries below the double
+range set to 0 as it is formed, since a product with a subnormal operand
+can run several times slower.  A rung spans at most its run, along which
+every mantissa is at most ``2^W`` (W = _WINDOW) and every level the walk
+does not lift at least ``2^-W``.  A flushed entry, under 2^-1022, thus
+drops a term under ``2^(W - 1022)`` from a level of at least ``2^-W``:
+under ``2^(2W - 1022)`` of it.  W = 474 makes that 2^-74, what rounding
+such an entry to a subnormal (an error up to 2^-1074) could move a level
+at the former window of 500; at 500 a flush could move it by 2^-22.  A
+lifted level has no such floor; where a level that is fed is left at 0 its
+quote is refused by name, not returned as -inf.  :meth:`_Walk.step`
+rescales rung 0 to a new profile exactly, by powers of two, only where
+that raises no entry below the diagonal: an entry flushed in the old
+profile would stay 0 where the new one puts it in the double range.  An
+entry the rescaling lowers below the double range is flushed again, within
 the bound.  The propagator's own squarings keep their subnormal entries;
-only its result is flushed.
+only its result is flushed.  A point's walk flushes nothing: it multiplies
+its one state by each step, where a subnormal operand costs nothing
+measurable, and a subnormal entry, rounded by at most 2^-1075, moves a
+level of at least ``2^-W`` by under ``2^(2W - 1075)`` = 2^-127 of it.
 
 Level one couples only to ``w_0 = 1``: ``w_1(T - tau) = e^(-x - k b) +
 eta tau phi1(-x)``, ``x = lambda_1 tau``, ``phi1(y) = expm1(y) / y``.  A
@@ -106,6 +112,8 @@ _KEEP = 32
 # rows per product when a grid is filled by doubling
 _ROWS = 1024
 _INV_FACTORIAL = 1.0 / np.array([math.factorial(j) for j in range(171)], dtype=float)
+# 2^i for every squaring count i whose 2^i is a double
+_POW2 = 2.0 ** np.arange(1024)
 # log2 bound on the mantissas of a segment, (1022 - 74) / 2: a rung entry
 # flushed below the double range moves a level by under 2^-74 of it
 _WINDOW = 474.0
@@ -178,13 +186,15 @@ def _propagator(lam: np.ndarray, eta: float, tau: float, e: np.ndarray) -> np.nd
     keeps the squarings from compounding its rounding error (Al-Mohy &
     Higham, SIAM J. Matrix Anal. Appl. 2009).
     """
-    sub = np.ldexp(eta, (e[:-1] - e[1:]).astype(np.int32))
     n = lam.size
     rates = lam.tolist()
     c = max(rates)
-    diag = c - lam
     d_max = c - min(rates)  # max(diag): c - x rounds monotonically in x
-    norm = tau * (d_max + max(sub.tolist()))
+    # the subdiagonal eta 2^(e_{q-1} - e_q): eta itself where the exponents
+    # are 0, as they mostly are
+    sub = (np.ldexp(eta, (e[:-1] - e[1:]).astype(np.int32)).tolist() if any(e.tolist())
+           else [eta] * (n - 1))
+    norm = tau * (d_max + max(sub))
     s = math.ceil(math.log2(norm / _THETA)) if norm > _THETA else 0
     h = tau / 2.0 ** s
     theta = h * d_max
@@ -195,8 +205,9 @@ def _propagator(lam: np.ndarray, eta: float, tau: float, e: np.ndarray) -> np.nd
     m = n + k - 2
 
     a = np.zeros((n, n))
-    a.reshape(-1)[::n + 1] = h * diag
-    a.reshape(-1)[n::n + 1] = h * sub  # subdiagonal
+    flat = a.reshape(-1)
+    flat[::n + 1] = [h * (c - x) for x in rates]
+    flat[n::n + 1] = [h * x for x in sub]  # subdiagonal
     # Horner's rule in A^r over blocks sum_j A^j / (i r + j)!
     # (Paterson-Stockmeyer), so a degree-m polynomial costs ~2 sqrt(m)
     # products; all coefficients are positive
@@ -205,40 +216,44 @@ def _propagator(lam: np.ndarray, eta: float, tau: float, e: np.ndarray) -> np.nd
     powers = np.zeros((r, n, n))
     powers[0].reshape(-1)[::n + 1] = 1.0
     for j in range(1, r):
-        np.matmul(powers[j - 1], a, out=powers[j])
-    a_r = powers[-1] @ a
+        np.dot(powers[j - 1], a, out=powers[j])
+    a_r = np.dot(powers[-1], a)
     coef = np.zeros(n_blocks * r)
     # 1/j! underflows past j = 170; with h * sub <= 1/2 such terms are
     # below the double range anyway
     top = min(m, _INV_FACTORIAL.size - 1) + 1
-    coef[:top] = _INV_FACTORIAL[:top] * math.exp(-h * c)
-    blocks = (coef.reshape(n_blocks, r) @ powers.reshape(r, n * n)).reshape(n_blocks, n, n)
+    np.multiply(_INV_FACTORIAL[:top], math.exp(-h * c), out=coef[:top])
+    blocks = np.dot(coef.reshape(n_blocks, r), powers.reshape(r, n * n)).reshape(n_blocks, n, n)
     out = blocks[-1]
-    for i in range(n_blocks - 2, -1, -1):
-        out = a_r @ out
-        out += blocks[i]
+    for block in blocks[-2::-1]:
+        out = np.dot(a_r, out)
+        out += block
 
     # square in place between two buffers, each with a view on its diagonal
-    buffers = (out, np.empty_like(out))
-    diagonals = tuple(b.reshape(-1)[::n + 1] for b in buffers)
-    exact_diag = np.exp(np.multiply.outer(-h * 2.0 ** np.arange(s + 1), lam))
-    diagonals[0][:] = exact_diag[0]
-    for i in range(1, s + 1):
-        np.matmul(buffers[1 - i % 2], buffers[1 - i % 2], out=buffers[i % 2])
-        diagonals[i % 2][:] = exact_diag[i]
-    return buffers[s % 2]
+    x, y = out, np.empty_like(out)
+    x_diag, y_diag = x.reshape(-1)[::n + 1], y.reshape(-1)[::n + 1]
+    exact_diag = np.exp(np.multiply.outer(-h * _POW2[:s + 1], lam))
+    x_diag[:] = exact_diag[0]
+    for diag in exact_diag[1:]:
+        np.dot(x, x, out=y)
+        y_diag[:] = diag
+        x, y, x_diag, y_diag = y, x, y_diag, x_diag
+    return x
 
 
 class _Walk:
     """The walk of w back from T: the bound that sizes its segments and the
-    scaled steps it takes."""
+    scaled steps it takes.  ``flush=False`` keeps the entries of its rungs
+    below the double range, for a point's walk, which multiplies only its
+    one state by them."""
 
-    def __init__(self, p: ModelParams):
+    def __init__(self, p: ModelParams, flush: bool = True):
         c = self._coefficients = derive_coefficients(p)
         # M has diagonal lam and subdiagonal -eta
         self._lam = [c.alpha * q * q - c.beta * q for q in range(p.q_max + 1)]
         self.lam, self.eta = np.array(self._lam), c.eta
         self._floor = p.horizon * _HALF_STEP_FLOOR
+        self._flush = flush
         self._ladder = None  # (h, profile, [E, E^2, E^4, ...]) last built
 
     def reach(self, v: np.ndarray, e: np.ndarray) -> float:
@@ -336,10 +351,11 @@ class _Walk:
 
     def _climb(self, rung: np.ndarray) -> np.ndarray:
         """Put rung on the ladder, as every rung is, with its entries below
-        the double range set to 0: a product with a subnormal operand can run
-        several times slower, and _WINDOW bounds what a flushed entry
-        moves."""
-        rung[rung < _TINY] = 0.0
+        the double range set to 0 unless the walk keeps them: a product with
+        a subnormal operand can run several times slower, and _WINDOW bounds
+        what a flushed entry moves."""
+        if self._flush:
+            rung[rung < _TINY] = 0.0
         self._ladder[2].append(rung)
         return rung
 
@@ -385,7 +401,9 @@ class _Walk:
 
 def _advance(i, v, e, step, length) -> np.ndarray:
     """The emit of a walk that keeps only its state."""
-    return _advance(i, step @ v, e, step, length - 1) if length else v
+    for _ in range(length):
+        v = np.dot(step, v)
+    return v
 
 
 @dataclass(frozen=True)
@@ -448,9 +466,13 @@ class WGrid:
 
 @dataclass(frozen=True)
 class WSolution:
-    """The solution w(t) = exp(-(T - t) M) w(T) of one parameter set."""
+    """The solution w(t) = exp(-(T - t) M) w(T) of one parameter set
+    (requires gamma > 0)."""
 
     params: ModelParams
+
+    def __post_init__(self):
+        self.params.require_risk_averse("solve_w")
 
     def _tau(self, t: float) -> float:
         """T - t, for t in [0, T]."""
@@ -460,11 +482,11 @@ class WSolution:
 
     def _state_at(self, t: float) -> tuple:
         """w(t) as (mantissas, exponents): w(T) at T, else a walk of one
-        step."""
+        step that flushes nothing (see the module docstring)."""
         p = self.params
         tau = self._tau(t)
         v, e = _terminal_state(p)
-        return (v, e) if tau == 0.0 else _Walk(p).run(v, e, tau, 1, _advance)
+        return (v, e) if tau == 0.0 else _Walk(p, flush=False).run(v, e, tau, 1, _advance)
 
     def evaluate_at(self, t: float) -> np.ndarray:
         """w(t), q = 0..q_max, as doubles (0 or inf beyond the double
@@ -482,7 +504,6 @@ class WSolution:
         them, so they keep their digits wherever w lies; at q_max = 1,
         straight from ln w_1."""
         p = self.params
-        p.require_risk_averse("quotes_at")
         if p.q_max == 1:
             return np.array([_level_one_log(p, self._tau(t)) / p.k
                              + math.log1p(p.gamma / p.k) / p.gamma])
@@ -540,7 +561,6 @@ class WSolution:
 
 def solve_w(p: ModelParams) -> WSolution:
     """The exact solution of the w system for ``p`` (requires gamma > 0)."""
-    p.require_risk_averse("solve_w")
     return WSolution(params=p)
 
 
@@ -579,7 +599,8 @@ def _quotes(v: np.ndarray, e: np.ndarray, p: ModelParams, out: np.ndarray) -> np
     term, for q = 1..q_max along the last axis of v, written into out.  A
     mantissa of 0 or below, which the walk leaves where a level underflows
     in it, is refused, naming the level."""
-    if not v.min(initial=math.inf) > 0.0:
+    # a ufunc's reduce and a list: no NumPy wrapper in Python per call
+    if not np.minimum.reduce(v, axis=None, initial=math.inf) > 0.0:
         level = int(np.flatnonzero(~(v.reshape(-1, v.shape[-1]) > 0.0).all(axis=0))[0])
         c = derive_coefficients(p)
         raise ParameterError(
@@ -589,7 +610,7 @@ def _quotes(v: np.ndarray, e: np.ndarray, p: ModelParams, out: np.ndarray) -> np
             f"too far apart")
     np.divide(v[..., 1:], v[..., :-1], out=out)
     np.log(out, out=out)
-    if e.any():  # no exponent term where w is a double, as it mostly is
+    if any(e.tolist()):  # no exponent term where w is a double, as it mostly is
         out += (e[1:] - e[:-1]) * _LN2
     out /= p.k
     out += math.log1p(p.gamma / p.k) / p.gamma

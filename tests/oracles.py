@@ -36,7 +36,9 @@ per-time-step writer ``_write_tq_csv``.
 :func:`calibrate_intensity_recount` slices the window out of the tape
 (:func:`slice_time`), recounts every print against every offset and fits
 with ``np.polyfit``: the oracle of the prefix-count index in
-:mod:`optliq.market_data`.
+:mod:`optliq.market_data`.  :func:`intensity_fit_formula` is the index's
+fit of one window with every offset term formed afresh: the oracle, to
+the bit, of the fit that keeps those terms per mask of offsets.
 
 Invariants, each raising ``AssertionError``:
 
@@ -361,6 +363,27 @@ def calibrate_intensity_recount(tape, distance_grid=DEFAULT_DISTANCE_GRID,
         fits[key] = IntensityFit(a_hat=float(math.exp(intercept)),
                                  k_hat=k_hat, n_obs=n_obs)
     return fits, dropped
+
+
+def intensity_fit_formula(grid: np.ndarray, counts: np.ndarray, total_time: float,
+                          n_obs: int):
+    """The fit of one bucket's window from its print count at or above each
+    offset of ``grid`` and the time it spent in the bucket, with the mean
+    offset, its deviations and their square sum formed on every call: an
+    :class:`IntensityFit`, or the reason the bucket is dropped."""
+    usable = counts > 0
+    n_usable = int(np.count_nonzero(usable))
+    if n_usable < 3:
+        return f"only {n_usable} offsets with prints"
+    x = grid[usable]
+    log_rates = np.log(counts[usable] / total_time)
+    x_mean = float(x.sum()) / n_usable
+    dx = x - x_mean
+    k_hat = float(dx @ (log_rates[0] - log_rates)) / float(dx @ dx)
+    if k_hat <= 1e-12:
+        return f"non-positive decay estimate ({k_hat:.3g})"
+    log_a = float(log_rates.sum()) / n_usable + k_hat * x_mean
+    return IntensityFit(a_hat=math.exp(log_a), k_hat=k_hat, n_obs=n_obs)
 
 
 def calibrate_sigma_resample(tape, sampling_dt):

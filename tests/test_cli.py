@@ -466,6 +466,24 @@ class TestUsageErrors:
                       "--sweep", "q_max=1,2", "--out", str(tmp_path / "s.csv"))
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("sweep", ["mu=0.0012345671,0.0012345674", "sigma=0.3,0.1,0.3"])
+    def test_sweep_values_sharing_a_csv_header(self, config_path, tmp_path, sweep):
+        # six significant digits name each column; two values that print
+        # alike would give two columns one header, so the CSV is refused
+        # naming both, and nothing is written
+        out = tmp_path / "s.csv"
+        res = run_cli("sweep", "--config", str(config_path), "--sweep", sweep,
+                      "--out", str(out))
+        first, second = {"mu": ("0.0012345671", "0.0012345674"), "sigma": ("0.3", "0.3")}[
+            sweep.split("=")[0]]
+        assert res.returncode == 2, res.stderr
+        assert f"sweep values {first} and {second} share the CSV header" in res.stderr
+        assert not out.exists()
+        # the JSON form keeps every value in full
+        res = run_cli("sweep", "--config", str(config_path), "--sweep", sweep,
+                      "--format", "json", "--out", str(tmp_path / "s.json"))
+        assert res.returncode == 0, res.stderr
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("mu = 0\nwhatever = 3\n")

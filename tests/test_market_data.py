@@ -12,7 +12,8 @@ from optliq import (CalibrationError, DataError, ModelParams, ParameterError,
                     TradeTape, calibrate_gamma,
                     calibrate_intensity, calibrate_sigma, calibrate_tape,
                     load_tape, quote_surface, solve_grid, synthetic_tape)
-from tests.oracles import calibrate_intensity_recount, slice_time
+from optliq.market_data import DEFAULT_DISTANCE_GRID, IntensityFit
+from tests.oracles import calibrate_intensity_recount, intensity_fit_formula, slice_time
 
 HEADER = "ts,price,size,bid,ask\n"
 
@@ -470,6 +471,42 @@ class TestIntensityIndex:
         # prints of a new spread gives that bucket no time
         assert all(seen[kind] > 0 for kind in DROP_KINDS.values()
                    if tied or kind != "no time"), seen
+
+    def test_every_offset_mask_matches_per_window_formula(self):
+        # the index keeps the offset terms of the fit per mask of offsets
+        # with prints; the replay's windows all have prints at every offset.
+        # Segment m of this tape has its largest offset above mid between
+        # the m-th and (m+1)-th grid offset, so its window leaves m offsets
+        # usable: 0-2 are dropped, 3-10 fitted to the bit of the formula
+        # that forms those terms afresh.  Prints 1 s apart and a window
+        # ending on a print make the bucket's time an exact integer
+        grid = np.asarray(DEFAULT_DISTANCE_GRID)
+        rng = np.random.default_rng(3)
+        length = 200
+        offsets = []
+        for m in range(grid.size + 1):
+            cap = 0.5 * m + 0.25  # between grid offsets m and m + 1 (from 1)
+            draws = np.minimum(rng.exponential(0.8, length), cap)
+            draws[rng.random(length) < 0.5] *= -1.0  # sells print below mid
+            draws[0] = cap
+            offsets.append(draws)
+        offsets = np.concatenate(offsets)
+        ts = np.arange(offsets.size, dtype=float)
+        tape = TradeTape(ts=ts, price=100.0 + offsets, size=np.ones(ts.size),
+                         bid=np.full(ts.size, 99.5), ask=np.full(ts.size, 100.5))
+        above = tape.price - tape.mid
+        results = []
+        for m in range(grid.size + 1):
+            rows = slice(m * length, (m + 1) * length)
+            fits, dropped = calibrate_intensity(tape, window=length - 1.0,
+                                                end_time=ts[rows][-1], n_min=3)
+            got = fits.get(1, dropped.get(1))
+            counts = np.array([np.count_nonzero(above[rows] >= d) for d in grid])
+            assert np.count_nonzero(counts) == m
+            assert got == intensity_fit_formula(grid, counts, length - 1.0, length), m
+            results.append(got)
+        assert results[:3] == [f"only {m} offsets with prints" for m in range(3)]
+        assert all(isinstance(fit, IntensityFit) for fit in results[3:])
 
     def test_slice_builds_its_own_index(self):
         tape = three_bucket_tape(tied=False)
