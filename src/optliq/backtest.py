@@ -28,7 +28,7 @@ import numpy as np
 from .errors import CalibrationError, DataError, ParameterError
 from .market_data import (DEFAULT_DISTANCE_GRID, IntensityFit, TradeTape,
                           _checked_grid, _prefix_sigma, _spread_bucket,
-                          _window_fit, calibrate_gamma)
+                          calibrate_gamma)
 from .model import ModelParams, _require_finite, _require_int, _write_csv
 from .ode import solve_w
 
@@ -258,9 +258,11 @@ def run_backtest(tape: TradeTape, cfg: BacktestConfig) -> BacktestLedger:
         if lo == hi:
             raise CalibrationError(f"intensity calibration failed at t={t_now:.6g}: "
                                    f"no records in [{window_start}, {t_now}]")
-        fit = _window_fit(tape, index, bucket, base + lo, base + hi, t_now, cfg.n_min)
+        # the window's last print holds its bucket up to the window end
+        tail = max(t_now - ts[hi - 1], 0.0)
+        fit = index.fit_bucket(bucket, base + lo, base + hi, tail, cfg.n_min)
         if not isinstance(fit, IntensityFit):
-            fits, _ = index.fit(base + lo, base + hi, max(t_now - ts[hi - 1], 0.0), cfg.n_min)
+            fits, _ = index.fit(base + lo, base + hi, tail, cfg.n_min)
             raise CalibrationError(
                 f"no usable fit for spread bucket {bucket} at t={t_now:.6g} "
                 f"({fit or 'no prints in bucket'}); usable buckets: {sorted(fits)}"

@@ -76,15 +76,6 @@ def _frozen(values) -> np.ndarray:
     return arr
 
 
-def _row_range(ts: np.ndarray, start: float, end: float) -> tuple:
-    """Rows ``[lo, hi)`` of the records in [start, end]; none is an error."""
-    lo = int(np.searchsorted(ts, start, side="left"))
-    hi = int(np.searchsorted(ts, end, side="right"))
-    if hi <= lo:
-        raise DataError(f"no records in [{start}, {end}]")
-    return lo, hi
-
-
 class TradeTape:
     """Time-sorted trade prints with quote context, prices in Ticks.
 
@@ -383,7 +374,7 @@ def _window_rows(tape: TradeTape, window: Optional[float],
                  end_time: Optional[float]) -> tuple:
     """Rows ``[lo, hi)`` of the fit window of ``window`` seconds up to
     ``end_time`` (by default the whole tape), and the tail its last print
-    holds up to the window end."""
+    holds up to the window end; a window without records is an error."""
     _require_finite(end_time=end_time)
     end = float(tape.ts[-1]) if end_time is None else float(end_time)
     if window is None:
@@ -392,18 +383,11 @@ def _window_rows(tape: TradeTape, window: Optional[float],
         raise ParameterError(f"window must be > 0, got {window}")
     else:
         start = end - float(window)
-    lo, hi = _row_range(tape.ts, start, end)
+    lo = int(np.searchsorted(tape.ts, start, side="left"))
+    hi = int(np.searchsorted(tape.ts, end, side="right"))
+    if hi <= lo:
+        raise DataError(f"no records in [{start}, {end}]")
     return lo, hi, max(end - float(tape.ts[hi - 1]), 0.0)
-
-
-def _window_fit(tape: TradeTape, index: _IntensityIndex, bucket: int,
-                lo: int, hi: int, end_time: float, n_min: int):
-    """Bucket ``bucket`` on rows ``[lo, hi)``, the prints of a window that
-    ends at ``end_time``, as :meth:`_IntensityIndex.fit_bucket` returns it;
-    each re-quote of :func:`optliq.backtest.run_backtest` reads its fit
-    here."""
-    return index.fit_bucket(bucket, lo, hi, max(end_time - float(tape.ts[hi - 1]), 0.0),
-                            n_min)
 
 
 def calibrate_intensity(tape: TradeTape,

@@ -42,8 +42,9 @@ arithmetic.
 A grid fills the nodes of each run of segments that keep one profile by
 doubling from the run's first node.  With E the scaled one-step
 propagator, w at node m + 2^k is ``E^(2^k)`` times w at node m, and the
-ladder of squares ``E^(2^k)`` is built once per profile, each square's
-diagonal reset to its exact value as in the propagator's own squarings.
+ladder of squares ``E^(2^k)`` is built once per step and profile, each
+square's diagonal reset to its exact value as in the propagator's own
+squarings.
 Node j of a run of L steps is one rung per set bit of j applied to the
 run's first node, so at most ``K = ceil(log2 L)`` products from it, and
 rung k is k squarings from E: every entry comes from at most ``K (K + 1)
@@ -51,26 +52,23 @@ rung k is k squarings from E: every entry comes from at most ``K (K + 1)
 as above.  Where w stays well inside the double range the exponents are
 0 and the grid is one doubling walk of plain doubles from w(T).
 
-Every rung of a grid's walk, E included, has its entries below the double
-range set to 0 as it is formed, since a product with a subnormal operand
-can run several times slower.  A rung spans at most its run, along which
-every mantissa is at most ``2^W`` (W = _WINDOW) and every level the walk
-does not lift at least ``2^-W``.  A flushed entry, under 2^-1022, thus
-drops a term under ``2^(W - 1022)`` from a level of at least ``2^-W``:
-under ``2^(2W - 1022)`` of it.  W = 474 makes that 2^-74, what rounding
-such an entry to a subnormal (an error up to 2^-1074) could move a level
-at the former window of 500; at 500 a flush could move it by 2^-22.  A
-lifted level has no such floor; where a level that is fed is left at 0 its
-quote is refused by name, not returned as -inf.  :meth:`_Walk.step`
-rescales rung 0 to a new profile exactly, by powers of two, only where
-that raises no entry below the diagonal: an entry flushed in the old
-profile would stay 0 where the new one puts it in the double range.  An
-entry the rescaling lowers below the double range is flushed again, within
-the bound.  The propagator's own squarings keep their subnormal entries;
-only its result is flushed.  A point's walk flushes nothing: it multiplies
-its one state by each step, where a subnormal operand costs nothing
-measurable, and a subnormal entry, rounded by at most 2^-1075, moves a
-level of at least ``2^-W`` by under ``2^(2W - 1075)`` = 2^-127 of it.
+Only the rungs a grid multiplies its rows by have their entries below the
+double range set to 0: rung 0 is a copy of E so flushed, and each square
+is flushed as it is formed, since a product with a subnormal operand can
+run several times slower.  A rung spans at most its run, along which every
+mantissa is at most ``2^W`` (W = _WINDOW) and every level the walk does
+not lift at least ``2^-W``.  A flushed entry, under 2^-1022, thus drops a
+term under ``2^(W - 1022)`` from a level of at least ``2^-W``: under
+``2^(2W - 1022)`` of it.  W = 474 makes that 2^-74, what rounding such an
+entry to a subnormal (an error up to 2^-1074) could move a level at the
+former window of 500; at 500 a flush could move it by 2^-22.  A lifted
+level has no such floor; where a level that is fed is left at 0 its quote
+is refused by name, not returned as -inf.  E itself, built afresh for each
+step and profile, keeps its subnormal entries, as do the propagator's own
+squarings: a walk multiplies only its one state by it, where a subnormal
+operand costs nothing measurable, and a subnormal entry, rounded by at
+most 2^-1075, moves a level of at least ``2^-W`` by under
+``2^(2W - 1075)`` = 2^-127 of it.
 
 Level one couples only to ``w_0 = 1``: ``w_1(T - tau) = e^(-x - k b) +
 eta tau phi1(-x)``, ``x = lambda_1 tau``, ``phi1(y) = expm1(y) / y``.  A
@@ -243,18 +241,16 @@ def _propagator(lam: np.ndarray, eta: float, tau: float, e: np.ndarray) -> np.nd
 
 class _Walk:
     """The walk of w back from T: the bound that sizes its segments and the
-    scaled steps it takes.  ``flush=False`` keeps the entries of its rungs
-    below the double range, for a point's walk, which multiplies only its
-    one state by them."""
+    scaled steps it takes."""
 
-    def __init__(self, p: ModelParams, flush: bool = True):
+    def __init__(self, p: ModelParams):
         c = self._coefficients = derive_coefficients(p)
         # M has diagonal lam and subdiagonal -eta
         self._lam = [c.alpha * q * q - c.beta * q for q in range(p.q_max + 1)]
         self.lam, self.eta = np.array(self._lam), c.eta
         self._floor = p.horizon * _HALF_STEP_FLOOR
-        self._flush = flush
-        self._ladder = None  # (h, profile, [E, E^2, E^4, ...]) last built
+        self._step = None  # (h, profile, E) of the last step
+        self._ladder = []  # [E, E^2, E^4, ...] of the last step, flushed
 
     def reach(self, v: np.ndarray, e: np.ndarray) -> float:
         """How long w = v 2^e can be walked back keeping every mantissa in
@@ -318,46 +314,31 @@ class _Walk:
                 np.array(e_new, dtype=np.int64))
 
     def step(self, h: float, e: np.ndarray) -> np.ndarray:
-        """The propagator E over h in the profile e: rung 0 of the ladder
-        that :meth:`power` climbs.  The last ladder built, for h or h / 2^j,
-        is reused from rung j on if the profile is the same, and else its
-        rung 0 is rescaled exactly and squared j times, unless the
-        rescaling would raise an entry below the diagonal: one lost below
-        the double range would stay lost."""
-        if self._ladder is not None:
-            h0, e0, ladder = self._ladder
-            j = math.log2(h / h0)
-            d = e - e0
-            shift = d[None, :] - d[:, None]
-            if j >= 0 and j == int(j) and not (np.tril(shift) > 0).any():
-                if d.any():
-                    self._ladder = h0, e, []
-                    self._climb(np.ldexp(ladder[0], shift.astype(np.int32)))
-                self.power(int(j))
-                self._ladder = h, e, self._ladder[2][int(j):]
-                return self._ladder[2][0]
-        self._ladder = h, e, []
-        return self._climb(_propagator(self.lam, self.eta, h, e))
+        """The propagator E over h in the profile e, built afresh unless h
+        and e are those of the last step.  E keeps its entries below the
+        double range: a walk multiplies only its one state by it."""
+        last = self._step
+        if last is None or h != last[0] or not np.array_equal(e, last[1]):
+            self._step = h, e, _propagator(self.lam, self.eta, h, e)
+            self._ladder = []
+        return self._step[2]
 
     def power(self, k: int) -> np.ndarray:
         """E^(2^k) for the last step E: E squared k times, each square's
-        diagonal reset to its exact value."""
-        h, _, ladder = self._ladder
+        diagonal reset to its exact value.  Every rung, E included, has its
+        entries below the double range set to 0 as it is formed, since a
+        grid multiplies its rows by it and a product with a subnormal
+        operand can run several times slower."""
+        h, _, step = self._step
+        ladder = self._ladder
+        if not ladder:
+            ladder.append(np.where(step < _TINY, 0.0, step))
         while len(ladder) <= k:
-            s = ladder[-1] @ ladder[-1]
-            s.reshape(-1)[::s.shape[0] + 1] = np.exp(-h * 2.0 ** len(ladder) * self.lam)
-            self._climb(s)
-        return ladder[k]
-
-    def _climb(self, rung: np.ndarray) -> np.ndarray:
-        """Put rung on the ladder, as every rung is, with its entries below
-        the double range set to 0 unless the walk keeps them: a product with
-        a subnormal operand can run several times slower, and _WINDOW bounds
-        what a flushed entry moves."""
-        if self._flush:
+            rung = ladder[-1] @ ladder[-1]
+            rung.reshape(-1)[::rung.shape[0] + 1] = np.exp(-h * 2.0 ** len(ladder) * self.lam)
             rung[rung < _TINY] = 0.0
-        self._ladder[2].append(rung)
-        return rung
+            ladder.append(rung)
+        return ladder[k]
 
     def run(self, v: np.ndarray, e: np.ndarray, tau: float, n_steps: int, emit) -> tuple:
         """Walk w = v 2^e back over n_steps steps of tau / n_steps.
@@ -482,11 +463,11 @@ class WSolution:
 
     def _state_at(self, t: float) -> tuple:
         """w(t) as (mantissas, exponents): w(T) at T, else a walk of one
-        step that flushes nothing (see the module docstring)."""
+        step."""
         p = self.params
         tau = self._tau(t)
         v, e = _terminal_state(p)
-        return (v, e) if tau == 0.0 else _Walk(p, flush=False).run(v, e, tau, 1, _advance)
+        return (v, e) if tau == 0.0 else _Walk(p).run(v, e, tau, 1, _advance)
 
     def evaluate_at(self, t: float) -> np.ndarray:
         """w(t), q = 0..q_max, as doubles (0 or inf beyond the double

@@ -54,10 +54,9 @@ import math
 import mpmath
 import numpy as np
 
-from optliq import (FixedQuote, ModelParams, NoAsymptoteError, ParameterError,
-                    RegimeError, TradeTape, WGrid, terminal_quote)
-from optliq.market_data import (COLUMNS, DEFAULT_DISTANCE_GRID, IntensityFit,
-                                _row_range, _spread_bucket)
+from optliq import (DataError, FixedQuote, ModelParams, NoAsymptoteError,
+                    ParameterError, RegimeError, TradeTape, WGrid, terminal_quote)
+from optliq.market_data import COLUMNS, DEFAULT_DISTANCE_GRID, IntensityFit, _spread_bucket
 from optliq.model import FIELD_TO_CONFIG_KEY, DerivedCoefficients, derive_coefficients
 from optliq.ode import _LIFT, _WINDOW, DEFAULT_N_STEPS, _terminal_state
 
@@ -312,7 +311,10 @@ def model_params_fields(values: dict):
 def slice_time(tape, start: float, end: float) -> TradeTape:
     """The records of ``tape`` in [start, end] as a new tape, whose columns
     are read-only views and whose caches start empty."""
-    lo, hi = _row_range(tape.ts, start, end)
+    lo = np.searchsorted(tape.ts, start, side="left")
+    hi = np.searchsorted(tape.ts, end, side="right")
+    if hi <= lo:
+        raise DataError(f"no records in [{start}, {end}]")
     return TradeTape(*(getattr(tape, name)[lo:hi] for name in COLUMNS),
                      tick_size=tape.tick_size)
 

@@ -13,7 +13,7 @@ from optliq import (BacktestConfig, CalibrationError, DataError, ParameterError,
                     TradeTape, calibrate_intensity, calibrate_sigma,
                     round_quote, run_backtest, summarize)
 from optliq.backtest import BacktestLedger
-from optliq.market_data import _row_range, synthetic_tape
+from optliq.market_data import _IntensityIndex, _window_rows, synthetic_tape
 from optliq.ode import WSolution, _advance, _quotes, _terminal_state, _Walk
 from tests.conftest import two_bucket_episode
 from tests.oracles import (calibrate_intensity_recount, calibrate_sigma_resample,
@@ -283,18 +283,23 @@ class TestIndexedIntensityFit:
         else:
             tape, cfg = two_bucket_episode()
         got = run_backtest(tape, cfg)
+        # the re-quote times, a market order's included, in replay order
+        times = sorted([o.t_insert for o in got.orders]
+                       + [f.t for f in got.fills if f.order_index is None])
         recounts = []
 
-        def recount_fit(tape, index, bucket, lo, hi, end_time, n_min):
+        def recount_fit(index, bucket, lo, hi, tail, n_min):
+            # the replay's k-th fit is its k-th re-quote's: the rows it
+            # tracks and the tail it passes are the window's, found afresh
+            end_time = times[len(recounts)]
             recounts.append(end_time)
-            # the rows the replay tracks are the window's, found afresh
-            assert (lo, hi) == _row_range(tape.ts, end_time - cfg.recalib_window, end_time)
+            assert (lo, hi, tail) == _window_rows(tape, cfg.recalib_window, end_time)
             fits, dropped = calibrate_intensity_recount(
                 tape, cfg.distance_grid, window=cfg.recalib_window,
                 end_time=end_time, n_min=n_min)
             return fits.get(bucket, dropped.get(bucket))
 
-        monkeypatch.setattr("optliq.backtest._window_fit", recount_fit)
+        monkeypatch.setattr(_IntensityIndex, "fit_bucket", recount_fit)
         want = run_backtest(tape, cfg)
         # every re-quote, a market order included, took its fit from the recount
         assert recounts == sorted([o.t_insert for o in want.orders]

@@ -237,7 +237,9 @@ class TestSolveSpectral:
                   "horizon": 1800.0, "gamma": 0.22500257131260631}
         cases = [({"sigma": 3.0, "k": 0.2, "horizon": 7200.0, "q_max": 100}, 4, 1e-11),
                  ({"horizon": 300.0, "q_max": 100}, 2, 1e-11),
-                 ({"horizon": 7200.0, "q_max": 100}, 2, 1e-11)]
+                 ({"horizon": 7200.0, "q_max": 100}, 2, 1e-11),
+                 ({"b": 20.0, "k": 0.4, "horizon": 300.0, "q_max": 100}, 2, 1e-11),
+                 ({"b": 20.0, "k": 0.4, "horizon": 7200.0, "q_max": 100}, 2, 1e-11)]
         cases += [(dict(replay, q_max=q_max), 1, 1e-12) for q_max in (2, 6, 10)]
         for changes, n_profiles, tol in cases:
             p = ModelParams(**changes)
@@ -250,6 +252,23 @@ class TestSolveSpectral:
             for i in sorted(rows):
                 gap = np.max(np.abs(dec.quotes_at(float(grid.times[i])) - surface.values[i]))
                 assert gap < tol, (changes, i)
+
+    @pytest.mark.parametrize("changes", [{}, {"b": 20.0, "k": 0.4, "q_max": 100},
+                                         {"b": 20.0, "k": 0.4, "horizon": 7200.0, "q_max": 100},
+                                         {"sigma": 3.0, "k": 0.2, "horizon": 7200.0,
+                                          "q_max": 100}])
+    def test_grid_builds_one_propagator_per_profile(self, changes, monkeypatch):
+        # segments that keep the step and the profile share one propagator
+        # and its ladder; a new profile builds a fresh one
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return _propagator(*args)
+
+        monkeypatch.setattr("optliq.ode._propagator", spy)
+        grid = solve_grid(ModelParams(**changes))
+        assert 1 <= len(calls) <= len(grid.breaks)
 
     @pytest.mark.parametrize("changes", [{}, {"sigma": 3.0, "k": 0.2}])
     @pytest.mark.parametrize("horizon", [300.0, 7200.0])
@@ -602,10 +621,11 @@ class TestExtremeLiquidationCost:
             assert np.max(np.abs(surface.values[i] - exact)) < 1e-9
 
     def test_reused_propagator_keeps_entries_below_double_range(self):
-        # the step next to T is crossed in pieces; a propagator rescaled
-        # into exponents that raise an entry below the diagonal, instead
-        # of rebuilt, misses the feed it lost below the double range (by
-        # 0.016 Ticks)
+        # the step next to T is crossed in pieces, under changing
+        # exponents, each with a propagator built afresh in its own: a
+        # propagator rescaled from the profile before would keep a feed
+        # below the diagonal lost below the double range, and miss it by
+        # 0.016 Ticks
         p = ModelParams(mu=-0.02, sigma=4.4, b=0.0, horizon=427.0, q_max=146,
                         k=0.65, big_a=6.2)
         surface = quote_surface(solve_grid(p, 10))
