@@ -10,12 +10,13 @@ The engine is exact in time.  Every policy holds delta constant between the
 nodes of its surface (a :class:`FixedQuote` has one node), so at level q the
 cumulative hazard ``H_q(t)`` is piecewise linear, and the next fill after t
 is the time where ``H_q`` reaches ``H_q(t) + E`` for a unit exponential E:
-one table lookup and one linear inversion per fill.  A
+one search of the table and one linear inversion per fill.  A
 :class:`MarketOrderFallback` sells at the first node at or after t whose
 premium is below the threshold, if that comes before the fill; a premium so
 negative that the intensity overflows fills at the start of its interval.
-The table holds one premium per level and interval, what a sale there adds
-to S (0 for a market order), read alike by a fill and a forced sale.
+The table reads the held premiums in place from the surface (a sale adds
+its interval's premium to S, 0 for a market order), lists each level's
+forced intervals, sorted, and searches a round's fills in increasing order.
 The price is sampled only at those event times and at T, by exact Gaussian
 increments, and an execution settles at ``S(tau) + delta`` (a market order
 at ``S(tau)``).  ``SimConfig.dt`` only sets the grid on which the trading
@@ -302,44 +303,44 @@ def _grid_index(grid: np.ndarray, dt: float, tau: np.ndarray) -> np.ndarray:
 class _HazardTable:
     """Fill hazard of a policy per inventory level, rows q = 1..q0.
 
-    edges       interval bounds 0 = e_0 < ... < e_n = T of the held quotes
-    rate        (q0, n) fill intensity on [e_i, e_{i+1}), 0 where a unit is
-                forced
-    cum         (q0, n+1) cumulative hazard H_q(e_i)
-    next_forced (q0, n) first interval at or after i where the unit is
-                sold at once (n if none)
-    premium, market  (q0, n) what a sale in the interval adds to S, and
-                whether it is a market order (premium 0); a fill and a
-                forced sale read the same entry
+    edges   interval bounds 0 = e_0 < ... < e_n = T of the held quotes
+    values  (n, q0) the held premiums, read in place from the surface
+    rate    (q0, n) fill intensity on [e_i, e_{i+1}), 0 where a unit is
+            forced
+    cum     (q0, n+1) cumulative hazard H_q(e_i)
+    market  (q0, n) whether a sale in the interval is a market order, which
+            adds 0 to S in place of the premium
+    stops   per level, the sorted intervals where the unit is sold at once,
+            then n
     """
 
     def __init__(self, policy: Policy, params: ModelParams, q0: int):
         horizon = params.horizon
         if isinstance(policy, FixedQuote):
             starts = np.zeros(1)
-            premium = np.full((q0, 1), float(policy.delta))
+            values = np.full((1, q0), float(policy.delta))
         elif isinstance(policy, (OptimalSurface, MarketOrderFallback)):
             surface = policy.surface
             # the times increase, so the nodes before T are a prefix; a node
             # at T only sets the terminal quote, which is never held
             m = max(1, int(np.searchsorted(surface.times, horizon * (1 - 1e-12))))
             starts = surface.times[:m]
-            # a copy even where the transpose is contiguous (q0 = 1 or
-            # m = 1): the market orders are zeroed in it below
-            premium = np.array(surface.values[:m, :q0].T, order="C")
+            values = surface.values[:m, :q0]
         else:
             raise ParameterError(f"unknown policy {policy!r}")
         n = starts.size
         self.edges = np.append(starts, horizon)
         self.edges[0] = 0.0
+        self.values = values
         # formed in place: each fresh array over the surface's nodes costs
         # its page faults again on every call
-        rate = np.multiply(premium, -params.k)
+        rate = np.multiply(values.T, -params.k, order="C")
         with np.errstate(over="ignore"):
             np.exp(rate, out=rate)
             rate *= params.big_a
         # only a MarketOrderFallback has a threshold
-        self.market = np.less(premium, float(getattr(policy, "threshold", -math.inf)))
+        self.market = np.less(values.T, float(getattr(policy, "threshold", -math.inf)),
+                              order="C")
         forced = np.isinf(rate)
         forced |= self.market
         np.copyto(rate, 0.0, where=forced)
@@ -348,12 +349,23 @@ class _HazardTable:
         self.cum[:, 0] = 0.0
         np.multiply(rate, np.diff(self.edges), out=self.cum[:, 1:])
         np.cumsum(self.cum[:, 1:], axis=1, out=self.cum[:, 1:])
-        self.next_forced = np.full((q0, n), n, dtype=np.int64)
-        np.copyto(self.next_forced, np.arange(n), where=forced)
-        backwards = self.next_forced[:, ::-1]
-        np.minimum.accumulate(backwards, axis=1, out=backwards)
-        np.copyto(premium, 0.0, where=self.market)
-        self.premium = premium
+        self.stops = [np.concatenate((row.nonzero()[0], [n])) for row in forced]
+
+    def forced_from(self, level: int, node: np.ndarray) -> np.ndarray:
+        """Per ``node``, the next interval where ``level`` sells at once, else n."""
+        return self.stops[level][self.stops[level].searchsorted(node)]
+
+
+def _interval_index(cum: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """``min(searchsorted(cum, target, "right") - 1, n - 1)`` for targets ``>= cum[0]``
+    on n + 1 nodes: searched in increasing order and scattered back, not at
+    all with one interval."""
+    if cum.size == 2:
+        return np.zeros(target.size, dtype=np.int64)
+    order = np.argsort(target)
+    k = np.empty_like(order)
+    k[order] = np.searchsorted(cum, target[order], side="right")
+    return np.minimum(k - 1, cum.size - 2)
 
 
 # ------------------------------------------------------------------- engine
@@ -371,7 +383,6 @@ def _simulate(cfg: SimConfig, table: _HazardTable, draws: _Draws) -> tuple:
     horizon = p.horizon
     n = draws.keys.size
     edges = table.edges
-    n_int = edges.size - 1
     q = np.full(n, cfg.q0, dtype=np.int64)
     x = np.zeros(n)
     s = np.full(n, float(cfg.s0))
@@ -387,13 +398,13 @@ def _simulate(cfg: SimConfig, table: _HazardTable, draws: _Draws) -> tuple:
         level = cfg.q0 - 1 - j
         cum, rate = table.cum[level], table.rate[level]
         target = cum[node] + rate[node] * (t - edges[node]) + draws.exponentials[j][rows]
-        k = np.minimum(np.searchsorted(cum, target, side="right") - 1, n_int - 1)
+        k = _interval_index(cum, target)
         with np.errstate(divide="ignore", invalid="ignore"):
             tau = edges[k] + (target - cum[k]) / rate[k]
         tau = np.where(target < cum[-1], np.maximum(tau, t), np.inf)
-        # with nothing forced before T, next_forced is n and edges[n] = T:
+        # with nothing forced before T, forced_from is n and edges[n] = T:
         # the forced sale falls at T, which sells nothing
-        forced_at = table.next_forced[level][node]
+        forced_at = table.forced_from(level, node)
         t_forced = np.maximum(t, edges[forced_at])
         forced = t_forced <= tau
         event = np.minimum(tau, t_forced)
@@ -405,10 +416,11 @@ def _simulate(cfg: SimConfig, table: _HazardTable, draws: _Draws) -> tuple:
         sold = event < horizon
         rows, t = rows[sold], event[sold]
         node = np.where(forced, forced_at, k)[sold]   # the interval of the sale
-        price = s_live[sold] + table.premium[level][node]
+        market = table.market[level][node]
+        price = s_live[sold] + np.where(market, 0.0, table.values[:, level][node])
         x[rows] += price
         q[rows] -= 1
-        market_orders[rows] += table.market[level][node]
+        market_orders[rows] += market
         sales.append((t, s_live[sold], price))
 
     if rows.size:

@@ -24,7 +24,9 @@ of ``_Walk.reach`` and ``_Walk.profile``, and of the lift they share.
 
 :func:`event_rule_path` runs the event rule of :mod:`optliq.simulate` for
 one path in a plain loop over the held intervals: the oracle of the
-vectorised hazard table and fill rounds.
+vectorised hazard table and fill rounds.  :func:`next_forced` is the dense
+form of a level's next forced interval: the oracle of the per-level stops
+that ``_HazardTable.forced_from`` searches.
 
 :func:`model_params_fields` checks a parameter set one field at a time:
 the oracle of the combined check of ``ModelParams``.
@@ -505,6 +507,15 @@ def event_rule_path(cfg, exponentials, normals) -> dict:
         s += p.mu * (horizon - t) + p.sigma * math.sqrt(horizon - t) * normals[q0]
     return {"q_final": q0 - len(sales), "x_final": x, "s_final": s,
             "market_orders": market_orders, "sales": sales}
+
+
+def next_forced(forced: np.ndarray) -> np.ndarray:
+    """Per interval i of one level's mask ``forced``, the first interval at
+    or after i where the unit is sold at once, n if none: each interval's
+    own index where forced, else n, then a running minimum from the end."""
+    n = forced.size
+    first = np.where(forced, np.arange(n), n)
+    return np.minimum.accumulate(first[::-1])[::-1]
 
 
 def tq_rows(times, values, first_q: int):

@@ -18,8 +18,9 @@ def test_mc_dump_repeats_bit_for_bit(tmp_path, capsys):
     for name in ("a", "b"):
         outputs.mc(str(tmp_path / name), seeds=[1])
     assert outputs.compare(str(tmp_path / "a"), str(tmp_path / "b")) == 0
-    # per workload: the scalars, the inventory counts and the curves
-    assert capsys.readouterr().out.splitlines()[-1] == "6 files identical"
+    # per workload and forced-sale ensemble: the scalars, the inventory
+    # counts and the curves
+    assert capsys.readouterr().out.splitlines()[-1] == "12 files identical"
 
 
 def test_ledgers_dump_repeats_bit_for_bit(tmp_path, capsys):

@@ -15,8 +15,9 @@ from optliq import (FixedQuote, MarketOrderFallback, ModelParams,
 from optliq.model import QuoteSurface
 import optliq.simulate as sim_module
 from optliq.simulate import (_Draws, _exponentials, _grid_index, _HazardTable,
-                             _normals, _path_keys, _simulate, _uniforms)
-from tests.oracles import event_rule_path
+                             _interval_index, _normals, _path_keys, _simulate,
+                             _uniforms)
+from tests.oracles import event_rule_path, next_forced
 
 
 @pytest.fixture(scope="module")
@@ -396,6 +397,92 @@ class TestEventRuleOracle:
                     want[key], rel=1e-12, abs=1e-12 * (scale + abs(want["s_final"])))
 
 
+# per-level masks of the intervals where a unit is sold at once, over 30
+# held nodes
+_N = 30
+
+
+def _runs(*spans):
+    mask = np.zeros(_N, dtype=bool)
+    for lo, hi in spans:
+        mask[lo:hi] = True
+    return mask
+
+
+_MASKS = [_runs(), _runs((0, _N)), _runs((_N - 1, _N)), _runs((0, 1)),
+          _runs((2, 6), (9, 10), (17, 29))]
+
+
+class TestHazardTable:
+    """The per-level stops of the forced intervals against the dense
+    running minimum (:func:`tests.oracles.next_forced`)."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", ["fallback", "overflow"])
+    def test_forced_from_matches_dense_oracle(self, kind, seed):
+        # one level per mask: none, all, only the last or the first
+        # interval, runs, and two random masks (sparse and dense); a unit
+        # is forced by a premium below the fallback threshold of 0, or by
+        # one whose rate overflows
+        rng = np.random.default_rng(seed)
+        mask = np.column_stack(_MASKS + [rng.random(_N) < 0.1, rng.random(_N) < 0.7])
+        q_max = mask.shape[1]
+        p = ModelParams(q_max=q_max)
+        values = np.where(mask, -1.0 if kind == "fallback" else -1e4, 2.0)
+        surface = QuoteSurface(np.linspace(0.0, p.horizon, _N + 1),
+                               np.vstack([values, np.ones(q_max)]), p)
+        policy = (MarketOrderFallback(surface, 0.0) if kind == "fallback"
+                  else OptimalSurface(surface))
+        table = _HazardTable(policy, p, q_max)
+        for level in range(q_max):
+            want = next_forced(mask[:, level])
+            assert np.array_equal(table.forced_from(level, np.arange(_N)), want)
+            # in any order, and repeated
+            node = rng.integers(0, _N, 50)
+            assert np.array_equal(table.forced_from(level, node), want[node])
+
+    @pytest.mark.parametrize("delta,forced", [(-1e4, True), (2.0, False),
+                                              (math.inf, False)])
+    def test_fixed_quote_forced_from(self, delta, forced):
+        # -1e4 overflows the rate: every unit sells at the start
+        table = _HazardTable(FixedQuote(delta), ModelParams(), 6)
+        want = next_forced(np.array([forced]))
+        for level in range(6):
+            assert np.array_equal(table.forced_from(level, np.zeros(3, dtype=np.int64)),
+                                  np.repeat(want, 3))
+
+
+class TestIntervalIndex:
+    """The key-ordered interval search against ``np.searchsorted``."""
+
+    @given(rates=st.lists(st.sampled_from([0.0, 0.25, 3.0]) | st.floats(0.0, 1e3),
+                          min_size=1, max_size=30),
+           nodes=st.lists(st.integers(0, 30), max_size=30),
+           fractions=st.lists(st.floats(0.0, 2.0), max_size=30))
+    # the one-interval table of a fixed quote
+    @example(rates=[0.7], nodes=[1, 0, 1, 0], fractions=[1.5, 0.5, 1.0, 0.0])
+    # flat runs of cum where forced intervals have rate 0
+    @example(rates=[1.0, 0.0, 0.0, 2.0, 0.0], nodes=[3, 1, 2, 2, 5, 0, 5],
+             fractions=[0.2, 1.0])
+    @settings(max_examples=200, deadline=None)
+    def test_matches_searchsorted(self, rates, nodes, fractions):
+        # intervals of unit width; the targets, unsorted and with ties, hit
+        # the nodes of cum and a hair either side, lie between them, at
+        # cum[-1] and above
+        cum = np.concatenate([[0.0], np.cumsum(rates)])
+        hit = cum[np.minimum(np.asarray(nodes, dtype=np.int64), cum.size - 1)]
+        target = np.concatenate([hit, np.nextafter(hit, np.inf),
+                                 np.nextafter(hit, -np.inf),
+                                 np.asarray(fractions) * cum[-1],
+                                 [cum[-1], np.inf]])
+        target = np.maximum(target, 0.0)
+        target = np.concatenate([target, target[::-1]])
+        want = np.minimum(np.searchsorted(cum, target, side="right") - 1, cum.size - 2)
+        got = _interval_index(cum, target)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
 class TestGridIndex:
     @given(horizon=st.floats(1.0, 1e5), n=st.integers(100, 20_000),
            shrink=st.floats(0.0, 1e-10),
@@ -653,9 +740,9 @@ class TestMarketOrderFallback:
         q_fallback = runs[1].trading_curve.expected_inventory[-1]
         assert q_fallback <= q_plain
 
-    # q0 = q_max = 1 and a single held node make the held block of the
-    # surface's values contiguous once transposed, so that a table built
-    # on a view of it would zero the market orders in the surface itself
+    # the tables read the held block of the surface's values in place;
+    # q0 = q_max = 1 and a single held node make that block contiguous once
+    # transposed
     @pytest.mark.parametrize("q0,times,values", [
         (1, [0.0, 100.0, 200.0, _T], [[4.0], [-2.0], [3.0], [1.0]]),
         (3, [0.0, _T], [[-1.0, 2.0, -3.0], [1.0, 1.0, 1.0]]),
@@ -665,20 +752,25 @@ class TestMarketOrderFallback:
     ])
     def test_simulations_leave_surface_unchanged(self, q0, times, values):
         # the threshold of 0 is crossed at every surface, so the tables of
-        # the fallback hold market orders
+        # the fallback hold market orders; on the read-only copy, run
+        # first, a write to the surface raises
         p = ModelParams(sigma=3.0, q_max=len(values[0]))
-        surface = QuoteSurface(np.array(times), np.array(values), p)
-        want = surface.values.copy()
-        policies = [MarketOrderFallback(surface, 0.0), OptimalSurface(surface)]
-        runs = simulate_policies(p, policies, q0=q0, dt=_T / 100, n_paths=50,
-                                 seed=4)
-        assert runs[0].terminal_inventory_hist[0] == 50
-        for policy in policies:
-            cfg = SimConfig(params=p, q0=q0, dt=_T / 100, n_paths=50, seed=4,
-                            policy=policy)
-            simulate_ensemble(cfg)
-            simulate_path(cfg, 1)
-        assert np.array_equal(surface.values, want)
+        surfaces = [QuoteSurface(np.array(times), np.array(values), p)
+                    for _ in range(2)]
+        surfaces[0].values.setflags(write=False)
+        want = surfaces[1].values.copy()
+        for surface in surfaces:
+            policies = [MarketOrderFallback(surface, 0.0), OptimalSurface(surface),
+                        FixedQuote(-1.0)]
+            runs = simulate_policies(p, policies, q0=q0, dt=_T / 100, n_paths=50,
+                                     seed=4)
+            assert runs[0].terminal_inventory_hist[0] == 50
+            for policy in policies:
+                cfg = SimConfig(params=p, q0=q0, dt=_T / 100, n_paths=50, seed=4,
+                                policy=policy)
+                simulate_ensemble(cfg)
+                simulate_path(cfg, 1)
+            assert np.array_equal(surface.values, want)
 
 
 class TestExports:

@@ -17,9 +17,13 @@ ledgers   tape_replay, seeds 1-20 and 1001: the calibration (JSON), and per
 surfaces  every quote_grid surface of seeds 1-3 as columns (t, delta_1,
           ..., delta_q_max), under its label, or its seed and label where
           the set changes with the seed; a refused set as a .txt error;
-mc        mc_ensemble and mc_policies, seeds 1-20: per policy the scalars
-          (SUMMARY_SCALARS), the terminal inventory counts (q = 0..q0) and
-          the curves (times, expected_inventory, mc_stderr_curve).
+mc        mc_ensemble and mc_policies, seeds 1-20, and on mc_policies'
+          settings two ensembles that sell at once: a market-order fallback
+          at threshold 5 on its surface, and a fixed quote of -1e4 Ticks,
+          whose fill rate overflows (from s0 = 1e4, so that its utility
+          stays finite); per policy the scalars (SUMMARY_SCALARS), the
+          terminal inventory counts (q = 0..q0) and the curves (times,
+          expected_inventory, mc_stderr_curve).
 
 The benchmark inputs come from the bench/workloads.py next to this tool,
 through ``make_inputs`` and ``setup``, so every REPO gets the same inputs.
@@ -215,12 +219,15 @@ def _save_summaries(outdir: str, stem: str, summaries) -> None:
 
 
 def mc(outdir: str, seeds=range(1, 21)) -> None:
-    from optliq import OptimalSurface, SimConfig, simulate_ensemble, simulate_policies
+    from optliq import (FixedQuote, MarketOrderFallback, OptimalSurface, SimConfig,
+                        simulate_ensemble, simulate_policies)
 
     workloads, rec = _bench()
     ens, pol = workloads.McEnsemble(), workloads.McPolicies()
     surface = ens.setup(ens.make_inputs(1, ""), rec)["surface"]
     policies = pol.setup(pol.make_inputs(1, ""), rec)["policies"]
+    forced = {"fallback": (MarketOrderFallback(policies[0].surface, 5.0), 0.0),
+              "overflow": (FixedQuote(-1e4), 1e4)}
     os.makedirs(outdir, exist_ok=True)
     for seed in seeds:
         cfg = SimConfig(params=workloads.FORCED, q0=ens.q0, dt=ens.dt,
@@ -230,6 +237,10 @@ def mc(outdir: str, seeds=range(1, 21)) -> None:
         runs = simulate_policies(workloads.REF, policies, q0=pol.q0, dt=pol.dt,
                                  n_paths=workloads.POLICY_PATHS, seed=seed)
         _save_summaries(outdir, f"{pol.name}-seed{seed}", runs)
+        for stem, (policy, s0) in forced.items():
+            cfg = SimConfig(params=workloads.REF, q0=pol.q0, dt=pol.dt,
+                            n_paths=workloads.POLICY_PATHS, seed=seed, policy=policy, s0=s0)
+            _save_summaries(outdir, f"{stem}-seed{seed}", [simulate_ensemble(cfg)])
 
 
 CASES = {"readme": readme, "ledgers": ledgers, "surfaces": surfaces, "mc": mc}
